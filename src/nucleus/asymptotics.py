@@ -45,6 +45,23 @@ def _check_form(form: str) -> None:
         raise ValueError(f"form must be one of {FORMS}, got {form!r}")
 
 
+def _nu_factor(n: int, form: str) -> float:
+    _check_form(form)
+    if n < 2:
+        raise ValueError(f"nu estimate defined for n >= 2, got {n}")
+    x = A * (math.sqrt(n) - math.sqrt(n - 1))
+    return -math.expm1(-x) if form == "exact_difference" else x
+
+
+def _gamma_factor(n: int, form: str) -> float:
+    _check_form(form)
+    if n < 3:
+        raise ValueError(f"gamma estimate defined for n >= 3, got {n}")
+    x = A * (math.sqrt(n) - math.sqrt(n - 1))
+    y = A * (math.sqrt(n - 1) - math.sqrt(n - 2))
+    return math.exp(-x) - math.exp(-y) if form == "exact_difference" else y - x
+
+
 def hr_nu(n: int, form: str = "exact_difference") -> float:
     """Estimate of nu(n) as a first difference of the p estimate.
 
@@ -53,21 +70,13 @@ def hr_nu(n: int, form: str = "exact_difference") -> float:
     agree in the limit; the measured mutual gap is about 6.6% at n = 100
     and shrinks like x/2.
     """
-    _check_form(form)
-    if n < 2:
-        raise ValueError(f"nu estimate defined for n >= 2, got {n}")
-    x = A * (math.sqrt(n) - math.sqrt(n - 1))
-    factor = -math.expm1(-x) if form == "exact_difference" else x
+    factor = _nu_factor(n, form)
     return hr_p(n) * factor
 
 
 def log_hr_nu(n: int, form: str = "exact_difference") -> float:
     """Log-space variant of hr_nu."""
-    _check_form(form)
-    if n < 2:
-        raise ValueError(f"nu estimate defined for n >= 2, got {n}")
-    x = A * (math.sqrt(n) - math.sqrt(n - 1))
-    factor = -math.expm1(-x) if form == "exact_difference" else x
+    factor = _nu_factor(n, form)
     return log_hr_p(n) + math.log(factor)
 
 
@@ -81,23 +90,13 @@ def hr_gamma(n: int, form: str = "exact_difference") -> float:
     gamma(n) by roughly a factor A*sqrt(n) (measured: about 18x at
     n = 100); they are order-of-growth diagnostics, not point estimates.
     """
-    _check_form(form)
-    if n < 3:
-        raise ValueError(f"gamma estimate defined for n >= 3, got {n}")
-    x = A * (math.sqrt(n) - math.sqrt(n - 1))
-    y = A * (math.sqrt(n - 1) - math.sqrt(n - 2))
-    factor = math.exp(-x) - math.exp(-y) if form == "exact_difference" else y - x
+    factor = _gamma_factor(n, form)
     return hr_p(n) * factor
 
 
 def log_hr_gamma(n: int, form: str = "exact_difference") -> float:
     """Log-space variant of hr_gamma."""
-    _check_form(form)
-    if n < 3:
-        raise ValueError(f"gamma estimate defined for n >= 3, got {n}")
-    x = A * (math.sqrt(n) - math.sqrt(n - 1))
-    y = A * (math.sqrt(n - 1) - math.sqrt(n - 2))
-    factor = math.exp(-x) - math.exp(-y) if form == "exact_difference" else y - x
+    factor = _gamma_factor(n, form)
     return log_hr_p(n) + math.log(factor)
 
 

@@ -19,7 +19,8 @@ CACHE_ENV_VAR = "NUCLEUS_CACHE"
 
 
 class CacheError(Exception):
-    """A cache file failed validation; the message names the offending row."""
+    """A cache file could not be read or written, or failed validation; the
+    message names the path's problem or the offending row."""
 
 
 def resolve_cache_path(explicit: str | None) -> Path | None:
@@ -35,8 +36,11 @@ def write_table(table: CountTable, path: Path | str) -> None:
     lines = [CACHE_HEADER]
     for n in range(table.limit + 1):
         lines.append(f"{n},{table.gamma[n]},{table.nu[n]},{table.p[n]}")
-    with open(path, "w", encoding="ascii", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+    try:
+        with open(path, "w", encoding="ascii", newline="\n") as handle:
+            handle.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise CacheError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _field(raw: str, line_no: int, name: str) -> int:
@@ -46,9 +50,15 @@ def _field(raw: str, line_no: int, name: str) -> int:
 
 
 def read_table(path: Path | str) -> CountTable:
-    """Load and validate a cache file; raises CacheError naming the bad row."""
-    with open(path, "r", encoding="ascii") as handle:
-        text = handle.read()
+    """Load and validate a cache file; raises CacheError naming the bad row,
+    or saying why the file cannot be read."""
+    try:
+        with open(path, "r", encoding="ascii") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise CacheError(f"byte at offset {exc.start} is not ASCII") from None
+    except OSError as exc:
+        raise CacheError(f"cannot read {path}: {exc.strerror}") from None
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()

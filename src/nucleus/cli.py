@@ -9,7 +9,7 @@ identical invocations; timings go to stderr.  Unbounded integers travel
 as decimal strings in JSON.
 
 Exit status: 0 all requested checks passed, 1 a check failed, 2 usage
-error, 3 cache file invalid.
+error, 3 cache file unreadable, unwritable or invalid.
 """
 
 from __future__ import annotations
@@ -19,13 +19,14 @@ import json
 import sys
 import time
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
 
 from . import __version__
 from .asymptotics import estimate_rows, ratio_report
 from .cache import CacheError, load_table, read_table, resolve_cache_path
 from .congruence import (
     RAMANUJAN_PROGRESSIONS,
-    CongruenceFamily,
     CongruenceReport,
     check_gamma_weighted,
     check_nu_k_progression,
@@ -47,7 +48,7 @@ from .counting import (
     p_via_nu_chain,
 )
 from .partitions import (
-    EnumerationConstraint,
+    NUCLEAR,
     Partition,
     decay_chain,
     is_nuclear,
@@ -61,9 +62,6 @@ EXIT_USAGE = 2
 EXIT_CACHE_ERROR = 3
 
 FORMATS = ("text", "csv", "json")
-
-_NUCLEAR = EnumerationConstraint(min_part=2)
-
 
 # --------------------------------------------------------------------------
 # verification sweeps
@@ -102,7 +100,7 @@ class VerificationSummary:
 K_VALUES = (1, 2, 3, 5, 7, 11)
 
 
-def _sweep(name, low, high, predicate, expected_fail=False):
+def _sweep(name, low, high, predicate, expected_fail):
     failures = 0
     first = None
     for n in range(low, high + 1):
@@ -113,81 +111,35 @@ def _sweep(name, low, high, predicate, expected_fail=False):
     return IdentityOutcome(name, max(high - low + 1, 0), failures, first, expected_fail)
 
 
-def _run_nu_chain(table, exact, enum, counts):
-    return _sweep("nu_chain", 0, exact, lambda n: p_via_nu_chain(n, table).value == table.p[n])
+def _all_k_agree(t, c, n):
+    return all(p_via_k_nuclear(n, k, t)[1].value == t.p[n] for k in K_VALUES)
 
 
-def _run_gamma_chain(table, exact, enum, counts):
-    return _sweep("gamma_chain", 2, exact, lambda n: nu_via_gamma_chain(n, table) == table.nu[n])
+def _ground_states_match(t, c, n):
+    ground = sum(1 for parts in iter_parts(n, NUCLEAR) if len(parts) >= 2 and parts[0] == parts[1])
+    return ground == t.gamma[n]
 
 
-def _run_gamma_weights(table, exact, enum, counts):
-    return _sweep("gamma_weights", 2, exact, lambda n: p_via_gamma_weights(n, table).value == table.p[n])
-
-
-def _run_n_nu_minus_gamma(table, exact, enum, counts):
-    return _sweep("n_nu_minus_gamma", 2, exact,
-                  lambda n: p_via_n_nu_minus_gamma(n, table).value == table.p[n])
-
-
-def _run_bounded_sum(table, exact, enum, counts):
-    return _sweep("bounded_sum", 4, exact,
-                  lambda n: nu_via_bounded_sum(n, counts=counts)[1] == table.nu[n])
-
-
-def _run_k_nuclear(table, exact, enum, counts):
-    def all_k_agree(n):
-        return all(p_via_k_nuclear(n, k, table)[1].value == table.p[n] for k in K_VALUES)
-    return _sweep("k_nuclear", 0, exact, all_k_agree)
-
-
-def _run_gap_sum(table, exact, enum, counts):
-    return _sweep("gap_sum", 2, enum, lambda n: p_via_gap_sum(n).value == table.p[n])
-
-
-def _run_nuclear_count(table, exact, enum, counts):
-    def count_matches(n):
-        return sum(1 for _ in iter_parts(n, _NUCLEAR)) == table.nu[n]
-    return _sweep("nuclear_count", 0, enum, count_matches)
-
-
-def _run_ground_state_count(table, exact, enum, counts):
-    def count_matches(n):
-        ground = sum(1 for parts in iter_parts(n, _NUCLEAR)
-                     if len(parts) >= 2 and parts[0] == parts[1])
-        return ground == table.gamma[n]
-    return _sweep("ground_state_count", 0, enum, count_matches)
-
-
-def _run_bounded_sum_truncated(table, exact, enum, counts):
+# name: (first n, last n, predicate, expected_fail).  The last n is the
+# exact limit, the enumeration limit or a fixed value; the predicate
+# takes (table, counts, n) and is true where the identity holds at n.
+_EXACT, _ENUM = "exact", "enum"
+_IDENTITIES = {
+    "nu_chain": (0, _EXACT, lambda t, c, n: p_via_nu_chain(n, t).value == t.p[n], False),
+    "gamma_chain": (2, _EXACT, lambda t, c, n: nu_via_gamma_chain(n, t) == t.nu[n], False),
+    "gamma_weights": (2, _EXACT, lambda t, c, n: p_via_gamma_weights(n, t).value == t.p[n], False),
+    "n_nu_minus_gamma": (2, _EXACT, lambda t, c, n: p_via_n_nu_minus_gamma(n, t).value == t.p[n], False),
+    "bounded_sum": (4, _EXACT, lambda t, c, n: nu_via_bounded_sum(n, counts=c)[1] == t.nu[n], False),
+    "k_nuclear": (0, _EXACT, _all_k_agree, False),
+    "gap_sum": (2, _ENUM, lambda t, c, n: p_via_gap_sum(n).value == t.p[n], False),
+    "nuclear_count": (0, _ENUM, lambda t, c, n: sum(1 for _ in iter_parts(n, NUCLEAR)) == t.nu[n], False),
+    "ground_state_count": (0, _ENUM, _ground_states_match, False),
     # The truncated variant must come out exactly one short, everywhere.
-    return _sweep("bounded_sum_truncated", 4, exact,
-                  lambda n: nu_via_bounded_sum(n, counts=counts)[0] == table.nu[n] - 1,
-                  expected_fail=True)
-
-
-def _run_k_nuclear_shifted(table, exact, enum, counts):
-    def demonstrates(n):
-        shifted, _ = p_via_k_nuclear(n, 2, table)
-        return shifted != table.p[n]
-    return _sweep("k_nuclear_shifted", 6, 6, demonstrates, expected_fail=True)
-
-
-_IDENTITY_RUNNERS = {
-    "nu_chain": _run_nu_chain,
-    "gamma_chain": _run_gamma_chain,
-    "gamma_weights": _run_gamma_weights,
-    "n_nu_minus_gamma": _run_n_nu_minus_gamma,
-    "bounded_sum": _run_bounded_sum,
-    "k_nuclear": _run_k_nuclear,
-    "gap_sum": _run_gap_sum,
-    "nuclear_count": _run_nuclear_count,
-    "ground_state_count": _run_ground_state_count,
-    "bounded_sum_truncated": _run_bounded_sum_truncated,
-    "k_nuclear_shifted": _run_k_nuclear_shifted,
+    "bounded_sum_truncated": (4, _EXACT, lambda t, c, n: nu_via_bounded_sum(n, counts=c)[0] == t.nu[n] - 1,
+                              True),
+    "k_nuclear_shifted": (6, 6, lambda t, c, n: p_via_k_nuclear(n, 2, t)[0] != t.p[n], True),
 }
-
-IDENTITY_NAMES = tuple(_IDENTITY_RUNNERS)
+IDENTITY_NAMES = tuple(_IDENTITIES)
 
 
 def run_verification(table: CountTable, exact_limit: int, enum_limit: int,
@@ -196,11 +148,14 @@ def run_verification(table: CountTable, exact_limit: int, enum_limit: int,
     counts = RestrictedCounts()
     if any(name.startswith("bounded_sum") for name in names):
         counts.ensure(max(exact_limit - 2, 0))
+    limits = {_EXACT: exact_limit, _ENUM: enum_limit}
     outcomes = []
     timings = {}
     for name in names:
+        low, high, predicate, expected_fail = _IDENTITIES[name]
         start = time.perf_counter()
-        outcomes.append(_IDENTITY_RUNNERS[name](table, exact_limit, enum_limit, counts))
+        outcomes.append(_sweep(name, low, limits.get(high, high), partial(predicate, table, counts),
+                               expected_fail))
         timings[name] = time.perf_counter() - start
     return VerificationSummary(exact_limit, enum_limit, outcomes), timings
 
@@ -217,59 +172,46 @@ def _json_dumps(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def render_table(table: CountTable, rows: list[int], fmt: str) -> str:
+def _grid(header, rows, fmt: str) -> str:
+    """A header and an iterable of rows of string cells, as csv or as
+    right-aligned text.  Csv streams the rows; text needs them all to
+    size the columns."""
     if fmt == "csv":
-        lines = ["n,gamma,nu,p"]
-        lines += [f"{n},{table.gamma[n]},{table.nu[n]},{table.p[n]}" for n in rows]
-        return "\n".join(lines) + "\n"
+        return "\n".join(",".join(row) for row in chain([header], rows)) + "\n"
+    rows = [header, *rows]
+    widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
+    return "\n".join("  ".join(cell.rjust(width) for cell, width in zip(row, widths)).rstrip()
+                     for row in rows) + "\n"
+
+
+def render_table(table: CountTable, rows: list[int], fmt: str) -> str:
     if fmt == "json":
         payload = {"kind": "count_table", "rows": [
             {"n": n, "gamma": str(table.gamma[n]), "nu": str(table.nu[n]), "p": str(table.p[n])}
             for n in rows
         ]}
         return _json_dumps(payload)
-    cells = [("n", "gamma", "nu", "p")]
-    cells += [(str(n), str(table.gamma[n]), str(table.nu[n]), str(table.p[n])) for n in rows]
-    widths = [max(len(row[i]) for row in cells) for i in range(4)]
-    return "\n".join("  ".join(cell.rjust(widths[i]) for i, cell in enumerate(row)).rstrip()
-                     for row in cells) + "\n"
-
-
-def table_rows_from_json(text: str) -> list[tuple[int, int, int, int]]:
-    payload = json.loads(text)
-    return [(row["n"], int(row["gamma"]), int(row["nu"]), int(row["p"]))
-            for row in payload["rows"]]
-
-
-def summary_to_json(summary: VerificationSummary, errata_demo=None) -> str:
-    payload = {
-        "kind": "verification_summary",
-        "exact_limit": summary.exact_limit,
-        "enum_limit": summary.enum_limit,
-        "identities": [
-            {"identity": o.identity, "checked": o.checked, "failures": o.failures,
-             "first_failure": o.first_failure, "expected_fail": o.expected_fail,
-             "status": o.status}
-            for o in summary.outcomes
-        ],
-        "passed": summary.passed,
-    }
-    if errata_demo is not None:
-        payload["errata_demo"] = errata_demo
-    return _json_dumps(payload)
-
-
-def summary_from_json(text: str) -> VerificationSummary:
-    payload = json.loads(text)
-    outcomes = [IdentityOutcome(o["identity"], o["checked"], o["failures"],
-                                o["first_failure"], o["expected_fail"])
-                for o in payload["identities"]]
-    return VerificationSummary(payload["exact_limit"], payload["enum_limit"], outcomes)
+    return _grid(("n", "gamma", "nu", "p"),
+                 ((str(n), str(table.gamma[n]), str(table.nu[n]), str(table.p[n])) for n in rows), fmt)
 
 
 def render_summary(summary: VerificationSummary, fmt: str, errata_demo=None) -> str:
     if fmt == "json":
-        return summary_to_json(summary, errata_demo)
+        payload = {
+            "kind": "verification_summary",
+            "exact_limit": summary.exact_limit,
+            "enum_limit": summary.enum_limit,
+            "identities": [
+                {"identity": o.identity, "checked": o.checked, "failures": o.failures,
+                 "first_failure": o.first_failure, "expected_fail": o.expected_fail,
+                 "status": o.status}
+                for o in summary.outcomes
+            ],
+            "passed": summary.passed,
+        }
+        if errata_demo is not None:
+            payload["errata_demo"] = errata_demo
+        return _json_dumps(payload)
     if fmt == "csv":
         lines = ["identity,checked,failures,first_failure,status"]
         for o in summary.outcomes:
@@ -291,36 +233,22 @@ def render_summary(summary: VerificationSummary, fmt: str, errata_demo=None) -> 
     return "\n".join(lines) + "\n"
 
 
-def report_to_json(report: CongruenceReport) -> str:
-    family = report.family
-    payload = {
-        "kind": "congruence_report",
-        "family": {
-            "family_id": family.family_id,
-            "modulus": family.modulus,
-            "progression": list(family.progression),
-            "start_n": family.start_n,
-        },
-        "range_checked": list(report.range_checked),
-        "violations": [[n, r] for n, r in report.violations],
-    }
-    return _json_dumps(payload)
-
-
-def report_from_json(text: str) -> CongruenceReport:
-    payload = json.loads(text)
-    fam = payload["family"]
-    family = CongruenceFamily(fam["family_id"], fam["modulus"],
-                              tuple(fam["progression"]), fam["start_n"])
-    return CongruenceReport(family, tuple(payload["range_checked"]),
-                            [(n, r) for n, r in payload["violations"]])
-
-
 def render_report(report: CongruenceReport, fmt: str) -> str:
     family = report.family
     a, b = family.progression
     if fmt == "json":
-        return report_to_json(report)
+        payload = {
+            "kind": "congruence_report",
+            "family": {
+                "family_id": family.family_id,
+                "modulus": family.modulus,
+                "progression": list(family.progression),
+                "start_n": family.start_n,
+            },
+            "range_checked": list(report.range_checked),
+            "violations": [[n, r] for n, r in report.violations],
+        }
+        return _json_dumps(payload)
     if fmt == "csv":
         first = "" if report.passed else str(report.violations[0][0])
         lines = ["family,modulus,a,b,start_n,end_n,violations,first_violation",
@@ -340,12 +268,6 @@ def render_report(report: CongruenceReport, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parity_rows_from_json(text: str) -> list[tuple[int, int, int, bool]]:
-    payload = json.loads(text)
-    return [(row["n"], int(row["gamma_sum"]), 1 if row["parity"] == "odd" else 0, row["agrees"])
-            for row in payload["rows"]]
-
-
 def render_parity(rows, fmt: str) -> str:
     # rows: (n, gamma_sum, parity_bit, agrees)
     if fmt == "json":
@@ -354,22 +276,13 @@ def render_parity(rows, fmt: str) -> str:
             for n, total, bit, agrees in rows
         ]}
         return _json_dumps(payload)
-    if fmt == "csv":
-        lines = ["n,gamma_sum,parity,agrees"]
-        lines += [f"{n},{total},{'odd' if bit else 'even'},{str(agrees).lower()}"
-                  for n, total, bit, agrees in rows]
-        return "\n".join(lines) + "\n"
-    cells = [("n", "gamma_sum", "parity", "agrees")]
-    cells += [(str(n), str(total), "odd" if bit else "even", "yes" if agrees else "NO")
-              for n, total, bit, agrees in rows]
-    widths = [max(len(row[i]) for row in cells) for i in range(4)]
-    return "\n".join("  ".join(cell.rjust(widths[i]) for i, cell in enumerate(row)).rstrip()
-                     for row in cells) + "\n"
+    yes, no = ("true", "false") if fmt == "csv" else ("yes", "NO")
+    return _grid(("n", "gamma_sum", "parity", "agrees"),
+                 ((str(n), str(total), "odd" if bit else "even", yes if agrees else no)
+                  for n, total, bit, agrees in rows), fmt)
 
 
 def render_ratios(rows, fmt: str) -> str:
-    header = ("n", "nu_over_p", "gamma_over_nu", "gap_estimate",
-              "sqrt_weighted_nu", "linear_weighted_gamma")
     if fmt == "json":
         payload = {"kind": "ratio_report", "rows": [
             {"n": r.n, "nu_over_p": r.nu_over_p, "gamma_over_nu": r.gamma_over_nu,
@@ -378,17 +291,11 @@ def render_ratios(rows, fmt: str) -> str:
             for r in rows
         ]}
         return _json_dumps(payload)
-    table = [header] + [
-        (str(r.n), _fmt_float(r.nu_over_p), _fmt_float(r.gamma_over_nu),
-         _fmt_float(r.gap_estimate), _fmt_float(r.sqrt_weighted_nu),
-         _fmt_float(r.linear_weighted_gamma))
-        for r in rows
-    ]
-    if fmt == "csv":
-        return "\n".join(",".join(row) for row in table) + "\n"
-    widths = [max(len(row[i]) for row in table) for i in range(len(header))]
-    return "\n".join("  ".join(cell.rjust(widths[i]) for i, cell in enumerate(row)).rstrip()
-                     for row in table) + "\n"
+    return _grid(("n", "nu_over_p", "gamma_over_nu", "gap_estimate",
+                  "sqrt_weighted_nu", "linear_weighted_gamma"),
+                 ((str(r.n), _fmt_float(r.nu_over_p), _fmt_float(r.gamma_over_nu), _fmt_float(r.gap_estimate),
+                   _fmt_float(r.sqrt_weighted_nu), _fmt_float(r.linear_weighted_gamma))
+                  for r in rows), fmt)
 
 
 def render_estimates(rows, fmt: str) -> str:
@@ -398,20 +305,14 @@ def render_estimates(rows, fmt: str) -> str:
             for r in rows
         ]}
         return _json_dumps(payload)
-    table = [("n", "exact", "estimate", "ratio")] + [
-        (str(r.n), str(r.exact), _fmt_float(r.estimate), _fmt_float(r.ratio)) for r in rows
-    ]
-    if fmt == "csv":
-        return "\n".join(",".join(row) for row in table) + "\n"
-    widths = [max(len(row[i]) for row in table) for i in range(4)]
-    return "\n".join("  ".join(cell.rjust(widths[i]) for i, cell in enumerate(row)).rstrip()
-                     for row in table) + "\n"
+    return _grid(("n", "exact", "estimate", "ratio"),
+                 ((str(r.n), str(r.exact), _fmt_float(r.estimate), _fmt_float(r.ratio)) for r in rows), fmt)
 
 
 def decay_digraph(n: int) -> str:
     """DOT digraph of every nuclear partition of n and its decay products."""
     lines = [f"digraph decay_{n} {{"]
-    for parts in iter_parts(n, _NUCLEAR):
+    for parts in iter_parts(n, NUCLEAR):
         mu = Partition(parts)
         chain = decay_chain(mu) if parts else []
         if not chain:
@@ -576,7 +477,7 @@ def cmd_verify(args, parser) -> int:
     names = IDENTITY_NAMES
     if args.identities:
         names = tuple(name.strip() for name in args.identities.split(",") if name.strip())
-        unknown = [name for name in names if name not in _IDENTITY_RUNNERS]
+        unknown = [name for name in names if name not in _IDENTITIES]
         if unknown:
             parser.error(f"unknown identities: {', '.join(unknown)}")
     table = _table_for(args, args.limit)

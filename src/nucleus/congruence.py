@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .counting import CountTable, nu_k, pentagonal_offsets
+from .counting import CountTable, _extend_p, nu_k
 
 RAMANUJAN_PROGRESSIONS: dict[int, tuple[int, int]] = {5: (5, 4), 7: (7, 5), 11: (11, 6)}
 
@@ -67,26 +67,25 @@ def p_mod_m_table(limit: int, modulus: int) -> list[int]:
         raise ValueError(f"modulus must be >= 2, got {modulus}")
     if limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
-    offsets = pentagonal_offsets(limit)
-    p = [0] * (limit + 1)
-    p[0] = 1 % modulus
-    for n in range(1, limit + 1):
-        acc = 0
-        for g, sign in offsets:
-            if g > n:
-                break
-            if sign > 0:
-                acc += p[n - g]
-            else:
-                acc -= p[n - g]
-        p[n] = acc % modulus
-    return p
+    return _extend_p([1 % modulus], limit, modulus)
 
 
 def _known_progression(modulus: int) -> tuple[int, int]:
     if modulus not in RAMANUJAN_PROGRESSIONS:
         raise ValueError(f"modulus must be one of {sorted(RAMANUJAN_PROGRESSIONS)}, got {modulus}")
     return RAMANUJAN_PROGRESSIONS[modulus]
+
+
+def _scan(family: CongruenceFamily, limit_n: int, value) -> CongruenceReport:
+    """Residues mod the family's modulus of ``value(a*n + b)`` for n from
+    the family's start to ``limit_n``; the nonzero ones are violations."""
+    a, b = family.progression
+    violations = []
+    for n in range(family.start_n, limit_n + 1):
+        r = value(a * n + b) % family.modulus
+        if r:
+            violations.append((n, r))
+    return CongruenceReport(family, (family.start_n, limit_n), violations)
 
 
 def check_progression(a: int, b: int, modulus: int, limit_n: int, *,
@@ -102,13 +101,7 @@ def check_progression(a: int, b: int, modulus: int, limit_n: int, *,
         residues = p_mod_m_table(top, modulus)
     elif len(residues) <= top:
         raise ValueError(f"residue table too short: need index {top}, have {len(residues) - 1}")
-    family = CongruenceFamily(family_id, modulus, (a, b), start_n)
-    violations = []
-    for n in range(start_n, limit_n + 1):
-        r = residues[a * n + b] % modulus
-        if r:
-            violations.append((n, r))
-    return CongruenceReport(family, (start_n, limit_n), violations)
+    return _scan(CongruenceFamily(family_id, modulus, (a, b), start_n), limit_n, residues.__getitem__)
 
 
 def check_ramanujan(modulus: int, limit_n: int, *, residues: list[int] | None = None) -> CongruenceReport:
@@ -117,53 +110,32 @@ def check_ramanujan(modulus: int, limit_n: int, *, residues: list[int] | None = 
     return check_progression(a, b, modulus, limit_n, residues=residues, family_id="ramanujan")
 
 
-def _require_exact(table: CountTable, needed: int, what: str) -> None:
+def _check_derived(family_id: str, modulus: int, limit_n: int, table: CountTable, value) -> CongruenceReport:
+    a, b = _known_progression(modulus)
+    needed = a * limit_n + b
     if needed > table.limit:
-        raise ValueError(f"{what} needs exact values up to {needed}, table stops at {table.limit}")
+        raise ValueError(f"{family_id} needs exact values up to {needed}, table stops at {table.limit}")
+    return _scan(CongruenceFamily(family_id, modulus, (a, b), 1), limit_n, value)
 
 
 def check_nu_window(modulus: int, limit_n: int, table: CountTable) -> CongruenceReport:
     """Check the m-term nu window ending at m*n+b, for n = 1..limit_n."""
-    m = modulus
-    a, b = _known_progression(m)
-    _require_exact(table, a * limit_n + b, "nu window")
-    family = CongruenceFamily("nu_window", m, (a, b), 1)
-    violations = []
-    for n in range(1, limit_n + 1):
-        end = a * n + b
-        r = sum(table.nu[end - m + 1 : end + 1]) % m
-        if r:
-            violations.append((n, r))
-    return CongruenceReport(family, (1, limit_n), violations)
+    return _check_derived("nu_window", modulus, limit_n, table,
+                          lambda end: sum(table.nu[end - modulus + 1 : end + 1]))
 
 
 def check_nu_k_progression(modulus: int, limit_n: int, table: CountTable) -> CongruenceReport:
     """Check nu_m(m*n+b) = 0 (mod m) for n = 1..limit_n."""
-    m = modulus
-    a, b = _known_progression(m)
-    _require_exact(table, a * limit_n + b, "nu_k progression")
-    family = CongruenceFamily("nu_k_progression", m, (a, b), 1)
-    violations = []
-    for n in range(1, limit_n + 1):
-        r = nu_k(a * n + b, m, table) % m
-        if r:
-            violations.append((n, r))
-    return CongruenceReport(family, (1, limit_n), violations)
+    return _check_derived("nu_k_progression", modulus, limit_n, table,
+                          lambda end: nu_k(end, modulus, table))
 
 
 def check_gamma_weighted(modulus: int, limit_n: int, table: CountTable) -> CongruenceReport:
     """Check sum_{t=1..m-1} t * gamma(s+t) = 0 (mod m), s = m*n+b-m+1, n >= 1."""
-    m = modulus
-    a, b = _known_progression(m)
-    _require_exact(table, a * limit_n + b, "weighted gamma")
-    family = CongruenceFamily("gamma_weighted", m, (a, b), 1)
-    violations = []
-    for n in range(1, limit_n + 1):
-        s = a * n + b - m + 1
-        r = sum(t * table.gamma[s + t] for t in range(1, m)) % m
-        if r:
-            violations.append((n, r))
-    return CongruenceReport(family, (1, limit_n), violations)
+    def weighted(end):
+        s = end - modulus + 1
+        return sum(t * table.gamma[s + t] for t in range(1, modulus))
+    return _check_derived("gamma_weighted", modulus, limit_n, table, weighted)
 
 
 def parity_via_gamma(n: int, table: CountTable) -> int:

@@ -26,9 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .partitions import EnumerationConstraint, iter_parts
-
-_NUCLEAR = EnumerationConstraint(min_part=2)
+from .partitions import NUCLEAR, iter_parts
 
 
 def pentagonal_offsets(limit: int) -> list[tuple[int, int]]:
@@ -48,7 +46,9 @@ def pentagonal_offsets(limit: int) -> list[tuple[int, int]]:
         k += 1
 
 
-def _extend_p(p: list[int], limit: int) -> list[int]:
+def _extend_p(p: list[int], limit: int, modulus: int | None = None) -> list[int]:
+    """Append p(len(p))..p(limit) to the prefix ``p``, each reduced mod
+    ``modulus`` when one is given."""
     offsets = pentagonal_offsets(limit)
     for n in range(len(p), limit + 1):
         acc = 0
@@ -59,7 +59,7 @@ def _extend_p(p: list[int], limit: int) -> list[int]:
                 acc += p[n - g]
             else:
                 acc -= p[n - g]
-        p.append(acc)
+        p.append(acc if modulus is None else acc % modulus)
     return p
 
 
@@ -193,7 +193,7 @@ def nuclear_gaps(n: int) -> Iterator[int]:
     Every nuclear partition other than (n) has at least two parts; the
     gap is first part minus second part.  Enumeration order.
     """
-    for parts in iter_parts(n, _NUCLEAR):
+    for parts in iter_parts(n, NUCLEAR):
         if len(parts) > 1:
             yield parts[0] - parts[1]
 
@@ -207,13 +207,14 @@ def p_via_gap_sum(n: int) -> MethodResult:
     """
     if n < 2:
         raise ValueError(f"the gap-sum route is defined for n >= 2 (it undercounts below that), got {n}")
-    count = 0
+    # For n >= 2, (n) is the only one-part nuclear partition, so
+    # nu(n) - 1 is the number of gaps.
+    gaps = 0
     gap_total = 0
-    for parts in iter_parts(n, _NUCLEAR):
-        count += 1
-        if len(parts) > 1:
-            gap_total += parts[0] - parts[1]
-    return MethodResult("gap_sum", n, n + count - 1 + gap_total)
+    for gap in nuclear_gaps(n):
+        gaps += 1
+        gap_total += gap
+    return MethodResult("gap_sum", n, n + gaps + gap_total)
 
 
 def nu_via_gamma_chain(n: int, table: CountTable) -> int:

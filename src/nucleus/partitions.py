@@ -214,7 +214,11 @@ def decay_capacity(partition) -> int:
     The gap between the two largest parts, except the single-part
     partition of n which decays n-1 times (down to all 1's).
     """
-    parts = _require_nuclear_nonempty(partition)
+    parts = _as_parts(partition)
+    if not parts:
+        raise ValueError("the empty partition does not decay")
+    if 1 in parts:
+        raise ValueError(f"decay is defined on nuclear partitions only, got {Partition(parts)}")
     if len(parts) == 1:
         return parts[0] - 1
     return parts[0] - parts[1]
@@ -226,8 +230,8 @@ def decay_step(partition, j: int) -> Partition:
     Requires nuclear input and 1 <= j <= decay_capacity; the result is a
     non-nuclear partition of the same size.
     """
-    parts = _require_nuclear_nonempty(partition)
-    cap = parts[0] - 1 if len(parts) == 1 else parts[0] - parts[1]
+    cap = decay_capacity(partition)
+    parts = _as_parts(partition)
     if not 1 <= j <= cap:
         raise ValueError(f"decay step must be in 1..{cap} for {Partition(parts)}, got {j}")
     return _trusted((parts[0] - j,) + parts[1:] + (1,) * j)
@@ -235,15 +239,6 @@ def decay_step(partition, j: int) -> Partition:
 
 def decay_chain(partition) -> list[Partition]:
     """All decay products, in step order; empty for a ground state."""
-    parts = _require_nuclear_nonempty(partition)
-    cap = parts[0] - 1 if len(parts) == 1 else parts[0] - parts[1]
-    return [_trusted((parts[0] - j,) + parts[1:] + (1,) * j) for j in range(1, cap + 1)]
+    mu = _trusted(_as_parts(partition))
+    return [decay_step(mu, j) for j in range(1, decay_capacity(mu) + 1)]
 
-
-def _require_nuclear_nonempty(partition) -> tuple[int, ...]:
-    parts = _as_parts(partition)
-    if not parts:
-        raise ValueError("the empty partition does not decay")
-    if 1 in parts:
-        raise ValueError(f"decay is defined on nuclear partitions only, got {Partition(parts)}")
-    return parts

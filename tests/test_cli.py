@@ -42,8 +42,9 @@ def test_table_json_round_trip(capsys):
     payload = json.loads(out)
     assert payload["kind"] == "count_table"
     assert all(isinstance(row["p"], str) for row in payload["rows"])
-    rows = cli.table_rows_from_json(out)
-    assert rows[-1] == (100, 2307678, 21339417, 190569292)
+    last = payload["rows"][-1]
+    rows = (last["n"], int(last["gamma"]), int(last["nu"]), int(last["p"]))
+    assert rows == (100, 2307678, 21339417, 190569292)
 
 
 def test_table_limit_inferred_from_rows(capsys):
@@ -86,14 +87,15 @@ def test_verify_json_round_trip(capsys):
     code, out, _ = run(capsys, "verify", "--limit", "40", "--enum-limit", "8",
                        "--format", "json")
     assert code == 0
-    summary = cli.summary_from_json(out)
-    assert summary.passed
-    assert summary.exact_limit == 40 and summary.enum_limit == 8
-    names = [o.identity for o in summary.outcomes]
+    summary = json.loads(out)
+    assert summary["passed"]
+    assert all(o["failures"] == 0 for o in summary["identities"])
+    assert summary["exact_limit"] == 40 and summary["enum_limit"] == 8
+    names = [o["identity"] for o in summary["identities"]]
     assert names == list(cli.IDENTITY_NAMES)
-    by_name = {o.identity: o for o in summary.outcomes}
-    assert by_name["bounded_sum_truncated"].expected_fail
-    assert by_name["nu_chain"].checked == 41
+    by_name = {o["identity"]: o for o in summary["identities"]}
+    assert by_name["bounded_sum_truncated"]["expected_fail"]
+    assert by_name["nu_chain"]["checked"] == 41
 
 
 def test_verify_identity_selection(capsys):
@@ -177,12 +179,12 @@ def test_congruence_json_round_trip(capsys):
     code, out, _ = run(capsys, "congruence", "nu_window", "7", "--limit", "50",
                        "--format", "json")
     assert code == 0
-    report = cli.report_from_json(out)
-    assert report.passed
-    assert report.family.family_id == "nu_window"
-    assert report.family.modulus == 7
-    assert report.family.progression == (7, 5)
-    assert report.range_checked == (1, 50)
+    report = json.loads(out)
+    assert report["violations"] == []
+    assert report["family"]["family_id"] == "nu_window"
+    assert report["family"]["modulus"] == 7
+    assert report["family"]["progression"] == [7, 5]
+    assert report["range_checked"] == [1, 50]
 
 
 def test_congruence_custom_violations_exit_1(capsys):
@@ -289,7 +291,8 @@ def test_parity_json_round_trip(capsys):
     assert code == 0
     payload = json.loads(out)
     assert all(isinstance(row["gamma_sum"], str) for row in payload["rows"])
-    rows = cli.parity_rows_from_json(out)
+    rows = [(row["n"], int(row["gamma_sum"]), 1 if row["parity"] == "odd" else 0, row["agrees"])
+            for row in payload["rows"]]
     assert rows[0] == (4, 1, 1, True)
     assert (20, 95, 1, True) in rows
 
@@ -341,6 +344,31 @@ def test_cache_check_corrupt_exits_3(capsys, tmp_path):
     code, _, err = run(capsys, "cache", "check", "--cache", str(path))
     assert code == 3
     assert "cache error" in err
+
+
+def test_cache_non_ascii_exits_3(capsys, tmp_path):
+    path = tmp_path / "counts.csv"
+    path.write_bytes("n,gamma,nu,p\n0,0,1,1\n1,0,0,\u00e9\n".encode("utf-8"))
+    code, out, err = run(capsys, "cache", "check", "--cache", str(path))
+    assert code == 3
+    assert err.startswith("cache error: ") and err.count("\n") == 1
+    assert out == ""
+
+
+def test_cache_path_that_is_a_directory_exits_3(capsys, tmp_path):
+    code, out, err = run(capsys, "table", "--limit", "10", "--cache", str(tmp_path))
+    assert code == 3
+    assert err.startswith("cache error: ") and err.count("\n") == 1
+    assert out == ""
+
+
+def test_cache_path_under_missing_directory_exits_3(capsys, tmp_path):
+    path = tmp_path / "missing" / "counts.csv"
+    code, out, err = run(capsys, "cache", "build", "--limit", "10", "--cache", str(path))
+    assert code == 3
+    assert err.startswith("cache error: ") and err.count("\n") == 1
+    assert out == ""
+    assert not path.parent.exists()
 
 
 def test_cache_needs_path(capsys, monkeypatch):
