@@ -9,6 +9,7 @@ from verified ground.
 
 from __future__ import annotations
 
+import contextlib
 import os
 from pathlib import Path
 
@@ -32,15 +33,28 @@ def resolve_cache_path(explicit: str | None) -> Path | None:
 
 
 def write_table(table: CountTable, path: Path | str) -> None:
-    """Write the table; byte-identical output for identical tables."""
+    """Write the table; byte-identical output for identical tables.
+
+    The rows go to a new temporary file in the target's directory, which
+    then replaces the target (the file a symlink points to) in one step,
+    so a reader or a concurrent writer sees either the old file or the
+    new one, never a mix.  A failed write leaves the old file as it was
+    and removes the temporary file.
+    """
     lines = [CACHE_HEADER]
     for n in range(table.limit + 1):
         lines.append(f"{n},{table.gamma[n]},{table.nu[n]},{table.p[n]}")
+    target = Path(os.path.realpath(path))
+    temp = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
     try:
-        with open(path, "w", encoding="ascii", newline="\n") as handle:
+        with open(temp, "x", encoding="ascii", newline="\n") as handle:
             handle.write("\n".join(lines) + "\n")
+        os.replace(temp, target)
     except OSError as exc:
         raise CacheError(f"cannot write {path}: {exc.strerror}") from None
+    finally:
+        with contextlib.suppress(OSError):
+            os.remove(temp)
 
 
 def _field(raw: str, line_no: int, name: str) -> int:
@@ -53,7 +67,9 @@ def read_table(path: Path | str) -> CountTable:
     """Load and validate a cache file; raises CacheError naming the bad row,
     or saying why the file cannot be read."""
     try:
-        with open(path, "r", encoding="ascii") as handle:
+        # newline="" keeps a CR in the text, so a CR or CRLF file fails
+        # the row checks instead of being read as LF.
+        with open(path, "r", encoding="ascii", newline="") as handle:
             text = handle.read()
     except UnicodeDecodeError as exc:
         raise CacheError(f"byte at offset {exc.start} is not ASCII") from None
@@ -63,7 +79,9 @@ def read_table(path: Path | str) -> CountTable:
     if lines and lines[-1] == "":
         lines.pop()
     if not lines or lines[0] != CACHE_HEADER:
-        raise CacheError(f"expected header {CACHE_HEADER!r}, got {lines[0]!r}" if lines else "empty cache file")
+        # The first line is cut short: a file with no LF at all is one line.
+        raise CacheError(f"expected header {CACHE_HEADER!r}, got {lines[0][:40]!r}" if lines
+                         else "empty cache file")
     if len(lines) == 1:
         raise CacheError("cache has a header but no rows (row for n=0 is required)")
     p: list[int] = []

@@ -19,7 +19,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import chain
 
 from . import __version__
@@ -39,10 +39,10 @@ from .congruence import (
 from .counting import (
     CountTable,
     RestrictedCounts,
+    enumerated_counts,
     nu_via_bounded_sum,
     nu_via_gamma_chain,
     p_via_gamma_weights,
-    p_via_gap_sum,
     p_via_k_nuclear,
     p_via_n_nu_minus_gamma,
     p_via_nu_chain,
@@ -111,51 +111,53 @@ def _sweep(name, low, high, predicate, expected_fail):
     return IdentityOutcome(name, max(high - low + 1, 0), failures, first, expected_fail)
 
 
-def _all_k_agree(t, c, n):
+def _all_k_agree(t, b, e, n):
     return all(p_via_k_nuclear(n, k, t)[1].value == t.p[n] for k in K_VALUES)
 
 
-def _ground_states_match(t, c, n):
-    ground = sum(1 for parts in iter_parts(n, NUCLEAR) if len(parts) >= 2 and parts[0] == parts[1])
-    return ground == t.gamma[n]
-
-
 # name: (first n, last n, predicate, expected_fail).  The last n is the
-# exact limit, the enumeration limit or a fixed value; the predicate
-# takes (table, counts, n) and is true where the identity holds at n.
+# exact limit, the enumeration limit or a fixed value capped at the exact
+# limit.  The predicate takes (table, bounded, enumerated, n) and is true
+# where the identity holds at n.  bounded(n) and enumerated(n) are
+# nu_via_bounded_sum and enumerated_counts, evaluated once per n and
+# shared by every identity that reads them.
 _EXACT, _ENUM = "exact", "enum"
 _IDENTITIES = {
-    "nu_chain": (0, _EXACT, lambda t, c, n: p_via_nu_chain(n, t).value == t.p[n], False),
-    "gamma_chain": (2, _EXACT, lambda t, c, n: nu_via_gamma_chain(n, t) == t.nu[n], False),
-    "gamma_weights": (2, _EXACT, lambda t, c, n: p_via_gamma_weights(n, t).value == t.p[n], False),
-    "n_nu_minus_gamma": (2, _EXACT, lambda t, c, n: p_via_n_nu_minus_gamma(n, t).value == t.p[n], False),
-    "bounded_sum": (4, _EXACT, lambda t, c, n: nu_via_bounded_sum(n, counts=c)[1] == t.nu[n], False),
+    "nu_chain": (0, _EXACT, lambda t, b, e, n: p_via_nu_chain(n, t).value == t.p[n], False),
+    "gamma_chain": (2, _EXACT, lambda t, b, e, n: nu_via_gamma_chain(n, t) == t.nu[n], False),
+    "gamma_weights": (2, _EXACT, lambda t, b, e, n: p_via_gamma_weights(n, t).value == t.p[n], False),
+    "n_nu_minus_gamma": (2, _EXACT, lambda t, b, e, n: p_via_n_nu_minus_gamma(n, t).value == t.p[n], False),
+    "bounded_sum": (4, _EXACT, lambda t, b, e, n: b(n)[1] == t.nu[n], False),
     "k_nuclear": (0, _EXACT, _all_k_agree, False),
-    "gap_sum": (2, _ENUM, lambda t, c, n: p_via_gap_sum(n).value == t.p[n], False),
-    "nuclear_count": (0, _ENUM, lambda t, c, n: sum(1 for _ in iter_parts(n, NUCLEAR)) == t.nu[n], False),
-    "ground_state_count": (0, _ENUM, _ground_states_match, False),
+    "gap_sum": (2, _ENUM, lambda t, b, e, n: e(n)[1] == t.p[n], False),
+    "nuclear_count": (0, _ENUM, lambda t, b, e, n: e(n)[0] == t.nu[n], False),
+    "ground_state_count": (0, _ENUM, lambda t, b, e, n: e(n)[2] == t.gamma[n], False),
     # The truncated variant must come out exactly one short, everywhere.
-    "bounded_sum_truncated": (4, _EXACT, lambda t, c, n: nu_via_bounded_sum(n, counts=c)[0] == t.nu[n] - 1,
-                              True),
-    "k_nuclear_shifted": (6, 6, lambda t, c, n: p_via_k_nuclear(n, 2, t)[0] != t.p[n], True),
+    "bounded_sum_truncated": (4, _EXACT, lambda t, b, e, n: b(n)[0] == t.nu[n] - 1, True),
+    "k_nuclear_shifted": (6, 6, lambda t, b, e, n: p_via_k_nuclear(n, 2, t)[0] != t.p[n], True),
 }
 IDENTITY_NAMES = tuple(_IDENTITIES)
 
 
 def run_verification(table: CountTable, exact_limit: int, enum_limit: int,
                      names=IDENTITY_NAMES) -> tuple[VerificationSummary, dict[str, float]]:
-    """Run the selected identity sweeps; returns the summary and timings."""
+    """Run the selected identity sweeps; returns the summary and timings.
+
+    A route shared by several identities is timed under the first of them.
+    """
     counts = RestrictedCounts()
     if any(name.startswith("bounded_sum") for name in names):
         counts.ensure(max(exact_limit - 2, 0))
+    bounded = cache(partial(nu_via_bounded_sum, counts=counts))
+    enumerated = cache(enumerated_counts)
     limits = {_EXACT: exact_limit, _ENUM: enum_limit}
     outcomes = []
     timings = {}
     for name in names:
         low, high, predicate, expected_fail = _IDENTITIES[name]
+        last = limits[high] if high in limits else min(high, exact_limit)
         start = time.perf_counter()
-        outcomes.append(_sweep(name, low, limits.get(high, high), partial(predicate, table, counts),
-                               expected_fail))
+        outcomes.append(_sweep(name, low, last, partial(predicate, table, bounded, enumerated), expected_fail))
         timings[name] = time.perf_counter() - start
     return VerificationSummary(exact_limit, enum_limit, outcomes), timings
 
@@ -475,8 +477,10 @@ def cmd_verify(args, parser) -> int:
     if args.enum_limit > args.limit:
         parser.error("--enum-limit cannot exceed --limit")
     names = IDENTITY_NAMES
-    if args.identities:
+    if args.identities is not None:
         names = tuple(name.strip() for name in args.identities.split(",") if name.strip())
+        if not names:
+            parser.error("--identities selects no identities")
         unknown = [name for name in names if name not in _IDENTITIES]
         if unknown:
             parser.error(f"unknown identities: {', '.join(unknown)}")

@@ -198,6 +198,23 @@ def nuclear_gaps(n: int) -> Iterator[int]:
             yield parts[0] - parts[1]
 
 
+def enumerated_counts(n: int) -> tuple[int, int, int]:
+    """``(nu(n), gap-sum value, gamma(n))`` from one pass over the nuclear
+    partitions of n.
+
+    The gap-sum value is n + nu(n) - 1 + (sum of top-pair gaps over the
+    nuclear partitions of n other than (n)); it equals p(n) for n >= 2
+    only.  Ground states are the partitions whose top-pair gap is 0.
+    """
+    nuclear = gap_total = ground = 0
+    for parts in iter_parts(n, NUCLEAR):
+        nuclear += 1
+        if len(parts) > 1:
+            gap_total += parts[0] - parts[1]
+            ground += parts[0] == parts[1]
+    return nuclear, n + nuclear - 1 + gap_total, ground
+
+
 def p_via_gap_sum(n: int) -> MethodResult:
     """p(n) = n + nu(n) - 1 + (sum of top-pair gaps over nuclear partitions
     of n other than (n)), evaluated by direct enumeration.
@@ -207,14 +224,7 @@ def p_via_gap_sum(n: int) -> MethodResult:
     """
     if n < 2:
         raise ValueError(f"the gap-sum route is defined for n >= 2 (it undercounts below that), got {n}")
-    # For n >= 2, (n) is the only one-part nuclear partition, so
-    # nu(n) - 1 is the number of gaps.
-    gaps = 0
-    gap_total = 0
-    for gap in nuclear_gaps(n):
-        gaps += 1
-        gap_total += gap
-    return MethodResult("gap_sum", n, n + gaps + gap_total)
+    return MethodResult("gap_sum", n, enumerated_counts(n)[1])
 
 
 def nu_via_gamma_chain(n: int, table: CountTable) -> int:
@@ -273,5 +283,7 @@ def p_via_k_nuclear(n: int, k: int, table: CountTable) -> tuple[int, MethodResul
     steps = n // k
     rest = n - steps * k
     value = table.p[rest] + sum(nu_k(n - j * k, k, table) for j in range(steps))
-    shifted = table.p[rest] + sum(nu_k(n - j * k, k, table) for j in range(1, steps + 1))
+    # The displaced range drops the j = 0 term nu_k(n) and adds the
+    # j = floor(n/k) term nu_k(r), which is p(r) because r < k.
+    shifted = value - nu_k(n, k, table) + table.p[rest]
     return shifted, MethodResult("k_nuclear", n, value)

@@ -1,7 +1,12 @@
+import errno
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nucleus import cache as cache_module
 from nucleus.cache import (
     CACHE_ENV_VAR,
     CACHE_HEADER,
@@ -145,6 +150,129 @@ def test_round_trip_any_limit(tmp_path_factory, limit):
     table = build_table(limit)
     write_table(table, path)
     assert tables_equal(read_table(path), table)
+
+
+TABLE_30 = build_table(30)
+CACHE_30 = "".join([f"{CACHE_HEADER}\n"] + [f"{n},{TABLE_30.gamma[n]},{TABLE_30.nu[n]},{TABLE_30.p[n]}\n"
+                                            for n in range(31)]).encode()
+
+
+def test_fuzz_reference_is_what_write_table_writes(tmp_path):
+    path = tmp_path / "counts.csv"
+    write_table(TABLE_30, path)
+    assert path.read_bytes() == CACHE_30
+
+
+@settings(max_examples=200, deadline=None)
+@given(cut=st.integers(0, len(CACHE_30)))
+def test_truncated_cache_is_rejected_or_a_prefix(tmp_path_factory, cut):
+    path = tmp_path_factory.mktemp("cache") / "counts.csv"
+    path.write_bytes(CACHE_30[:cut])
+    try:
+        table = read_table(path)
+    except CacheError:
+        return
+    limit = table.limit
+    assert (table.p, table.nu, table.gamma) == (TABLE_30.p[:limit + 1], TABLE_30.nu[:limit + 1],
+                                                TABLE_30.gamma[:limit + 1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_single_byte_change_is_rejected(tmp_path_factory, data):
+    position = data.draw(st.integers(0, len(CACHE_30) - 1), label="position")
+    byte = data.draw(st.integers(0, 255).filter(lambda b: b != CACHE_30[position]), label="byte")
+    changed = bytearray(CACHE_30)
+    changed[position] = byte
+    path = tmp_path_factory.mktemp("cache") / "counts.csv"
+    path.write_bytes(bytes(changed))
+    with pytest.raises(CacheError):
+        read_table(path)
+
+
+@pytest.mark.parametrize("ending", [b"\r", b"\r\n"])
+def test_non_lf_line_endings_rejected(tmp_path, ending):
+    path = tmp_path / "counts.csv"
+    path.write_bytes(CACHE_30.replace(b"\n", ending))
+    with pytest.raises(CacheError, match="header") as exc:
+        read_table(path)
+    assert len(str(exc.value)) < 100
+    row = CACHE_30.index(b"\n5,0,2,7\n") + len(b"\n5,0,2,7")
+    path.write_bytes(CACHE_30[:row] + ending + CACHE_30[row + 1:])
+    with pytest.raises(CacheError, match="line 7"):
+        read_table(path)
+
+
+class _FailingHandle:
+    """A file handle whose write stores half its text, then fails."""
+
+    def __init__(self, handle):
+        self.handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.handle.close()
+
+    def write(self, text):
+        self.handle.write(text[: len(text) // 2])
+        self.handle.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_failed_write_keeps_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "counts.csv"
+    write_table(build_table(50), path)
+    before = path.read_bytes()
+    monkeypatch.setattr(cache_module, "open", lambda *args, **kwargs: _FailingHandle(open(*args, **kwargs)),
+                        raising=False)
+    with pytest.raises(CacheError, match="No space left on device"):
+        write_table(build_table(200), path)
+    assert path.read_bytes() == before
+    assert [entry.name for entry in tmp_path.iterdir()] == ["counts.csv"]
+
+
+def test_concurrent_resumes_leave_a_valid_cache(tmp_path):
+    path = tmp_path / "counts.csv"
+    write_table(build_table(50), path)
+    limits = (200, 300, 400, 500)
+    start = threading.Barrier(len(limits), timeout=30)
+    errors = []
+
+    def resume(limit):
+        start.wait()
+        try:
+            load_table(limit, path)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=resume, args=(limit,)) for limit in limits]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    table = read_table(path)
+    assert table.limit in limits
+    assert tables_equal(table, build_table(table.limit))
+    assert [entry.name for entry in tmp_path.iterdir()] == ["counts.csv"]
+
+
+def test_write_through_a_symlink_replaces_its_target(tmp_path):
+    target = tmp_path / "counts.csv"
+    link = tmp_path / "link.csv"
+    write_table(build_table(10), target)
+    link.symlink_to(target)
+    load_table(40, link)
+    assert link.is_symlink()
+    assert read_table(target).limit == 40
 
 
 def test_resolve_cache_path(monkeypatch, tmp_path):

@@ -1,8 +1,9 @@
 import json
+from collections import Counter
 
 import pytest
 
-from nucleus import cli
+from nucleus import cli, counting
 from nucleus.cache import write_table
 from nucleus.counting import build_table
 
@@ -134,6 +135,60 @@ def test_verify_show_errata(capsys):
     assert code == 0
     assert "bounded-sum truncated: n=6 -> 3 vs nu(6)=4" in out
     assert "k-skip shifted: n=6,k=2 -> 6 vs p(6)=11" in out
+
+
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+def test_verify_below_six_skips_the_fixed_row(capsys, fmt):
+    code, out, _ = run(capsys, "verify", "--limit", "5", "--enum-limit", "5", "--format", fmt)
+    assert code == 0
+    if fmt == "csv":
+        assert "k_nuclear_shifted,0,0,,expected-fail" in out.splitlines()
+
+
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+@pytest.mark.parametrize("spec", [",", " , ", ""])
+def test_verify_empty_identity_selection_is_usage_error(capsys, fmt, spec):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--identities", spec, "--format", fmt])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "selects no identities" in captured.err
+    assert captured.out == ""
+
+
+def _count_calls(monkeypatch, modules, name):
+    """Replace ``name`` in each module by a wrapper that counts calls per n."""
+    calls = Counter()
+    original = getattr(modules[0], name)
+
+    def counted(n, *args, **kwargs):
+        calls[n] += 1
+        return original(n, *args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted, raising=False)
+    return calls
+
+
+def test_verify_enumerates_each_n_once(monkeypatch):
+    calls = _count_calls(monkeypatch, [counting, cli], "iter_parts")
+    names = ("gap_sum", "nuclear_count", "ground_state_count")
+    summary, timings = cli.run_verification(build_table(14), 14, 14, names)
+    assert summary.passed and set(timings) == set(names)
+    assert calls == Counter(range(15))
+
+
+def test_verify_bounded_sums_once_per_n(monkeypatch):
+    calls = _count_calls(monkeypatch, [cli], "nu_via_bounded_sum")
+    summary, _ = cli.run_verification(build_table(60), 60, 8)
+    assert summary.passed
+    assert calls == Counter(range(4, 61))
+
+
+def test_verify_times_every_identity():
+    _, timings = cli.run_verification(build_table(30), 30, 8)
+    assert list(timings) == list(cli.IDENTITY_NAMES)
+    assert all(seconds >= 0 for seconds in timings.values())
 
 
 def test_verify_corrupt_cache_is_distinct_failure(capsys, tmp_path):

@@ -3,6 +3,7 @@ import pytest
 from nucleus.counting import (
     RestrictedCounts,
     build_table,
+    enumerated_counts,
     extend_table,
     nu_bounded,
     nu_k,
@@ -242,6 +243,15 @@ def test_k_nuclear_sweep(table):
             assert p_via_k_nuclear(n, k, table)[1].value == table.p[n], (n, k)
 
 
+def test_k_nuclear_shifted_equals_the_displaced_sum():
+    t = build_table(300)
+    for k in range(1, 14):
+        for n in range(t.limit + 1):
+            steps = n // k
+            direct = t.p[n % k] + sum(nu_k(n - j * k, k, t) for j in range(1, steps + 1))
+            assert p_via_k_nuclear(n, k, t)[0] == direct, (n, k)
+
+
 def test_k_nuclear_rejects_bad_args(table):
     with pytest.raises(ValueError):
         p_via_k_nuclear(5, 0, table)
@@ -262,6 +272,13 @@ def test_enumeration_agreement_to_40(table):
         assert ground == table.gamma[n]
 
 
+def test_enumerated_counts_match_the_table(table):
+    for n in range(2, 31):
+        assert enumerated_counts(n) == (table.nu[n], table.p[n], table.gamma[n]), n
+    assert enumerated_counts(0)[::2] == (1, 0)
+    assert enumerated_counts(1)[::2] == (0, 0)
+
+
 def test_nu_bounded_matches_bounded_enumeration():
     from nucleus.partitions import EnumerationConstraint, iter_parts
 
@@ -271,3 +288,12 @@ def test_nu_bounded_matches_bounded_enumeration():
             c = EnumerationConstraint(min_part=2, max_part=max(m, 2))
             streamed = sum(1 for _ in iter_parts(n, c)) if m >= 2 else (1 if n == 0 else 0)
             assert nu_bounded(n, m, counts=counts) == streamed, (n, m)
+
+
+# --- an oracle that shares no code with the package ---
+
+def test_p_matches_sympy_at_large_n():
+    numbers = pytest.importorskip("sympy.functions.combinatorial.numbers")
+    t = build_table(20000)
+    for n in (1000, 4567, 10000, 15001, 20000):
+        assert t.p[n] == numbers.partition(n), n
