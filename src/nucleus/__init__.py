@@ -39,9 +39,15 @@ from .counting import (
     CountTable,
     MethodResult,
     RestrictedCounts,
+    bounded_sums,
     build_table,
     extend_table,
+    gamma_chain_sweep,
+    gamma_weights_sweep,
+    k_nuclear_sweep,
+    n_nu_minus_gamma_sweep,
     nu_bounded,
+    nu_chain_sweep,
     nu_k,
     nu_via_bounded_sum,
     nu_via_gamma_chain,

@@ -21,6 +21,7 @@ import time
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import chain
+from operator import and_, eq
 
 from . import __version__
 from .asymptotics import estimate_rows, ratio_report
@@ -39,13 +40,15 @@ from .congruence import (
 from .counting import (
     CountTable,
     RestrictedCounts,
+    bounded_sums,
     enumerated_counts,
+    gamma_chain_sweep,
+    gamma_weights_sweep,
+    k_nuclear_sweep,
+    n_nu_minus_gamma_sweep,
+    nu_chain_sweep,
     nu_via_bounded_sum,
-    nu_via_gamma_chain,
-    p_via_gamma_weights,
     p_via_k_nuclear,
-    p_via_n_nu_minus_gamma,
-    p_via_nu_chain,
 )
 from .partitions import (
     NUCLEAR,
@@ -111,30 +114,48 @@ def _sweep(name, low, high, predicate, expected_fail):
     return IdentityOutcome(name, max(high - low + 1, 0), failures, first, expected_fail)
 
 
-def _all_k_agree(t, b, e, n):
-    return all(p_via_k_nuclear(n, k, t)[1].value == t.p[n] for k in K_VALUES)
+def _k_nuclear_agreement(t, last):
+    """Entry n is true where the k-skip sum gives p(n) for every k in
+    K_VALUES; one k column is held at a time."""
+    agree = [True] * (last + 1)
+    for k in K_VALUES:
+        agree = list(map(and_, agree, map(eq, k_nuclear_sweep(t, k, last), t.p)))
+    return agree
+
+
+# Whole-range routes over the exact table: name -> (table, last) -> a
+# column indexed by n = 0..last.  run_verification computes each one at
+# most once, when the first selected identity that reads it needs it.
+_ROUTES = {
+    "nu_chain": nu_chain_sweep,
+    "gamma_chain": gamma_chain_sweep,
+    "gamma_weights": gamma_weights_sweep,
+    "n_nu_minus_gamma": n_nu_minus_gamma_sweep,
+    "bounded": lambda t, last: bounded_sums(last),
+    "k_nuclear": _k_nuclear_agreement,
+}
 
 
 # name: (first n, last n, predicate, expected_fail).  The last n is the
 # exact limit, the enumeration limit or a fixed value capped at the exact
-# limit.  The predicate takes (table, bounded, enumerated, n) and is true
-# where the identity holds at n.  bounded(n) and enumerated(n) are
-# nu_via_bounded_sum and enumerated_counts, evaluated once per n and
-# shared by every identity that reads them.
+# limit.  The predicate takes (table, route, enumerated, n) and is true
+# where the identity holds at n.  route(name) is the _ROUTES column up to
+# the exact limit and enumerated(n) is enumerated_counts(n); each is
+# evaluated once and shared by every identity that reads it.
 _EXACT, _ENUM = "exact", "enum"
 _IDENTITIES = {
-    "nu_chain": (0, _EXACT, lambda t, b, e, n: p_via_nu_chain(n, t).value == t.p[n], False),
-    "gamma_chain": (2, _EXACT, lambda t, b, e, n: nu_via_gamma_chain(n, t) == t.nu[n], False),
-    "gamma_weights": (2, _EXACT, lambda t, b, e, n: p_via_gamma_weights(n, t).value == t.p[n], False),
-    "n_nu_minus_gamma": (2, _EXACT, lambda t, b, e, n: p_via_n_nu_minus_gamma(n, t).value == t.p[n], False),
-    "bounded_sum": (4, _EXACT, lambda t, b, e, n: b(n)[1] == t.nu[n], False),
-    "k_nuclear": (0, _EXACT, _all_k_agree, False),
-    "gap_sum": (2, _ENUM, lambda t, b, e, n: e(n)[1] == t.p[n], False),
-    "nuclear_count": (0, _ENUM, lambda t, b, e, n: e(n)[0] == t.nu[n], False),
-    "ground_state_count": (0, _ENUM, lambda t, b, e, n: e(n)[2] == t.gamma[n], False),
+    "nu_chain": (0, _EXACT, lambda t, r, e, n: r("nu_chain")[n] == t.p[n], False),
+    "gamma_chain": (2, _EXACT, lambda t, r, e, n: r("gamma_chain")[n] == t.nu[n], False),
+    "gamma_weights": (2, _EXACT, lambda t, r, e, n: r("gamma_weights")[n] == t.p[n], False),
+    "n_nu_minus_gamma": (2, _EXACT, lambda t, r, e, n: r("n_nu_minus_gamma")[n] == t.p[n], False),
+    "bounded_sum": (4, _EXACT, lambda t, r, e, n: r("bounded")[n] + 1 == t.nu[n], False),
+    "k_nuclear": (0, _EXACT, lambda t, r, e, n: r("k_nuclear")[n], False),
+    "gap_sum": (2, _ENUM, lambda t, r, e, n: e(n)[1] == t.p[n], False),
+    "nuclear_count": (0, _ENUM, lambda t, r, e, n: e(n)[0] == t.nu[n], False),
+    "ground_state_count": (0, _ENUM, lambda t, r, e, n: e(n)[2] == t.gamma[n], False),
     # The truncated variant must come out exactly one short, everywhere.
-    "bounded_sum_truncated": (4, _EXACT, lambda t, b, e, n: b(n)[0] == t.nu[n] - 1, True),
-    "k_nuclear_shifted": (6, 6, lambda t, b, e, n: p_via_k_nuclear(n, 2, t)[0] != t.p[n], True),
+    "bounded_sum_truncated": (4, _EXACT, lambda t, r, e, n: r("bounded")[n] == t.nu[n] - 1, True),
+    "k_nuclear_shifted": (6, 6, lambda t, r, e, n: p_via_k_nuclear(n, 2, t)[0] != t.p[n], True),
 }
 IDENTITY_NAMES = tuple(_IDENTITIES)
 
@@ -145,10 +166,7 @@ def run_verification(table: CountTable, exact_limit: int, enum_limit: int,
 
     A route shared by several identities is timed under the first of them.
     """
-    counts = RestrictedCounts()
-    if any(name.startswith("bounded_sum") for name in names):
-        counts.ensure(max(exact_limit - 2, 0))
-    bounded = cache(partial(nu_via_bounded_sum, counts=counts))
+    route = cache(lambda name: _ROUTES[name](table, exact_limit))
     enumerated = cache(enumerated_counts)
     limits = {_EXACT: exact_limit, _ENUM: enum_limit}
     outcomes = []
@@ -157,7 +175,7 @@ def run_verification(table: CountTable, exact_limit: int, enum_limit: int,
         low, high, predicate, expected_fail = _IDENTITIES[name]
         last = limits[high] if high in limits else min(high, exact_limit)
         start = time.perf_counter()
-        outcomes.append(_sweep(name, low, last, partial(predicate, table, bounded, enumerated), expected_fail))
+        outcomes.append(_sweep(name, low, last, partial(predicate, table, route, enumerated), expected_fail))
         timings[name] = time.perf_counter() - start
     return VerificationSummary(exact_limit, enum_limit, outcomes), timings
 
@@ -389,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="row selection like 1-20,100 (default 1..limit)")
     _add_format(p_table)
     _add_cache(p_table)
-    p_table.set_defaults(func=cmd_table)
+    p_table.set_defaults(func=partial(cmd_table, parser=p_table))
 
     p_verify = sub.add_parser("verify", help="run identity cross-check sweeps")
     p_verify.add_argument("--limit", "-N", type=int, default=500,
@@ -402,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="include the truncated/shifted expected-failure demonstrations")
     _add_format(p_verify)
     _add_cache(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
+    p_verify.set_defaults(func=partial(cmd_verify, parser=p_verify))
 
     p_cong = sub.add_parser("congruence", help="scan a congruence family")
     p_cong.add_argument("family",
@@ -414,21 +432,21 @@ def build_parser() -> argparse.ArgumentParser:
                         help="largest progression index n (default 200)")
     _add_format(p_cong)
     _add_cache(p_cong)
-    p_cong.set_defaults(func=cmd_congruence)
+    p_cong.set_defaults(func=partial(cmd_congruence, parser=p_cong))
 
     p_decay = sub.add_parser("decay", help="trace a decay chain, or emit a DOT digraph")
     p_decay.add_argument("target",
                          help="partition literal like 5,2 or [5,2]; with --dot, the size n")
     p_decay.add_argument("--dot", action="store_true",
                          help="emit the decay digraph of every nuclear partition of size n")
-    p_decay.set_defaults(func=cmd_decay)
+    p_decay.set_defaults(func=partial(cmd_decay, parser=p_decay))
 
     p_parity = sub.add_parser("parity", help="parity of p(n) from the gamma sums, even n")
     p_parity.add_argument("--limit", "-N", type=int, default=1000,
                           help="largest even n (default 1000)")
     _add_format(p_parity)
     _add_cache(p_parity)
-    p_parity.set_defaults(func=cmd_parity)
+    p_parity.set_defaults(func=partial(cmd_parity, parser=p_parity))
 
     p_ratios = sub.add_parser("ratios", help="growth-ratio diagnostics")
     p_ratios.add_argument("--limit", "-N", type=int, default=100,
@@ -441,14 +459,14 @@ def build_parser() -> argparse.ArgumentParser:
                           help="comma-separated n values for --estimator (default 25,100,400)")
     _add_format(p_ratios)
     _add_cache(p_ratios)
-    p_ratios.set_defaults(func=cmd_ratios)
+    p_ratios.set_defaults(func=partial(cmd_ratios, parser=p_ratios))
 
     p_cache = sub.add_parser("cache", help="build, extend or check the CSV cache")
     p_cache.add_argument("action", choices=("build", "check"))
     p_cache.add_argument("--limit", "-N", type=int, default=500,
                          help="table size for build (default 500)")
     _add_cache(p_cache)
-    p_cache.set_defaults(func=cmd_cache)
+    p_cache.set_defaults(func=partial(cmd_cache, parser=p_cache))
 
     return parser
 
@@ -474,6 +492,8 @@ def cmd_table(args, parser) -> int:
 
 
 def cmd_verify(args, parser) -> int:
+    if args.enum_limit < 0:
+        parser.error(f"--enum-limit must be >= 0, got {args.enum_limit}")
     if args.enum_limit > args.limit:
         parser.error("--enum-limit cannot exceed --limit")
     names = IDENTITY_NAMES
@@ -610,7 +630,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        return args.func(args)
     except CacheError as exc:
         print(f"cache error: {exc}", file=sys.stderr)
         return EXIT_CACHE_ERROR

@@ -17,13 +17,18 @@ independent route so the routes can be checked against each other:
     bounded sum       nu(n) = 1 + sum_{k=2..n-2} nu(k, n-k)
     k-skip sum        p(n) = p(n mod k) + sum_{j=0..floor(n/k)-1} nu_k(n-jk)
 
-All arithmetic is exact; p(n) outgrows 64 bits at n = 417 and keeps
-going.
+Each route over the exact table also has a whole-range sweep
+(``*_sweep``, ``bounded_sums``) that evaluates it for every n up to a
+bound by running or prefix sums; the per-n functions read the same
+formula.  All arithmetic is exact; p(n) outgrows 64 bits at n = 417
+and keeps going.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import add, mul
 from typing import Iterator
 
 from .partitions import NUCLEAR, iter_parts
@@ -181,10 +186,16 @@ def nu_bounded(n: int, m: int, *, counts: RestrictedCounts | None = None) -> int
     return table.count(n, m)
 
 
+def nu_chain_sweep(table: CountTable, last: int) -> list[int]:
+    """nu(0) + ... + nu(n) for n = 0..last; each entry is p(n)."""
+    _check_range(last, table)
+    return list(accumulate(table.nu[: last + 1]))
+
+
 def p_via_nu_chain(n: int, table: CountTable) -> MethodResult:
     """p(n) as the partial sum nu(0) + ... + nu(n)."""
     _check_range(n, table)
-    return MethodResult("nu_chain", n, sum(table.nu[: n + 1]))
+    return MethodResult("nu_chain", n, nu_chain_sweep(table, n)[n])
 
 
 def nuclear_gaps(n: int) -> Iterator[int]:
@@ -227,24 +238,49 @@ def p_via_gap_sum(n: int) -> MethodResult:
     return MethodResult("gap_sum", n, enumerated_counts(n)[1])
 
 
+def _gamma_moments(table: CountTable, last: int) -> tuple[list[int], list[int]]:
+    """Running sums S1(n) = sum_{k=3..n} gamma(k) and
+    S2(n) = sum_{k=3..n} k * gamma(k) for n = 0..last."""
+    _check_range(last, table)
+    gamma = [0] * min(3, last + 1) + table.gamma[3 : last + 1]
+    return list(accumulate(gamma)), list(accumulate(map(mul, range(last + 1), gamma)))
+
+
+def gamma_chain_sweep(table: CountTable, last: int) -> list[int]:
+    """1 + gamma(3) + ... + gamma(n) for n = 0..last; nu(n) for n >= 2."""
+    return [1 + s1 for s1 in _gamma_moments(table, last)[0]]
+
+
+def gamma_weights_sweep(table: CountTable, last: int) -> list[int]:
+    """n + sum_{k=3..n} (n - k + 1) gamma(k) = n + (n + 1) S1(n) - S2(n)
+    for n = 0..last; p(n) for n >= 2."""
+    s1, s2 = _gamma_moments(table, last)
+    return [n + (n + 1) * a - b for n, a, b in zip(range(last + 1), s1, s2)]
+
+
+def n_nu_minus_gamma_sweep(table: CountTable, last: int) -> list[int]:
+    """n nu(n) - sum_{k=3..n} (k - 1) gamma(k) = n nu(n) - (S2(n) - S1(n))
+    for n = 0..last; p(n) for n >= 2."""
+    s1, s2 = _gamma_moments(table, last)
+    return [n * nu - (b - a) for n, nu, a, b in zip(range(last + 1), table.nu, s1, s2)]
+
+
 def nu_via_gamma_chain(n: int, table: CountTable) -> int:
     """nu(n) = 1 + gamma(3) + ... + gamma(n), for n >= 2."""
     _check_range(n, table, low=2)
-    return 1 + sum(table.gamma[3 : n + 1])
+    return gamma_chain_sweep(table, n)[n]
 
 
 def p_via_gamma_weights(n: int, table: CountTable) -> MethodResult:
     """p(n) = n + sum_{k=3..n} (n - k + 1) * gamma(k), for n >= 2."""
     _check_range(n, table, low=2)
-    value = n + sum((n - k + 1) * table.gamma[k] for k in range(3, n + 1))
-    return MethodResult("gamma_weights", n, value)
+    return MethodResult("gamma_weights", n, gamma_weights_sweep(table, n)[n])
 
 
 def p_via_n_nu_minus_gamma(n: int, table: CountTable) -> MethodResult:
     """p(n) = n * nu(n) - sum_{k=3..n} (k - 1) * gamma(k), for n >= 2."""
     _check_range(n, table, low=2)
-    value = n * table.nu[n] - sum((k - 1) * table.gamma[k] for k in range(3, n + 1))
-    return MethodResult("n_nu_minus_gamma", n, value)
+    return MethodResult("n_nu_minus_gamma", n, n_nu_minus_gamma_sweep(table, n)[n])
 
 
 def nu_via_bounded_sum(n: int, *, counts: RestrictedCounts | None = None) -> tuple[int, int]:
@@ -266,6 +302,49 @@ def nu_via_bounded_sum(n: int, *, counts: RestrictedCounts | None = None) -> tup
     return truncated, truncated + 1
 
 
+def bounded_sums(limit: int) -> list[int]:
+    """Truncated bounded sums sum_{k=2..n-2} c(k, n-k) for n = 0..limit,
+    where c(k, m) counts the partitions of k with every part in [2, m].
+
+    Entry n is the ``truncated`` value of ``nu_via_bounded_sum(n)``: one
+    short of nu(n) for n >= 4, and 0 below that.  One row c(., m) rolls over the part
+    bound m = 2..limit-2 and each c(k, m) is scattered to n = k + m:
+    O(limit^2) additions on O(limit) stored integers.
+    """
+    if limit < 0:
+        raise ValueError(f"limit must be >= 0, got {limit}")
+    sums = [0] * (limit + 1)
+    row = [1] + [0] * max(limit - 2, 0)  # c(t, 1) = [t == 0]
+    for m in range(2, limit - 1):
+        top = limit - m  # the largest k that still lands at n <= limit
+        # c(t, m) = c(t, m-1) + c(t-m, m), one block of m at a time so each
+        # block reads only the block before it, already updated.
+        for lo in range(m, top + 1, m):
+            hi = min(lo + m, top + 1)
+            row[lo:hi] = map(add, row[lo:hi], row[lo - m:hi - m])
+        sums[m + 2:] = map(add, sums[m + 2:], row[2:top + 1])
+    return sums
+
+
+def _k_skip_chain(table: CountTable, k: int, rest: int, last: int) -> list[int]:
+    """The k-skip sums V(n) for n = rest, rest + k, ... <= last, where
+    rest < k: V(rest) = nu_k(rest) = p(rest) and V(n) = V(n - k) + nu_k(n)."""
+    return list(accumulate(nu_k(n, k, table) for n in range(rest, last + 1, k)))
+
+
+def k_nuclear_sweep(table: CountTable, k: int, last: int) -> list[int]:
+    """The k-skip sum p(n mod k) + sum_{j=0..floor(n/k)-1} nu_k(n - jk)
+    for n = 0..last; each entry is p(n).  One running sum per residue
+    class mod k, O(last) in all."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    _check_range(last, table)
+    values = [0] * (last + 1)
+    for rest in range(min(k, last + 1)):
+        values[rest::k] = _k_skip_chain(table, k, rest, last)
+    return values
+
+
 def p_via_k_nuclear(n: int, k: int, table: CountTable) -> tuple[int, MethodResult]:
     """p(n) from the no-part-k counts along the arithmetic chain n, n-k, ...
 
@@ -280,9 +359,8 @@ def p_via_k_nuclear(n: int, k: int, table: CountTable) -> tuple[int, MethodResul
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     _check_range(n, table)
-    steps = n // k
-    rest = n - steps * k
-    value = table.p[rest] + sum(nu_k(n - j * k, k, table) for j in range(steps))
+    rest = n % k
+    value = _k_skip_chain(table, k, rest, n)[-1]
     # The displaced range drops the j = 0 term nu_k(n) and adds the
     # j = floor(n/k) term nu_k(r), which is p(r) because r < k.
     shifted = value - nu_k(n, k, table) + table.p[rest]

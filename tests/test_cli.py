@@ -1,7 +1,14 @@
+import contextlib
+import io
 import json
+import os
+import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nucleus import cli, counting
 from nucleus.cache import write_table
@@ -156,6 +163,27 @@ def test_verify_empty_identity_selection_is_usage_error(capsys, fmt, spec):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+def test_verify_negative_enum_limit_is_usage_error(capsys, fmt):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--limit", "5", "--enum-limit", "-3", "--format", fmt])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--enum-limit must be >= 0" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [["verify", "--identities", ","], ["congruence", "ramanujan", "4"]])
+def test_subcommand_usage_error_prints_its_own_usage(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"usage: nucleus {argv[0]} ")
+    assert f"nucleus {argv[0]}: error: " in captured.err
+    assert captured.out == ""
+
+
 def _count_calls(monkeypatch, modules, name):
     """Replace ``name`` in each module by a wrapper that counts calls per n."""
     calls = Counter()
@@ -178,11 +206,33 @@ def test_verify_enumerates_each_n_once(monkeypatch):
     assert calls == Counter(range(15))
 
 
-def test_verify_bounded_sums_once_per_n(monkeypatch):
-    calls = _count_calls(monkeypatch, [cli], "nu_via_bounded_sum")
-    summary, _ = cli.run_verification(build_table(60), 60, 8)
+def test_verify_sums_bounded_parts_in_one_pass(monkeypatch):
+    calls = _count_calls(monkeypatch, [cli], "bounded_sums")
+    ensured = []
+    monkeypatch.setattr(counting.RestrictedCounts, "ensure", lambda self, size: ensured.append(size))
+    table = build_table(60)
+    unbounded = tuple(name for name in cli.IDENTITY_NAMES if not name.startswith("bounded_sum"))
+    for names, expected in [(cli.IDENTITY_NAMES, Counter({60: 1})),
+                            (("bounded_sum",), Counter({60: 1})),
+                            (("bounded_sum_truncated",), Counter({60: 1})),
+                            (unbounded, Counter())]:
+        calls.clear()
+        summary, _ = cli.run_verification(table, 60, 8, names)
+        assert summary.passed
+        assert calls == expected, names
+    assert ensured == []
+
+
+def test_verify_bounded_rows_run_in_linear_memory():
+    table = build_table(600)
+    tracemalloc.start()
+    try:
+        summary, _ = cli.run_verification(table, 600, 8, ("bounded_sum",))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert summary.passed
-    assert calls == Counter(range(4, 61))
+    assert peak < 2 * 2**20
 
 
 def test_verify_times_every_identity():
@@ -431,6 +481,63 @@ def test_cache_needs_path(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         cli.main(["cache", "build", "--limit", "10"])
     assert exc.value.code == 2
+
+
+# --- random argv ---
+
+_INT = st.integers(-3, 60).map(str)
+# Bounds that drive enumeration stay small: the nuclear partitions of n
+# number nu(n), which passes 10^5 at n = 60.
+_ENUM_INT = st.integers(-3, 12).map(str)
+_INT_LIST = st.lists(st.integers(-3, 60), max_size=3).map(lambda xs: ",".join(map(str, xs)))
+_ROW_SPEC = st.one_of(_INT, _INT_LIST, st.tuples(_INT, _INT).map("-".join))
+_FORMAT = st.sampled_from([*cli.FORMATS, "xml"])
+_CACHE = st.sampled_from(["{file}", "{dir}"])
+_COMMANDS = {
+    "table": ([], {"--limit": _INT, "--rows": _ROW_SPEC, "--format": _FORMAT, "--cache": _CACHE}),
+    "verify": ([st.just("--enum-limit"), _ENUM_INT],
+               {"--limit": _INT, "--format": _FORMAT, "--cache": _CACHE, "--show-errata": None,
+                "--identities": st.lists(st.sampled_from([*cli.IDENTITY_NAMES, "x", " "]),
+                                         max_size=3).map(",".join)}),
+    "congruence": ([st.sampled_from(["ramanujan", "nu_window", "nu_k_progression", "gamma_weighted",
+                                     "custom", "weird"]),
+                    st.lists(st.one_of(st.sampled_from(["5", "7", "11"]), _INT), max_size=4).map(" ".join)],
+                   {"--limit": _INT, "--format": _FORMAT, "--cache": _CACHE}),
+    "decay": ([st.one_of(_INT_LIST, _INT_LIST.map("[{}]".format))], {}),
+    "decay --dot": ([_ENUM_INT], {}),
+    "parity": ([], {"--limit": _INT, "--format": _FORMAT, "--cache": _CACHE}),
+    "ratios": ([], {"--limit": _INT, "--estimator": st.sampled_from(["p", "nu", "gamma"]),
+                    "--form": st.sampled_from(["exact_difference", "simplified"]),
+                    "--points": _INT_LIST, "--format": _FORMAT, "--cache": _CACHE}),
+    "cache": ([st.sampled_from(["build", "check"])], {"--limit": _INT, "--cache": _CACHE}),
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    positional, options = _COMMANDS[command]
+    argv = command.split() + [word for strategy in positional for word in draw(strategy).split()]
+    for flag in draw(st.lists(st.sampled_from(sorted(options)), unique=True)) if options else ():
+        argv.append(flag)
+        if options[flag] is not None:
+            argv.append(draw(options[flag]))
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_argv())
+def test_random_argv_exits_with_a_documented_code(tmp_path_factory, argv):
+    directory = tmp_path_factory.mktemp("argv")
+    argv = [word.format(file=directory / "counts.csv", dir=directory) for word in argv]
+    with mock.patch.dict(os.environ), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        os.environ.pop("NUCLEUS_CACHE", None)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3), argv
 
 
 def test_version_flag(capsys):

@@ -2,9 +2,15 @@ import pytest
 
 from nucleus.counting import (
     RestrictedCounts,
+    bounded_sums,
     build_table,
     enumerated_counts,
     extend_table,
+    gamma_chain_sweep,
+    gamma_weights_sweep,
+    k_nuclear_sweep,
+    n_nu_minus_gamma_sweep,
+    nu_chain_sweep,
     nu_bounded,
     nu_k,
     nu_via_bounded_sum,
@@ -257,6 +263,65 @@ def test_k_nuclear_rejects_bad_args(table):
         p_via_k_nuclear(5, 0, table)
     with pytest.raises(ValueError):
         p_via_k_nuclear(table.limit + 1, 2, table)
+
+
+# --- whole-range sweeps ---
+
+def test_sweeps_equal_the_per_n_functions_and_the_direct_sums():
+    t = build_table(300)
+    span, domain = range(301), range(2, 301)
+    nu_chain = nu_chain_sweep(t, 300)
+    assert [nu_chain[n] for n in span] == [p_via_nu_chain(n, t).value for n in span]
+    assert [nu_chain[n] for n in span] == [sum(t.nu[: n + 1]) for n in span]
+    gamma_chain = gamma_chain_sweep(t, 300)
+    assert [gamma_chain[n] for n in domain] == [nu_via_gamma_chain(n, t) for n in domain]
+    assert [gamma_chain[n] for n in domain] == [1 + sum(t.gamma[3 : n + 1]) for n in domain]
+    weights = gamma_weights_sweep(t, 300)
+    assert [weights[n] for n in domain] == [p_via_gamma_weights(n, t).value for n in domain]
+    assert [weights[n] for n in domain] == [
+        n + sum((n - k + 1) * t.gamma[k] for k in range(3, n + 1)) for n in domain]
+    n_nu = n_nu_minus_gamma_sweep(t, 300)
+    assert [n_nu[n] for n in domain] == [p_via_n_nu_minus_gamma(n, t).value for n in domain]
+    assert [n_nu[n] for n in domain] == [
+        n * t.nu[n] - sum((k - 1) * t.gamma[k] for k in range(3, n + 1)) for n in domain]
+    for k in K_VALUES:
+        skip = k_nuclear_sweep(t, k, 300)
+        assert skip == [p_via_k_nuclear(n, k, t)[1].value for n in span], k
+        assert skip == [t.p[n % k] + sum(nu_k(n - j * k, k, t) for j in range(n // k)) for n in span], k
+    assert all(len(values) == 301 for values in (nu_chain, gamma_chain, weights, n_nu))
+
+
+def test_sweeps_stop_at_their_last_n():
+    t = build_table(40)
+    for last in range(8):
+        assert nu_chain_sweep(t, last) == nu_chain_sweep(t, 40)[: last + 1]
+        assert gamma_chain_sweep(t, last) == gamma_chain_sweep(t, 40)[: last + 1]
+        assert gamma_weights_sweep(t, last) == gamma_weights_sweep(t, 40)[: last + 1]
+        assert n_nu_minus_gamma_sweep(t, last) == n_nu_minus_gamma_sweep(t, 40)[: last + 1]
+        assert k_nuclear_sweep(t, 3, last) == t.p[: last + 1]
+        assert bounded_sums(last) == bounded_sums(40)[: last + 1]
+
+
+def test_sweeps_reject_bad_args():
+    t = build_table(20)
+    for sweep in (nu_chain_sweep, gamma_chain_sweep, gamma_weights_sweep, n_nu_minus_gamma_sweep):
+        with pytest.raises(ValueError):
+            sweep(t, 21)
+    with pytest.raises(ValueError):
+        k_nuclear_sweep(t, 0, 10)
+    with pytest.raises(ValueError):
+        k_nuclear_sweep(t, 2, 21)
+    with pytest.raises(ValueError):
+        bounded_sums(-1)
+
+
+def test_bounded_sums_equal_the_bounded_sum_route():
+    t = build_table(300)
+    sums = bounded_sums(300)
+    assert len(sums) == 301 and sums[:4] == [0, 0, 0, 0]
+    counts = RestrictedCounts()
+    for n in range(4, 301):
+        assert sums[n] + 1 == nu_via_bounded_sum(n, counts=counts)[1] == t.nu[n], n
 
 
 # --- counts agree with direct enumeration ---
