@@ -24,6 +24,12 @@ GOLDEN = {
     "verify --format json": (0, "76266e8221bbf42642fa14a006bae96a7aa54e47630db9d9b90f468ce86bf8c6"),
     "verify --show-errata": (0, "fc207fab849fd0b9e1d62e42b6d9e8e7aa5f4d3540bb9a141e98b26aa2e050ef"),
     "verify --show-errata --format json": (0, "05a20999e733dec93b6672b789d8cf3651e9b110f1b4378150525c1ccf392244"),
+    "verify --show-errata --format csv": (0, "91d698311f225a99e55d2d50312d7f10e5df4dd03b8888761dedd5d538a416ce"),
+    # Below n = 6 the errata lines have no k-skip line; below n = 4, none.
+    "verify --limit 5 --enum-limit 5 --show-errata": (0, "c9a9146337b7a18b041796c923a0dd89b93b006de817ed77e08127444a0eb330"),
+    "verify --limit 5 --enum-limit 5 --show-errata --format json": (0, "fa1aef47163358e3b228e9a942b8a01e55fc43be9f38fa5988360f47fd51bbe1"),
+    "verify --limit 3 --enum-limit 3 --show-errata": (0, "eb1a6d84c1036aaf2942b5a4d1800676a3c205186eda22d7dee4dbf32c2bd9c1"),
+    "verify --limit 3 --enum-limit 3 --show-errata --format json": (0, "f218d688dcac45e9247b44bdca88ec7635531c5f1059024ff50203c4d3aaeb97"),
     "congruence ramanujan 5 --limit 10000": (0, "21fcf7dea2a1c7f6a82e49105da223075c8f8df87997d8c26dde59d6f09f5004"),
     "congruence ramanujan 5 --limit 10000 --format csv": (0, "168354abae55e60cd389461bf91d311dba24fb2f6057b7d01496cc22b314ef15"),
     "congruence ramanujan 5 --limit 10000 --format json": (0, "b1f9055fcc8e275b242357305b872baec38a98b3b90c6c5e975dd22be972494a"),
