@@ -20,7 +20,7 @@ import sys
 import time
 from dataclasses import dataclass
 from functools import cache, partial
-from itertools import chain
+from itertools import accumulate, chain
 from operator import and_, eq
 
 from . import __version__
@@ -35,11 +35,9 @@ from .congruence import (
     check_progression,
     check_ramanujan,
     p_mod_m_table,
-    parity_via_gamma,
 )
 from .counting import (
     CountTable,
-    RestrictedCounts,
     bounded_sums,
     enumerated_counts,
     gamma_chain_sweep,
@@ -47,7 +45,6 @@ from .counting import (
     k_nuclear_sweep,
     n_nu_minus_gamma_sweep,
     nu_chain_sweep,
-    nu_via_bounded_sum,
     p_via_k_nuclear,
 )
 from .partitions import (
@@ -233,11 +230,10 @@ def render_summary(summary: VerificationSummary, fmt: str, errata_demo=None) -> 
             payload["errata_demo"] = errata_demo
         return _json_dumps(payload)
     if fmt == "csv":
-        lines = ["identity,checked,failures,first_failure,status"]
-        for o in summary.outcomes:
-            first = "" if o.first_failure is None else str(o.first_failure)
-            lines.append(f"{o.identity},{o.checked},{o.failures},{first},{o.status}")
-        return "\n".join(lines) + "\n"
+        return _grid(("identity", "checked", "failures", "first_failure", "status"),
+                     ((o.identity, str(o.checked), str(o.failures),
+                       "" if o.first_failure is None else str(o.first_failure), o.status)
+                      for o in summary.outcomes), fmt)
     width = max(len(o.identity) for o in summary.outcomes)
     lines = [f"identity sweeps: exact n <= {summary.exact_limit}, enumerated n <= {summary.enum_limit}"]
     for o in summary.outcomes:
@@ -271,10 +267,9 @@ def render_report(report: CongruenceReport, fmt: str) -> str:
         return _json_dumps(payload)
     if fmt == "csv":
         first = "" if report.passed else str(report.violations[0][0])
-        lines = ["family,modulus,a,b,start_n,end_n,violations,first_violation",
-                 f"{family.family_id},{family.modulus},{a},{b},{report.range_checked[0]},"
-                 f"{report.range_checked[1]},{len(report.violations)},{first}"]
-        return "\n".join(lines) + "\n"
+        return _grid(("family", "modulus", "a", "b", "start_n", "end_n", "violations", "first_violation"),
+                     [(family.family_id, str(family.modulus), str(a), str(b), str(report.range_checked[0]),
+                       str(report.range_checked[1]), str(len(report.violations)), first)], fmt)
     lines = [f"family: {family.family_id} mod {family.modulus}, arguments {a}*n+{b},"
              f" n = {report.range_checked[0]}..{report.range_checked[1]}"]
     if report.passed:
@@ -476,15 +471,15 @@ def build_parser() -> argparse.ArgumentParser:
 # --------------------------------------------------------------------------
 
 def cmd_table(args, parser) -> int:
-    rows = args.rows
-    limit = args.limit
-    if limit is None:
-        limit = max(rows) if rows else 20
-    if limit < 1:
-        parser.error(f"--limit must be >= 1, got {limit}")
+    rows, limit = args.rows, args.limit
     if rows is None:
+        limit = 20 if limit is None else limit
+        if limit < 1:  # the default rows 1..limit would be empty
+            parser.error(f"--limit must be >= 1, got {limit}")
         rows = list(range(1, limit + 1))
-    if rows and rows[-1] > limit:
+    elif limit is None:
+        limit = rows[-1]
+    elif rows[-1] > limit:
         parser.error(f"--rows selects n={rows[-1]} beyond --limit {limit}")
     table = _table_for(args, limit)
     sys.stdout.write(render_table(table, rows, args.format))
@@ -492,6 +487,8 @@ def cmd_table(args, parser) -> int:
 
 
 def cmd_verify(args, parser) -> int:
+    if args.limit < 0:
+        parser.error(f"--limit must be >= 0, got {args.limit}")
     if args.enum_limit < 0:
         parser.error(f"--enum-limit must be >= 0, got {args.enum_limit}")
     if args.enum_limit > args.limit:
@@ -508,12 +505,9 @@ def cmd_verify(args, parser) -> int:
     summary, timings = run_verification(table, args.limit, args.enum_limit, names)
     errata_demo = None
     if args.show_errata:
-        counts = RestrictedCounts()
-        demo_n = [n for n in (4, 5, 6) if n <= args.limit]
-        errata_demo = [
-            f"bounded-sum truncated: n={n} -> {nu_via_bounded_sum(n, counts=counts)[0]}"
-            f" vs nu({n})={table.nu[n]}" for n in demo_n
-        ]
+        truncated = bounded_sums(min(args.limit, 6))
+        errata_demo = [f"bounded-sum truncated: n={n} -> {truncated[n]} vs nu({n})={table.nu[n]}"
+                       for n in range(4, len(truncated))]
         if args.limit >= 6:
             shifted, _ = p_via_k_nuclear(6, 2, table)
             errata_demo.append(f"k-skip shifted: n=6,k=2 -> {shifted} vs p(6)={table.p[6]}")
@@ -587,19 +581,18 @@ def cmd_parity(args, parser) -> int:
         parser.error("--limit must be >= 4")
     table = _table_for(args, args.limit)
     residues = p_mod_m_table(args.limit, 2)
-    rows = []
-    gamma_sum = 0
-    for n in range(4, args.limit + 1, 2):
-        gamma_sum += table.gamma[n]
-        bit = parity_via_gamma(n, table)
-        rows.append((n, gamma_sum, bit, bit == residues[n]))
+    evens = range(4, args.limit + 1, 2)
+    rows = [(n, total, total % 2, total % 2 == residues[n])
+            for n, total in zip(evens, accumulate(table.gamma[4::2]))]
     sys.stdout.write(render_parity(rows, args.format))
     return EXIT_OK if all(agrees for *_rest, agrees in rows) else EXIT_CHECK_FAILED
 
 
 def cmd_ratios(args, parser) -> int:
     if args.estimator:
-        points = args.points or [25, 100, 400]
+        points = [25, 100, 400] if args.points is None else args.points
+        if not points:
+            parser.error("--points selects no n values")
         table = _table_for(args, max(points))
         rows = estimate_rows(points, table, args.estimator, args.form)
         sys.stdout.write(render_estimates(rows, args.format))

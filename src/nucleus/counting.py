@@ -138,12 +138,21 @@ def nu_k(n: int, k: int, table: CountTable) -> int:
     return table.p[n]
 
 
-class RestrictedCounts:
-    """Counts of partitions with every part in [2, m].
+def _raise_bound(row: list[int], m: int, top: int) -> None:
+    """c(., m-1) -> c(., m) in place for t <= top, where c(t, m) counts the
+    partitions of t with parts in [2, m]: c(t, m) = c(t, m-1) + c(t-m, m),
+    one block of m at a time so each block reads the one before, updated."""
+    for lo in range(m, top + 1, m):
+        hi = min(lo + m, top + 1)
+        row[lo:hi] = map(add, row[lo:hi], row[lo - m:hi - m])
 
-    Bounded-part dynamic program c(n, m) = c(n, m-1) + c(n-m, m) with
-    c(0, m) = 1 and c(n, m) = 0 for n > 0, m < 2.  Grown on demand;
-    share one instance across a sweep to avoid rebuilding.
+
+class RestrictedCounts:
+    """Counts of partitions with every part in [2, m], stored as the
+    full table of rows c(., m) for m = 0..size, each size + 1 long.
+
+    O(size^2) integers; ``nu_bounded`` and ``bounded_sums`` roll one row
+    of the same recurrence instead.
     """
 
     def __init__(self):
@@ -154,14 +163,11 @@ class RestrictedCounts:
         if size <= self._size:
             return
         size = max(size, 2 * self._size)
-        width = size + 1
         empty_only = [1] + [0] * size
         rows = [empty_only, list(empty_only)]
-        for m in range(2, width):
-            prev = rows[m - 1]
-            row = prev[:m]
-            for total in range(m, width):
-                row.append(prev[total] + row[total - m])
+        for m in range(2, size + 1):
+            row = list(rows[-1])
+            _raise_bound(row, m, size)
             rows.append(row)
         self._size = size
         self._rows = rows
@@ -178,12 +184,17 @@ class RestrictedCounts:
         return self._rows[m][total]
 
 
-def nu_bounded(n: int, m: int, *, counts: RestrictedCounts | None = None) -> int:
-    """Count of partitions of n with all parts in [2, m]."""
+def nu_bounded(n: int, m: int) -> int:
+    """Count of partitions of n with all parts in [2, m]; one row of
+    n + 1 integers rolls over the part bounds 2..min(m, n)."""
     if m < 1:
         raise ValueError(f"part bound must be >= 1, got {m}")
-    table = counts if counts is not None else RestrictedCounts()
-    return table.count(n, m)
+    if n < 0:
+        raise ValueError(f"total must be >= 0, got {n}")
+    row = [1] + [0] * n  # c(t, 1) = [t == 0]
+    for bound in range(2, min(m, n) + 1):
+        _raise_bound(row, bound, n)
+    return row[n]
 
 
 def nu_chain_sweep(table: CountTable, last: int) -> list[int]:
@@ -283,22 +294,20 @@ def p_via_n_nu_minus_gamma(n: int, table: CountTable) -> MethodResult:
     return MethodResult("n_nu_minus_gamma", n, n_nu_minus_gamma_sweep(table, n)[n])
 
 
-def nu_via_bounded_sum(n: int, *, counts: RestrictedCounts | None = None) -> tuple[int, int]:
+def nu_via_bounded_sum(n: int) -> tuple[int, int]:
     """Recover nu(n) from bounded-part counts of largest-part remainders.
 
     Classifying a nuclear partition of n by its largest part n - k leaves
     a remainder partition of k with parts in [2, n-k].  Returns
-    ``(truncated, total)`` where ``truncated`` sums only k = 2..n-2 and
-    ``total`` adds the k = 0 term contributed by (n) itself; ``total``
-    equals nu(n).  The truncated variant is retained deliberately: it is
-    always short by exactly 1 and the verifier reports it as an
-    expected failure.  Needs n >= 4.
+    ``(truncated, total)`` where ``truncated`` sums only k = 2..n-2 (entry
+    n of ``bounded_sums(n)``) and ``total`` adds the k = 0 term
+    contributed by (n) itself; ``total`` equals nu(n).  The truncated
+    variant is retained deliberately: it is always short by exactly 1 and
+    the verifier reports it as an expected failure.  Needs n >= 4.
     """
     if n < 4:
         raise ValueError(f"the bounded-sum route needs n >= 4, got {n}")
-    table = counts if counts is not None else RestrictedCounts()
-    table.ensure(n - 2)
-    truncated = sum(table.count(k, n - k) for k in range(2, n - 1))
+    truncated = bounded_sums(n)[n]
     return truncated, truncated + 1
 
 
@@ -306,10 +315,10 @@ def bounded_sums(limit: int) -> list[int]:
     """Truncated bounded sums sum_{k=2..n-2} c(k, n-k) for n = 0..limit,
     where c(k, m) counts the partitions of k with every part in [2, m].
 
-    Entry n is the ``truncated`` value of ``nu_via_bounded_sum(n)``: one
-    short of nu(n) for n >= 4, and 0 below that.  One row c(., m) rolls over the part
-    bound m = 2..limit-2 and each c(k, m) is scattered to n = k + m:
-    O(limit^2) additions on O(limit) stored integers.
+    One short of nu(n) for n >= 4, and 0 below that.  One row c(., m)
+    rolls over the part bound m = 2..limit-2 and each c(k, m) is
+    scattered to n = k + m: O(limit^2) additions on O(limit) stored
+    integers.
     """
     if limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
@@ -317,11 +326,7 @@ def bounded_sums(limit: int) -> list[int]:
     row = [1] + [0] * max(limit - 2, 0)  # c(t, 1) = [t == 0]
     for m in range(2, limit - 1):
         top = limit - m  # the largest k that still lands at n <= limit
-        # c(t, m) = c(t, m-1) + c(t-m, m), one block of m at a time so each
-        # block reads only the block before it, already updated.
-        for lo in range(m, top + 1, m):
-            hi = min(lo + m, top + 1)
-            row[lo:hi] = map(add, row[lo:hi], row[lo - m:hi - m])
+        _raise_bound(row, m, top)
         sums[m + 2:] = map(add, sums[m + 2:], row[2:top + 1])
     return sums
 

@@ -19,7 +19,6 @@ from nucleus.congruence import (
     parity_via_gamma,
 )
 from nucleus.counting import (
-    RestrictedCounts,
     build_table,
     nu_via_bounded_sum,
     nu_via_gamma_chain,
@@ -96,8 +95,6 @@ def test_criterion_3_worked_example():
 def test_criterion_4_identity_cross_verification(big_table):
     with criterion("04", "all identity routes equal the oracle for n <= 500, exactly"):
         t = big_table
-        counts = RestrictedCounts()
-        counts.ensure(498)
         for n in range(501):
             assert p_via_nu_chain(n, t).value == t.p[n], f"nu_chain at {n}"
             for k in K_VALUES:
@@ -107,15 +104,14 @@ def test_criterion_4_identity_cross_verification(big_table):
             assert p_via_gamma_weights(n, t).value == t.p[n], f"gamma_weights at {n}"
             assert p_via_n_nu_minus_gamma(n, t).value == t.p[n], f"n_nu_minus_gamma at {n}"
         for n in range(4, 501):
-            assert nu_via_bounded_sum(n, counts=counts)[1] == t.nu[n], f"bounded_sum at {n}"
+            assert nu_via_bounded_sum(n)[1] == t.nu[n], f"bounded_sum at {n}"
 
 
 def test_criterion_5_errata_demonstrations(big_table, capsys):
     with criterion("05", "truncated bounded sum short by exactly 1 on 4..200; "
                          "shifted skip sum misses p(6); both reported expected-fail"):
-        counts = RestrictedCounts()
         for n in range(4, 201):
-            truncated, total = nu_via_bounded_sum(n, counts=counts)
+            truncated, total = nu_via_bounded_sum(n)
             assert total == big_table.nu[n]
             assert truncated == big_table.nu[n] - 1, f"n={n}"
         shifted, result = p_via_k_nuclear(6, 2, big_table)

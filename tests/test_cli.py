@@ -75,6 +75,23 @@ def test_table_rows_beyond_limit_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+def test_table_row_zero_alone(capsys, fmt):
+    code, out, err = run(capsys, "table", "--rows", "0", "--format", fmt)
+    assert code == 0 and err == ""
+    if fmt == "json":
+        assert json.loads(out)["rows"] == [{"n": 0, "gamma": "0", "nu": "1", "p": "1"}]
+    else:
+        assert out.splitlines()[1:] == ["0,0,1,1" if fmt == "csv" else "0      0   1  1"]
+
+
+def test_table_empty_default_rows_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["table", "--limit", "0"])
+    assert exc.value.code == 2
+    assert "--limit must be >= 1, got 0" in capsys.readouterr().err
+
+
 def test_table_output_is_deterministic(capsys):
     _, first, _ = run(capsys, "table", "--limit", "50", "--format", "json")
     _, second, _ = run(capsys, "table", "--limit", "50", "--format", "json")
@@ -170,6 +187,17 @@ def test_verify_negative_enum_limit_is_usage_error(capsys, fmt):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert "--enum-limit must be >= 0" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+def test_verify_negative_limit_is_usage_error(capsys, fmt):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--limit", "-5", "--format", fmt])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--limit must be >= 0, got -5" in captured.err
+    assert "--enum-limit" not in captured.err.splitlines()[-1]
     assert captured.out == ""
 
 
@@ -421,6 +449,17 @@ def test_ratios_estimator_table(capsys):
     assert lines[0] == "n,exact,estimate,ratio"
     assert lines[1].startswith("25,1958,")
     assert lines[2].startswith("100,190569292,")
+
+
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+@pytest.mark.parametrize("spec", [",", " , ", ""])
+def test_ratios_empty_points_selection_is_usage_error(capsys, fmt, spec):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["ratios", "--estimator", "p", "--points", spec, "--format", fmt])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--points selects no n values" in captured.err
+    assert captured.out == ""
 
 
 def test_ratios_deterministic(capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from nucleus.counting import (
@@ -141,7 +143,7 @@ def test_restricted_counts_growth_consistency():
     fresh = RestrictedCounts()
     for n in range(41):
         for m in range(1, 12):
-            assert grown.count(n, m) == fresh.count(n, m)
+            assert grown.count(n, m) == fresh.count(n, m) == nu_bounded(n, m)
 
 
 # --- identity routes ---
@@ -203,6 +205,19 @@ def test_n_nu_minus_gamma_at_100():
     assert p_via_n_nu_minus_gamma(100, t).value == 190569292
 
 
+@pytest.mark.parametrize("call, limit_mb", [(lambda: nu_bounded(600, 2), 0.5),
+                                            (lambda: nu_via_bounded_sum(600), 2)],
+                         ids=["nu_bounded", "nu_via_bounded_sum"])
+def test_bounded_per_n_functions_run_in_linear_memory(call, limit_mb):
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mb * 2**20
+
+
 def test_gamma_route_sweeps(table):
     for n in range(2, table.limit + 1):
         assert nu_via_gamma_chain(n, table) == table.nu[n]
@@ -219,9 +234,8 @@ def test_bounded_sum_examples():
 
 
 def test_bounded_sum_sweep(table):
-    counts = RestrictedCounts()
     for n in range(4, 201):
-        truncated, total = nu_via_bounded_sum(n, counts=counts)
+        truncated, total = nu_via_bounded_sum(n)
         assert total == table.nu[n]
         assert truncated == table.nu[n] - 1, f"truncated form must be short by exactly 1 at n={n}"
 
@@ -319,9 +333,8 @@ def test_bounded_sums_equal_the_bounded_sum_route():
     t = build_table(300)
     sums = bounded_sums(300)
     assert len(sums) == 301 and sums[:4] == [0, 0, 0, 0]
-    counts = RestrictedCounts()
     for n in range(4, 301):
-        assert sums[n] + 1 == nu_via_bounded_sum(n, counts=counts)[1] == t.nu[n], n
+        assert sums[n] + 1 == nu_via_bounded_sum(n)[1] == t.nu[n], n
 
 
 # --- counts agree with direct enumeration ---
@@ -347,12 +360,11 @@ def test_enumerated_counts_match_the_table(table):
 def test_nu_bounded_matches_bounded_enumeration():
     from nucleus.partitions import EnumerationConstraint, iter_parts
 
-    counts = RestrictedCounts()
     for n in range(25):
         for m in range(1, n + 2):
             c = EnumerationConstraint(min_part=2, max_part=max(m, 2))
             streamed = sum(1 for _ in iter_parts(n, c)) if m >= 2 else (1 if n == 0 else 0)
-            assert nu_bounded(n, m, counts=counts) == streamed, (n, m)
+            assert nu_bounded(n, m) == streamed, (n, m)
 
 
 # --- an oracle that shares no code with the package ---
