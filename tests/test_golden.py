@@ -48,6 +48,9 @@ GOLDEN = {
     "congruence custom 2 0 3": (1, "3207c742db3673f22bd14b8ca4cf3bb56c2cb05fca403d9b46586ee729658ab9"),
     "congruence custom 2 0 3 --format csv": (1, "1aa538f70868f2ec590df2cebce6741b51bfe30575b76ae9e8bbf98d5c137df8"),
     "congruence custom 2 0 3 --format json": (1, "856eac40391975c884f9cbb8c8c3763d47b6140e4995479d58853f3ffea00820"),
+    # Atkin (1968): p(17303n + 237) = 0 (mod 13); 17303 = 13 * 11**3.
+    "congruence custom 17303 237 13 --limit 19": (0, "758580ee399179c5df86cbfb901120ccc14be1609fd3cddecf9228c949bedce6"),
+    "congruence custom 17303 237 13 --limit 19 --format json": (0, "cb8c7398e20da83588d5dab197a6ac3c72f60029faec3996dc6368ee0142a9c0"),
     "parity --limit 1000": (0, "d87a42621f45bf45fde77c7e3c3194c42fb2817a045c853d3a6a12b9731c3e43"),
     "parity --limit 1000 --format csv": (0, "8d69f16d1d63437eae30844c2c2866aa8d88acde1447ba8e4eff0c27386634a6"),
     "parity --limit 1000 --format json": (0, "0c7e2307864b90028bb8006a06c5a354c9b72c61406e1c387bf0bb668063e241"),
