@@ -407,8 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run identity cross-check sweeps")
     p_verify.add_argument("--limit", "-N", type=int, default=500,
                           help="exact-table sweep bound (default 500)")
-    p_verify.add_argument("--enum-limit", type=int, default=40,
-                          help="enumeration sweep bound (default 40)")
+    p_verify.add_argument("--enum-limit", type=int, default=None,
+                          help="enumeration sweep bound (default min(40, --limit))")
     p_verify.add_argument("--identities", type=str, default=None,
                           help="comma-separated subset of: " + ",".join(IDENTITY_NAMES))
     p_verify.add_argument("--show-errata", action="store_true",
@@ -489,9 +489,10 @@ def cmd_table(args, parser) -> int:
 def cmd_verify(args, parser) -> int:
     if args.limit < 0:
         parser.error(f"--limit must be >= 0, got {args.limit}")
-    if args.enum_limit < 0:
-        parser.error(f"--enum-limit must be >= 0, got {args.enum_limit}")
-    if args.enum_limit > args.limit:
+    enum_limit = min(40, args.limit) if args.enum_limit is None else args.enum_limit
+    if enum_limit < 0:
+        parser.error(f"--enum-limit must be >= 0, got {enum_limit}")
+    if enum_limit > args.limit:
         parser.error("--enum-limit cannot exceed --limit")
     names = IDENTITY_NAMES
     if args.identities is not None:
@@ -502,7 +503,7 @@ def cmd_verify(args, parser) -> int:
         if unknown:
             parser.error(f"unknown identities: {', '.join(unknown)}")
     table = _table_for(args, args.limit)
-    summary, timings = run_verification(table, args.limit, args.enum_limit, names)
+    summary, timings = run_verification(table, args.limit, enum_limit, names)
     errata_demo = None
     if args.show_errata:
         truncated = bounded_sums(min(args.limit, 6))

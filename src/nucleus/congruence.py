@@ -27,11 +27,18 @@ themselves start at n = 0.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 
-from .counting import CountTable, _extend_p, nu_k
+from .counting import CountTable, _extend_p, nu_k, pentagonal_offsets
 
 RAMANUJAN_PROGRESSIONS: dict[int, tuple[int, int]] = {5: (5, 4), 7: (7, 5), 11: (11, 6)}
+
+# Residues per block of p_mod_m_table; of 1024, 2048 and 4096, 2048 was the fastest.
+_BLOCK = 2048
+# Lane width in bytes -> an unsigned array typecode of that item size.
+_LANE_CODES = {array(code).itemsize: code for code in "LQHI"}
 
 
 @dataclass(frozen=True)
@@ -57,17 +64,83 @@ class CongruenceReport:
         return not self.violations
 
 
-def p_mod_m_table(limit: int, modulus: int) -> list[int]:
-    """Residues p(n) mod ``modulus`` for n = 0..limit.
+def _lane_bytes(value: int) -> int | None:
+    """The fewest bytes, out of 2, 4 and 8, in which ``value`` fits."""
+    return next((width for width in (2, 4, 8) if value >> 8 * width == 0), None)
 
-    Same pentagonal recurrence as the exact table, run entirely in
-    modular arithmetic so sweeps can go far beyond big-integer range.
+
+def _lane_plan(offsets: list[tuple[int, int]], modulus: int) -> tuple[int, int | None, int | None]:
+    """For ``p_mod_m_table``: the per-lane bias of R, and the lane widths in
+    bytes of R and of the block product (None where 8 bytes are too few)."""
+    minus = sum(sign < 0 for _, sign in offsets)
+    bias = -(-minus * (modulus - 1) // modulus) * modulus
+    peak = bias + len(offsets) * (modulus - 1)
+    return bias, _lane_bytes(peak), _lane_bytes(_BLOCK * (modulus - 1) ** 2)
+
+
+def _pack(values, code: str) -> int:
+    """``values`` as the little-endian lanes of one integer."""
+    return int.from_bytes(array(code, values), "little")
+
+
+def _unpack(value: int, code: str, count: int) -> array:
+    """The lowest ``count`` lanes of ``value``."""
+    size = count * array(code).itemsize
+    return array(code, (value & ((1 << 8 * size) - 1)).to_bytes(size, "little"))
+
+
+def p_mod_m_table(limit: int, modulus: int) -> list[int]:
+    """Residues p(n) mod ``modulus`` for n = 0..limit, exactly, in O(limit)
+    bytes and with the standard library alone.
+
+    The pentagonal recurrence, run a block at a time.  Given p(0..s-1),
+    the block b = p(s..s+B-1) solves E*b = R (mod x^B), where E(x) =
+    sum (-1)^k x^(k(3k+-1)/2) is Euler's sparse product and R_t sums, with
+    the recurrence signs, the terms p(s+t-g) that reach back before the
+    block.  As 1/E = P, the block is b = P[:B] * R (mod x^B).  B doubles
+    from 1 up to _BLOCK, so P[:B] is always known, and the last block
+    stops at ``limit``.
+
+    The residues are kept as fixed-width little-endian lanes of a
+    bytearray.  R is one slice of it per pentagonal offset, shifted into
+    place and added onto a per-lane bias: a multiple of the modulus no
+    smaller than any lane's sum of minus terms, so no lane ever borrows.
+    R is reduced mod m, and one big-integer product with P[:B], in lanes
+    wide enough for B * (m-1)^2, gives the block, reduced lane by lane.
+    Where 8-byte lanes are too narrow (moduli above about 9.5e7), or on a
+    big-endian host, ``_extend_p`` runs the recurrence one term at a time
+    instead.
     """
     if modulus < 2:
         raise ValueError(f"modulus must be >= 2, got {modulus}")
     if limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
-    return _extend_p([1 % modulus], limit, modulus)
+    residues = [1 % modulus]
+    offsets = pentagonal_offsets(limit)
+    bias, width, wide = _lane_plan(offsets, modulus)
+    if wide is None or sys.byteorder != "little":
+        return _extend_p(residues, limit, modulus)
+    code, wide_code = _LANE_CODES[width], _LANE_CODES[wide]
+    lanes = bytearray(array(code, residues))
+    while (s := len(residues)) <= limit:
+        size = min(s, _BLOCK, limit + 1 - s)
+        acc = _pack([bias] * size, code)
+        with memoryview(lanes) as view:
+            for g, sign in offsets:
+                if g >= s + size:
+                    break
+                lo, hi = max(0, g - s), min(g, size)
+                term = int.from_bytes(view[(s + lo - g) * width:(s + hi - g) * width], "little")
+                if sign > 0:
+                    acc += term << 8 * width * lo
+                else:
+                    acc -= term << 8 * width * lo
+        reduced = [v % modulus for v in _unpack(acc, code, size)]
+        product = _pack(reduced, wide_code) * _pack(residues[:size], wide_code)
+        block = array(code, [v % modulus for v in _unpack(product, wide_code, size)])
+        lanes += block
+        residues.extend(block)
+    return residues
 
 
 def _known_progression(modulus: int) -> tuple[int, int]:

@@ -153,6 +153,17 @@ def test_verify_enum_limit_cannot_exceed_limit(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+def test_verify_default_enum_limit_clamps_to_limit(capsys, fmt):
+    code, out, _ = run(capsys, "verify", "--limit", "30", "--format", fmt)
+    assert code == 0
+    assert (code, out) == run(capsys, "verify", "--limit", "30", "--enum-limit", "30", "--format", fmt)[:2]
+    if fmt == "text":
+        assert "enumerated n <= 30" in out.splitlines()[0]
+    elif fmt == "json":
+        assert json.loads(out)["enum_limit"] == 30
+
+
 def test_verify_show_errata(capsys):
     code, out, _ = run(capsys, "verify", "--limit", "30", "--enum-limit", "8",
                        "--show-errata")

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import pytest
 
+from nucleus import congruence
 from nucleus.congruence import (
     RAMANUJAN_PROGRESSIONS,
     check_gamma_weighted,
@@ -10,7 +13,7 @@ from nucleus.congruence import (
     p_mod_m_table,
     parity_via_gamma,
 )
-from nucleus.counting import CountTable, build_table
+from nucleus.counting import CountTable, build_table, pentagonal_offsets
 
 MODULI = (5, 7, 11)
 
@@ -46,6 +49,69 @@ def test_modular_table_rejects_bad_args():
         p_mod_m_table(10, 1)
     with pytest.raises(ValueError):
         p_mod_m_table(-1, 5)
+
+
+# --- blocked modular kernel ---
+
+BLOCK = congruence._BLOCK
+
+
+@pytest.fixture(scope="module")
+def block_p():
+    """Exact p(n) for n = 0..3B+1: three full blocks and one residue."""
+    return build_table(3 * BLOCK + 1).p
+
+
+def test_modular_table_every_modulus_over_three_blocks(block_p):
+    for modulus in range(2, 401):
+        assert p_mod_m_table(3 * BLOCK + 1, modulus) == [p % modulus for p in block_p], modulus
+
+
+@pytest.mark.parametrize("modulus", [2, 11, 385])
+@pytest.mark.parametrize("limit", [BLOCK - 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1])
+def test_modular_table_at_block_edges(block_p, modulus, limit):
+    assert p_mod_m_table(limit, modulus) == [p % modulus for p in block_p[: limit + 1]]
+
+
+def _first_wider(offsets, index, width):
+    """The smallest modulus whose lane plan entry ``index`` (1: R, 2: the
+    block product) needs more than ``width`` bytes, by bisection."""
+    low, high = 2, 1 << 40
+    while low < high:
+        mid = (low + high) // 2
+        needed = congruence._lane_plan(offsets, mid)[index]
+        if needed is not None and needed <= width:
+            low = mid + 1
+        else:
+            high = mid
+    return low
+
+
+@pytest.mark.parametrize("index, width, wider", [(1, 2, 4), (2, 4, 8), (1, 4, 8), (2, 8, None)])
+def test_modular_table_either_side_of_a_lane_switch(block_p, index, width, wider):
+    limit = 3 * BLOCK + 1
+    offsets = pentagonal_offsets(limit)
+    first = _first_wider(offsets, index, width)
+    for modulus, lanes in ((first - 1, width), (first, wider)):
+        assert congruence._lane_plan(offsets, modulus)[index] == lanes
+        assert p_mod_m_table(limit, modulus) == [p % modulus for p in block_p], modulus
+
+
+def test_modular_table_huge_modulus_runs_the_recurrence(block_p):
+    modulus = 10**9 + 7
+    assert congruence._lane_plan(pentagonal_offsets(3 * BLOCK + 1), modulus)[2] is None
+    assert p_mod_m_table(3 * BLOCK + 1, modulus) == [p % modulus for p in block_p]
+
+
+def test_modular_table_memory_is_linear():
+    # The residues alone take about 1.1 MB; an FFT or dense design would not fit.
+    tracemalloc.start()
+    try:
+        p_mod_m_table(110006, 11)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5e6
 
 
 # --- Ramanujan progressions ---
