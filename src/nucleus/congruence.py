@@ -129,8 +129,9 @@ def p_mod_m_table(limit: int, modulus: int) -> list[int]:
             for g, sign in offsets:
                 if g >= s + size:
                     break
-                lo, hi = max(0, g - s), min(g, size)
-                term = int.from_bytes(view[(s + lo - g) * width:(s + hi - g) * width], "little")
+                lo = max(0, g - s)
+                # the view ends at p(s-1), so the slice stops there when g < size
+                term = int.from_bytes(view[(s + lo - g) * width:(s + size - g) * width], "little")
                 if sign > 0:
                     acc += term << 8 * width * lo
                 else:

@@ -104,7 +104,7 @@ def test_modular_table_huge_modulus_runs_the_recurrence(block_p):
 
 
 def test_modular_table_memory_is_linear():
-    # The residues alone take about 1.1 MB; an FFT or dense design would not fit.
+    # The returned list alone is about 0.9 MB; an FFT or dense design would not fit.
     tracemalloc.start()
     try:
         p_mod_m_table(110006, 11)
