@@ -42,7 +42,10 @@ GOLDEN = {
     "congruence gamma_weighted 11 --limit 200": (0, "361b0da8f8d0d9a027e6f898036c5b366ea9ba3f2979fed9c12f149bea32239b"),
     "congruence gamma_weighted 11 --limit 200 --format csv": (0, "d9cc2ee853b0292a10cc8caa203730d473f8178c65a6a673f2ff2646225de728"),
     "congruence gamma_weighted 11 --limit 200 --format json": (0, "26c8b472f6b185a4821afb3966b535ec26f63b27507709b29462ef288c98f9e2"),
-    "congruence custom 2 0 3 --limit 50": (1, "462a43e2adb8747f50d043ab61cb0a3a853feded468aa0999e99149e750d1aca"),
+    "congruence nu_window 11 --limit 2000 --format json": (0, "eb40ee16b431f62cbc4029d7fe53125353100fe4013c6fa978aabae6a19c4a78"),
+    "congruence nu_k_progression 7 --limit 2000 --format csv": (0, "3e10402f6f6f88ae74ae08b604d03811e2b172277a24166e2302a2d3cbbf8531"),
+    "congruence gamma_weighted 5 --limit 2000": (0, "5e9454b341d44d43589a2fb0606d42be9192b550d921673b2a0ccb41de469b01"),
+    "congruence custom 2 0 3 --limit 50": (1,"462a43e2adb8747f50d043ab61cb0a3a853feded468aa0999e99149e750d1aca"),
     "congruence custom 2 0 3 --limit 50 --format csv": (1, "d08d4a9311dbff873c438c79613974a33eeb565b8257f780a24f8de5fd373e18"),
     "congruence custom 2 0 3 --limit 50 --format json": (1, "8e6b05fef6e203461ef24141af1c801992f4221c3abaaed4ad80d718bd928e18"),
     "congruence custom 2 0 3": (1, "3207c742db3673f22bd14b8ca4cf3bb56c2cb05fca403d9b46586ee729658ab9"),
