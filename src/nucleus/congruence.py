@@ -5,24 +5,24 @@ The classical Ramanujan congruences
     p(5n+4) = 0 (mod 5),  p(7n+5) = 0 (mod 7),  p(11n+6) = 0 (mod 11)
 
 propagate to the restricted counts.  Writing (m, b) for the modulus and
-progression offset, and using that p is the running sum of nu:
+progression offset, e = mn+b, and using that p is the running sum of nu:
 
-  * nu window: the m consecutive values nu(mn+b-m+1) .. nu(mn+b) sum to
-    p(mn+b) - p(m(n-1)+b), so the window sum is 0 mod m for n >= 1.
+  * nu window: the m consecutive values nu(e-m+1) .. nu(e) sum to
+    p(e) - p(e-m), so the window sum is 0 mod m for n >= 1.
     For m = 5 this window is exactly nu(5n) .. nu(5n+4); shorter windows
     quoted for 7 and 11 fail numerically (for example nu(7)+...+nu(12) =
     66, not divisible by 7) and are not used here.
-  * no-part-m progression: nu_m(mn+b) = p(mn+b) - p(m(n-1)+b) = 0 mod m
-    for n >= 1.
+  * no-part-m progression: nu_m(e) = p(e) - p(e-m) = 0 mod m for n >= 1.
   * weighted gamma: expanding each nu in the window through the gamma
-    recursion nu(j) = nu(j-1) + gamma(j) gives, with s = mn+b-m+1,
-        sum_{t=1..m-1} t * gamma(s+t) = 0 (mod m)   for n >= 1,
-    which for m = 5 reads gamma(5n+1) + 2 gamma(5n+2) + 3 gamma(5n+3)
-    + 4 gamma(5n+4).  At n = 0 the mod-5 sum is 4, so the family starts
-    at n = 1.
+    recursion nu(j) = nu(j-1) + gamma(j) (j >= 3) gives, with s = e-m+1,
+        sum_{t=1..m-1} t * gamma(s+t) = m * (p(e) - p(e-1)) - (p(e) - p(e-m)),
+    which is 0 (mod m) for n >= 1.  For m = 5 the sum reads gamma(5n+1)
+    + 2 gamma(5n+2) + 3 gamma(5n+3) + 4 gamma(5n+4).  At n = 0 the mod-5
+    sum is 4, so the family starts at n = 1.
 
-All derived families therefore use start_n = 1; the Ramanujan families
-themselves start at n = 0.
+So every family is a difference of p, and every check reads only p(n) mod m
+(``p_mod_m_table``), never the exact table.  The derived families start at
+n = 1, the Ramanujan families themselves at n = 0.
 """
 
 from __future__ import annotations
@@ -30,8 +30,9 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
+from functools import partial
 
-from .counting import CountTable, _extend_p, nu_k, pentagonal_offsets
+from .counting import CountTable, _extend_p, pentagonal_offsets
 
 RAMANUJAN_PROGRESSIONS: dict[int, tuple[int, int]] = {5: (5, 4), 7: (7, 5), 11: (11, 6)}
 
@@ -144,12 +145,6 @@ def p_mod_m_table(limit: int, modulus: int) -> list[int]:
     return residues
 
 
-def _known_progression(modulus: int) -> tuple[int, int]:
-    if modulus not in RAMANUJAN_PROGRESSIONS:
-        raise ValueError(f"modulus must be one of {sorted(RAMANUJAN_PROGRESSIONS)}, got {modulus}")
-    return RAMANUJAN_PROGRESSIONS[modulus]
-
-
 def _scan(family: CongruenceFamily, limit_n: int, value) -> CongruenceReport:
     """Residues mod the family's modulus of ``value(a*n + b)`` for n from
     the family's start to ``limit_n``; the nonzero ones are violations."""
@@ -162,54 +157,61 @@ def _scan(family: CongruenceFamily, limit_n: int, value) -> CongruenceReport:
     return CongruenceReport(family, (family.start_n, limit_n), violations)
 
 
+# Each family's value at e = a*n + b, read from p, or p mod m, and m.
+_VALUES = {
+    "custom": lambda p, m, e: p[e],
+    "ramanujan": lambda p, m, e: p[e],
+    "nu_window": lambda p, m, e: p[e] - p[e - m],
+    "nu_k_progression": lambda p, m, e: p[e] - p[e - m],
+    "gamma_weighted": lambda p, m, e: m * (p[e] - p[e - 1]) - (p[e] - p[e - m]),
+}
+
+
+def _check(family: CongruenceFamily, limit_n: int, residues: list[int] | None) -> CongruenceReport:
+    """Scan the family on p mod m up to its last argument, computed or checked for length."""
+    a, b = family.progression
+    top = a * limit_n + b
+    if residues is None:
+        residues = p_mod_m_table(top, family.modulus)
+    elif len(residues) <= top:
+        raise ValueError(f"residue table too short: need index {top}, have {len(residues) - 1}")
+    return _scan(family, limit_n, partial(_VALUES[family.family_id], residues, family.modulus))
+
+
 def check_progression(a: int, b: int, modulus: int, limit_n: int, *,
-                      residues: list[int] | None = None,
-                      family_id: str = "custom", start_n: int = 0) -> CongruenceReport:
-    """Check p(a*n + b) = 0 (mod modulus) for n = start_n..limit_n."""
+                      residues: list[int] | None = None) -> CongruenceReport:
+    """Check p(a*n + b) = 0 (mod modulus) for n = 0..limit_n."""
     if a < 1 or b < 0:
         raise ValueError(f"progression must have a >= 1 and b >= 0, got ({a}, {b})")
     if modulus < 2:
         raise ValueError(f"modulus must be >= 2, got {modulus}")
-    top = a * limit_n + b
-    if residues is None:
-        residues = p_mod_m_table(top, modulus)
-    elif len(residues) <= top:
-        raise ValueError(f"residue table too short: need index {top}, have {len(residues) - 1}")
-    return _scan(CongruenceFamily(family_id, modulus, (a, b), start_n), limit_n, residues.__getitem__)
+    return _check(CongruenceFamily("custom", modulus, (a, b), 0), limit_n, residues)
+
+
+def _known(family_id: str, modulus: int, start_n: int) -> CongruenceFamily:
+    if modulus not in RAMANUJAN_PROGRESSIONS:
+        raise ValueError(f"modulus must be one of {sorted(RAMANUJAN_PROGRESSIONS)}, got {modulus}")
+    return CongruenceFamily(family_id, modulus, RAMANUJAN_PROGRESSIONS[modulus], start_n)
 
 
 def check_ramanujan(modulus: int, limit_n: int, *, residues: list[int] | None = None) -> CongruenceReport:
     """Check the Ramanujan progression for modulus 5, 7 or 11 up to n = limit_n."""
-    a, b = _known_progression(modulus)
-    return check_progression(a, b, modulus, limit_n, residues=residues, family_id="ramanujan")
+    return _check(_known("ramanujan", modulus, 0), limit_n, residues)
 
 
-def _check_derived(family_id: str, modulus: int, limit_n: int, table: CountTable, value) -> CongruenceReport:
-    a, b = _known_progression(modulus)
-    needed = a * limit_n + b
-    if needed > table.limit:
-        raise ValueError(f"{family_id} needs exact values up to {needed}, table stops at {table.limit}")
-    return _scan(CongruenceFamily(family_id, modulus, (a, b), 1), limit_n, value)
+def check_nu_window(modulus: int, limit_n: int, *, residues: list[int] | None = None) -> CongruenceReport:
+    """Check the m-term nu window ending at e = m*n+b, p(e) - p(e-m), for n = 1..limit_n."""
+    return _check(_known("nu_window", modulus, 1), limit_n, residues)
 
 
-def check_nu_window(modulus: int, limit_n: int, table: CountTable) -> CongruenceReport:
-    """Check the m-term nu window ending at m*n+b, for n = 1..limit_n."""
-    return _check_derived("nu_window", modulus, limit_n, table,
-                          lambda end: sum(table.nu[end - modulus + 1 : end + 1]))
+def check_nu_k_progression(modulus: int, limit_n: int, *, residues: list[int] | None = None) -> CongruenceReport:
+    """Check nu_m(e) = p(e) - p(e-m) = 0 (mod m), e = m*n+b, for n = 1..limit_n."""
+    return _check(_known("nu_k_progression", modulus, 1), limit_n, residues)
 
 
-def check_nu_k_progression(modulus: int, limit_n: int, table: CountTable) -> CongruenceReport:
-    """Check nu_m(m*n+b) = 0 (mod m) for n = 1..limit_n."""
-    return _check_derived("nu_k_progression", modulus, limit_n, table,
-                          lambda end: nu_k(end, modulus, table))
-
-
-def check_gamma_weighted(modulus: int, limit_n: int, table: CountTable) -> CongruenceReport:
-    """Check sum_{t=1..m-1} t * gamma(s+t) = 0 (mod m), s = m*n+b-m+1, n >= 1."""
-    def weighted(end):
-        s = end - modulus + 1
-        return sum(t * table.gamma[s + t] for t in range(1, modulus))
-    return _check_derived("gamma_weighted", modulus, limit_n, table, weighted)
+def check_gamma_weighted(modulus: int, limit_n: int, *, residues: list[int] | None = None) -> CongruenceReport:
+    """Check sum_{t=1..m-1} t * gamma(e-m+1+t) = m*(p(e) - p(e-1)) - (p(e) - p(e-m)) = 0 (mod m), n >= 1."""
+    return _check(_known("gamma_weighted", modulus, 1), limit_n, residues)
 
 
 def parity_via_gamma(n: int, table: CountTable) -> int:

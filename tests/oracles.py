@@ -37,3 +37,20 @@ def partition_counts(limit):
         for total in range(part, limit + 1):
             table[total] += table[total - part]
     return table
+
+
+# The derived congruence families as sums over an exact count table (with
+# .p, .nu and .gamma columns), at the progression's end e = m*n + b.
+DERIVED_FAMILIES = {
+    "nu_window": lambda t, m, e: sum(t.nu[e - m + 1 : e + 1]),
+    "nu_k_progression": lambda t, m, e: t.p[e] - t.p[e - m],
+    "gamma_weighted": lambda t, m, e: sum(k * t.gamma[e - m + 1 + k] for k in range(1, m)),
+}
+
+
+def derived_violations(family, table, modulus, offset, limit_n):
+    """(n, r) for n = 1..limit_n where the family's value at modulus*n + offset
+    leaves the residue r != 0 mod modulus."""
+    value = DERIVED_FAMILIES[family]
+    residues = ((n, value(table, modulus, modulus * n + offset) % modulus) for n in range(1, limit_n + 1))
+    return [(n, r) for n, r in residues if r]

@@ -137,18 +137,15 @@ def test_criterion_6_decay_tiling():
             assert set(produced) == target, f"tiling broken at n={n}"
 
 
-def test_criterion_7_congruence_sweeps(big_table):
-    with criterion("07", "Ramanujan families hold to n = 10,000; nu-window, nu_k and "
-                         "weighted-gamma families hold to n = 200; zero violations"):
+def test_criterion_7_congruence_sweeps():
+    with criterion("07", "Ramanujan, nu-window, nu_k and weighted-gamma families hold "
+                         "to n = 10,000; zero violations"):
         # one modular table serves all three moduli: 385 = 5 * 7 * 11
         residues = p_mod_m_table(11 * 10000 + 6, 385)
         for modulus in (5, 7, 11):
-            report = check_ramanujan(modulus, 10000, residues=residues)
-            assert report.passed, f"ramanujan mod {modulus}: {report.violations[:3]}"
-        for modulus in (5, 7, 11):
-            assert check_nu_window(modulus, 200, big_table).passed
-            assert check_nu_k_progression(modulus, 200, big_table).passed
-            assert check_gamma_weighted(modulus, 200, big_table).passed
+            for check in (check_ramanujan, check_nu_window, check_nu_k_progression, check_gamma_weighted):
+                report = check(modulus, 10000, residues=residues)
+                assert report.passed, f"{report.family.family_id} mod {modulus}: {report.violations[:3]}"
 
 
 def test_criterion_8_parity(big_table):

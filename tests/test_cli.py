@@ -360,6 +360,34 @@ def test_congruence_exact_families_pass(capsys, family):
     assert "violations: none" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["ramanujan", "5"],
+    ["nu_window", "7"],
+    ["nu_k_progression", "11"],
+    ["gamma_weighted", "5"],
+    ["custom", "5", "4", "5"],
+])
+def test_congruence_ignores_the_cache(capsys, tmp_path, monkeypatch, argv):
+    """Every family reads p mod m only: an invalid $NUCLEUS_CACHE is neither
+    read, validated nor rewritten."""
+    path = tmp_path / "counts.csv"
+    path.write_bytes(b"not,a,cache\n")
+    monkeypatch.setenv("NUCLEUS_CACHE", str(path))
+    code, out, _ = run(capsys, "congruence", *argv, "--limit", "50")
+    assert code == 0
+    assert "violations: none" in out
+    assert path.read_bytes() == b"not,a,cache\n"
+
+
+def test_congruence_has_no_cache_option(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["congruence", "nu_window", "5", "--cache", "x.csv"])
+    assert exc.value.code == 2
+    assert "--cache" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 # --- decay ---
 
 def test_decay_chain_output(capsys):

@@ -13,7 +13,9 @@ from nucleus.congruence import (
     p_mod_m_table,
     parity_via_gamma,
 )
-from nucleus.counting import CountTable, build_table, pentagonal_offsets
+from nucleus.counting import _table_from_p, build_table, pentagonal_offsets
+
+from oracles import DERIVED_FAMILIES, derived_violations
 
 MODULI = (5, 7, 11)
 
@@ -22,12 +24,6 @@ MODULI = (5, 7, 11)
 def table():
     # 11*50+6 plus slack: enough for every n <= 50 family sweep here
     return build_table(600)
-
-
-def corrupted_copy(table, column, index, bump=1):
-    data = {"p": list(table.p), "nu": list(table.nu), "gamma": list(table.gamma)}
-    data[column][index] += bump
-    return CountTable(limit=table.limit, **data)
 
 
 # --- modular table ---
@@ -164,24 +160,26 @@ def test_nu_window_known_sums(table):
 
 
 @pytest.mark.parametrize("modulus", MODULI)
-def test_nu_window_sweep(table, modulus):
-    report = check_nu_window(modulus, 50, table)
+def test_nu_window_sweep(modulus):
+    report = check_nu_window(modulus, 50)
     assert report.passed
     assert report.family.start_n == 1
     assert report.range_checked == (1, 50)
 
 
 def test_nu_window_needs_big_enough_table():
-    with pytest.raises(ValueError, match="exact values"):
-        check_nu_window(11, 50, build_table(100))
+    with pytest.raises(ValueError, match="too short"):
+        check_nu_window(11, 50, residues=p_mod_m_table(100, 11))
 
 
 def test_nu_window_detects_injected_corruption(table):
-    """A corrupted nu value must surface as a window violation: the window
-    identity is the running-sum shadow of the Ramanujan congruence."""
-    bad = corrupted_copy(table, "nu", 12)
-    report = check_nu_window(5, 10, bad)
-    assert [n for n, _ in report.violations] == [2]  # window n=2 covers 10..14
+    """A corrupted p value must surface as a window violation: the window
+    sum p(e) - p(e-5) is the running-sum shadow of the Ramanujan congruence."""
+    bad = list(table.p)
+    bad[14] += 1
+    # window n=2 covers nu(10..14), p(14) - p(9); window n=3 would read p(14) too
+    report = check_nu_window(5, 2, residues=bad)
+    assert [n for n, _ in report.violations] == [2]
 
 
 # --- nu_k progressions ---
@@ -193,8 +191,8 @@ def test_nu_k_progression_known_values(table):
 
 
 @pytest.mark.parametrize("modulus", MODULI)
-def test_nu_k_progression_sweep(table, modulus):
-    report = check_nu_k_progression(modulus, 50, table)
+def test_nu_k_progression_sweep(modulus):
+    report = check_nu_k_progression(modulus, 50)
     assert report.passed
     assert report.family.start_n == 1
 
@@ -213,20 +211,56 @@ def test_gamma_weighted_excludes_n0(table):
     # at n=0 the mod-5 weighted sum is 4, hence start_n = 1
     g = table.gamma
     assert g[1] + 2 * g[2] + 3 * g[3] + 4 * g[4] == 4
-    report = check_gamma_weighted(5, 10, table)
+    report = check_gamma_weighted(5, 10)
     assert report.family.start_n == 1
     assert report.range_checked[0] == 1
 
 
 @pytest.mark.parametrize("modulus", MODULI)
-def test_gamma_weighted_sweep(table, modulus):
-    assert check_gamma_weighted(modulus, 50, table).passed
+def test_gamma_weighted_sweep(modulus):
+    assert check_gamma_weighted(modulus, 50).passed
 
 
 def test_gamma_weighted_detects_injected_corruption(table):
-    bad = corrupted_copy(table, "gamma", 8)
-    report = check_gamma_weighted(5, 5, bad)
+    bad = list(table.p)
+    bad[4] += 1
+    # n=1 reads 5*(p(9) - p(8)) - (p(9) - p(4)); no later n reads p(4)
+    report = check_gamma_weighted(5, 5, residues=bad)
     assert [n for n, _ in report.violations] == [1]
+
+
+# --- residue checkers against the exact-table sums ---
+
+DERIVED_CHECKS = {
+    "nu_window": check_nu_window,
+    "nu_k_progression": check_nu_k_progression,
+    "gamma_weighted": check_gamma_weighted,
+}
+
+
+@pytest.fixture(scope="module")
+def exact_p():
+    return build_table(11 * 200 + 6).p
+
+
+@pytest.mark.parametrize("bump", [None, *range(61)])
+def test_derived_families_agree_with_exact_sums(exact_p, bump):
+    """The p-difference forms give the violations (n, r) that the sums over
+    the exact nu and gamma columns give, on clean p and with one p bumped."""
+    p = list(exact_p)
+    if bump is not None:
+        p[bump] += 1
+    table = _table_from_p(p)
+    for family, check in DERIVED_CHECKS.items():
+        for modulus in MODULI:
+            offset = RAMANUJAN_PROGRESSIONS[modulus][1]
+            expected = derived_violations(family, table, modulus, offset, 200)
+            assert check(modulus, 200, residues=p).violations == expected, (family, modulus)
+            if bump is None:
+                assert expected == []
+                # mod m the gamma form drops its m*(p(e) - p(e-1)) term, so pin the exact values too
+                for e in range(modulus + offset, 200 * modulus + offset + 1, modulus):
+                    assert congruence._VALUES[family](p, modulus, e) == DERIVED_FAMILIES[family](table, modulus, e)
 
 
 # --- parity ---
