@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import tracemalloc
 from collections import Counter
@@ -11,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nucleus import cli, counting
+from nucleus.asymptotics import AsymptoticRow
 from nucleus.cache import write_table
+from nucleus.congruence import CongruenceFamily, CongruenceReport
 from nucleus.counting import build_table
 
 from oracles import REFERENCE_ROWS
@@ -623,3 +626,76 @@ def test_version_flag(capsys):
         cli.main(["--version"])
     assert exc.value.code == 0
     assert "nucleus" in capsys.readouterr().out
+
+
+# --- renderer cells that no golden command reaches ---
+
+def _edge_records():
+    summary = cli.VerificationSummary(9, 4, [cli.IdentityOutcome("nu_chain", 10, 2, 3),
+                                             cli.IdentityOutcome("bounded_sum_truncated", 6, 0, None, True)])
+    report = CongruenceReport(CongruenceFamily("custom", 3, (2, 0), 0), (0, 13),
+                              [(n, 1 + n % 2) for n in range(1, 13)])
+    parity = [(4, 1, 1, True), (6, 4, 0, False)]
+    estimates = [AsymptoticRow(2, 0, math.inf, math.nan), AsymptoticRow(5, 7, 7.25, 1.0357142857142858)]
+    return {
+        "summary": lambda fmt: cli.render_summary(summary, fmt, ["demo line"]),
+        "report": lambda fmt: cli.render_report(report, fmt),
+        "parity": lambda fmt: cli.render_parity(parity, fmt),
+        "estimates": lambda fmt: cli.render_estimates(estimates, fmt),
+    }
+
+
+_EDGE_TEXT = {
+    "summary": "identity sweeps: exact n <= 9, enumerated n <= 4\n"
+               "  nu_chain               fail           checked 10, 2 failures, first at n=3\n"
+               "  bounded_sum_truncated  expected-fail  checked 6\n"
+               "errata demonstrations (expected failures, excluded from exit status):\n"
+               "  demo line\n"
+               "result: fail\n",
+    "report": "family: custom mod 3, arguments 2*n+0, n = 0..13\nviolations: 12\n"
+              + "".join(f"  n={n}: residue {1 + n % 2}\n" for n in range(1, 11))
+              + "  ... 2 more\n",
+    "parity": "n  gamma_sum  parity  agrees\n"
+              "4          1     odd     yes\n"
+              "6          4    even      NO\n",
+    "estimates": "n  exact  estimate          ratio\n"
+                 "2      0       inf            nan\n"
+                 "5      7      7.25  1.03571428571\n",
+}
+
+_EDGE_CSV = {
+    "summary": "identity,checked,failures,first_failure,status\n"
+               "nu_chain,10,2,3,fail\n"
+               "bounded_sum_truncated,6,0,,expected-fail\n",
+    "report": "family,modulus,a,b,start_n,end_n,violations,first_violation\ncustom,3,2,0,0,13,12,1\n",
+    "parity": "n,gamma_sum,parity,agrees\n4,1,odd,true\n6,4,even,false\n",
+    "estimates": "n,exact,estimate,ratio\n2,0,inf,nan\n5,7,7.25,1.03571428571\n",
+}
+
+_EDGE_JSON = {
+    "summary": {"kind": "verification_summary", "exact_limit": 9, "enum_limit": 4, "identities": [
+        {"identity": "nu_chain", "checked": 10, "failures": 2, "first_failure": 3,
+         "expected_fail": False, "status": "fail"},
+        {"identity": "bounded_sum_truncated", "checked": 6, "failures": 0, "first_failure": None,
+         "expected_fail": True, "status": "expected-fail"}],
+        "passed": False, "errata_demo": ["demo line"]},
+    "report": {"kind": "congruence_report",
+               "family": {"family_id": "custom", "modulus": 3, "progression": [2, 0], "start_n": 0},
+               "range_checked": [0, 13], "violations": [[n, 1 + n % 2] for n in range(1, 13)]},
+    "parity": {"kind": "parity_report", "rows": [
+        {"n": 4, "gamma_sum": "1", "parity": "odd", "agrees": True},
+        {"n": 6, "gamma_sum": "4", "parity": "even", "agrees": False}]},
+    "estimates": {"kind": "estimate_report", "rows": [
+        {"n": 2, "exact": "0", "estimate": math.inf, "ratio": math.nan},
+        {"n": 5, "exact": "7", "estimate": 7.25, "ratio": 1.0357142857142858}]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EDGE_TEXT))
+def test_renderer_edge_cells(name):
+    """A failing sweep, a disagreeing parity row, NaN and inf estimates and
+    a report with violations, rendered directly in every format."""
+    render = _edge_records()[name]
+    assert render("text") == _EDGE_TEXT[name]
+    assert render("csv") == _EDGE_CSV[name]
+    assert render("json") == json.dumps(_EDGE_JSON[name], indent=2) + "\n"
