@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import accumulate, chain
-from operator import and_, eq
+from operator import and_, attrgetter, eq
 
 from . import __version__
 from .asymptotics import estimate_rows, ratio_report
@@ -51,8 +51,8 @@ from .partitions import (
     NUCLEAR,
     Partition,
     decay_chain,
+    enumerate_partitions,
     is_nuclear,
-    iter_parts,
     multiplicity,
 )
 
@@ -181,18 +181,24 @@ def run_verification(table: CountTable, exact_limit: int, enum_limit: int,
 # serialization
 # --------------------------------------------------------------------------
 
-def _fmt_float(value) -> str:
-    return "" if value is None else format(value, ".12g")
-
-
 def _json_dumps(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+# The cell of a typed value, by its type; _grid adds bool per format.
+# "".format takes None and returns the empty string.
+_CELLS = {str: str, int: str, float: "{:.12g}".format, type(None): "".format}
+
+
 def _grid(header, rows, fmt: str) -> str:
-    """A header and an iterable of rows of string cells, as csv or as
-    right-aligned text.  Csv streams the rows; text needs them all to
-    size the columns."""
+    """A header and an iterable of rows of typed values, as csv or as
+    right-aligned text.  A str stays as it is, an int is written in
+    decimal, a float to 12 significant digits, None as an empty cell and
+    a bool as true/false in csv, yes/NO in text.  Csv streams the rows;
+    text needs them all to size the columns."""
+    bools = ("false", "true") if fmt == "csv" else ("NO", "yes")
+    to_cell = {**_CELLS, bool: bools.__getitem__}
+    rows = ([to_cell[type(v)](v) for v in row] for row in rows)
     if fmt == "csv":
         return "\n".join(",".join(row) for row in chain([header], rows)) + "\n"
     rows = [header, *rows]
@@ -201,15 +207,17 @@ def _grid(header, rows, fmt: str) -> str:
                      for row in rows) + "\n"
 
 
-def render_table(table: CountTable, rows: list[int], fmt: str) -> str:
+def _records(kind: str, header, rows, fmt: str) -> str:
+    """Rows of typed values under ``header``: in json one record per row,
+    ``dict(zip(header, row))``, else a csv or text grid."""
     if fmt == "json":
-        payload = {"kind": "count_table", "rows": [
-            {"n": n, "gamma": str(table.gamma[n]), "nu": str(table.nu[n]), "p": str(table.p[n])}
-            for n in rows
-        ]}
-        return _json_dumps(payload)
-    return _grid(("n", "gamma", "nu", "p"),
-                 ((str(n), str(table.gamma[n]), str(table.nu[n]), str(table.p[n])) for n in rows), fmt)
+        return _json_dumps({"kind": kind, "rows": [dict(zip(header, row)) for row in rows]})
+    return _grid(header, rows, fmt)
+
+
+def render_table(table: CountTable, rows: list[int], fmt: str) -> str:
+    return _records("count_table", ("n", "gamma", "nu", "p"),
+                    ((n, str(table.gamma[n]), str(table.nu[n]), str(table.p[n])) for n in rows), fmt)
 
 
 def render_summary(summary: VerificationSummary, fmt: str, errata_demo=None) -> str:
@@ -218,22 +226,15 @@ def render_summary(summary: VerificationSummary, fmt: str, errata_demo=None) -> 
             "kind": "verification_summary",
             "exact_limit": summary.exact_limit,
             "enum_limit": summary.enum_limit,
-            "identities": [
-                {"identity": o.identity, "checked": o.checked, "failures": o.failures,
-                 "first_failure": o.first_failure, "expected_fail": o.expected_fail,
-                 "status": o.status}
-                for o in summary.outcomes
-            ],
+            "identities": [{**vars(o), "status": o.status} for o in summary.outcomes],
             "passed": summary.passed,
         }
         if errata_demo is not None:
             payload["errata_demo"] = errata_demo
         return _json_dumps(payload)
     if fmt == "csv":
-        return _grid(("identity", "checked", "failures", "first_failure", "status"),
-                     ((o.identity, str(o.checked), str(o.failures),
-                       "" if o.first_failure is None else str(o.first_failure), o.status)
-                      for o in summary.outcomes), fmt)
+        header = ("identity", "checked", "failures", "first_failure", "status")
+        return _grid(header, map(attrgetter(*header), summary.outcomes), fmt)
     width = max(len(o.identity) for o in summary.outcomes)
     lines = [f"identity sweeps: exact n <= {summary.exact_limit}, enumerated n <= {summary.enum_limit}"]
     for o in summary.outcomes:
@@ -253,23 +254,13 @@ def render_report(report: CongruenceReport, fmt: str) -> str:
     family = report.family
     a, b = family.progression
     if fmt == "json":
-        payload = {
-            "kind": "congruence_report",
-            "family": {
-                "family_id": family.family_id,
-                "modulus": family.modulus,
-                "progression": list(family.progression),
-                "start_n": family.start_n,
-            },
-            "range_checked": list(report.range_checked),
-            "violations": [[n, r] for n, r in report.violations],
-        }
-        return _json_dumps(payload)
+        return _json_dumps({"kind": "congruence_report", "family": vars(family),
+                            "range_checked": report.range_checked, "violations": report.violations})
     if fmt == "csv":
-        first = "" if report.passed else str(report.violations[0][0])
+        first = report.violations[0][0] if report.violations else None
         return _grid(("family", "modulus", "a", "b", "start_n", "end_n", "violations", "first_violation"),
-                     [(family.family_id, str(family.modulus), str(a), str(b), str(report.range_checked[0]),
-                       str(report.range_checked[1]), str(len(report.violations)), first)], fmt)
+                     [(family.family_id, family.modulus, a, b, *report.range_checked,
+                       len(report.violations), first)], fmt)
     lines = [f"family: {family.family_id} mod {family.modulus}, arguments {a}*n+{b},"
              f" n = {report.range_checked[0]}..{report.range_checked[1]}"]
     if report.passed:
@@ -285,54 +276,28 @@ def render_report(report: CongruenceReport, fmt: str) -> str:
 
 def render_parity(rows, fmt: str) -> str:
     # rows: (n, gamma_sum, parity_bit, agrees)
-    if fmt == "json":
-        payload = {"kind": "parity_report", "rows": [
-            {"n": n, "gamma_sum": str(total), "parity": "odd" if bit else "even", "agrees": agrees}
-            for n, total, bit, agrees in rows
-        ]}
-        return _json_dumps(payload)
-    yes, no = ("true", "false") if fmt == "csv" else ("yes", "NO")
-    return _grid(("n", "gamma_sum", "parity", "agrees"),
-                 ((str(n), str(total), "odd" if bit else "even", yes if agrees else no)
-                  for n, total, bit, agrees in rows), fmt)
+    return _records("parity_report", ("n", "gamma_sum", "parity", "agrees"),
+                    ((n, str(total), "odd" if bit else "even", agrees) for n, total, bit, agrees in rows), fmt)
 
 
 def render_ratios(rows, fmt: str) -> str:
-    if fmt == "json":
-        payload = {"kind": "ratio_report", "rows": [
-            {"n": r.n, "nu_over_p": r.nu_over_p, "gamma_over_nu": r.gamma_over_nu,
-             "gap_estimate": r.gap_estimate, "sqrt_weighted_nu": r.sqrt_weighted_nu,
-             "linear_weighted_gamma": r.linear_weighted_gamma}
-            for r in rows
-        ]}
-        return _json_dumps(payload)
-    return _grid(("n", "nu_over_p", "gamma_over_nu", "gap_estimate",
-                  "sqrt_weighted_nu", "linear_weighted_gamma"),
-                 ((str(r.n), _fmt_float(r.nu_over_p), _fmt_float(r.gamma_over_nu), _fmt_float(r.gap_estimate),
-                   _fmt_float(r.sqrt_weighted_nu), _fmt_float(r.linear_weighted_gamma))
-                  for r in rows), fmt)
+    header = ("n", "nu_over_p", "gamma_over_nu", "gap_estimate", "sqrt_weighted_nu", "linear_weighted_gamma")
+    return _records("ratio_report", header, map(attrgetter(*header), rows), fmt)
 
 
 def render_estimates(rows, fmt: str) -> str:
-    if fmt == "json":
-        payload = {"kind": "estimate_report", "rows": [
-            {"n": r.n, "exact": str(r.exact), "estimate": r.estimate, "ratio": r.ratio}
-            for r in rows
-        ]}
-        return _json_dumps(payload)
-    return _grid(("n", "exact", "estimate", "ratio"),
-                 ((str(r.n), str(r.exact), _fmt_float(r.estimate), _fmt_float(r.ratio)) for r in rows), fmt)
+    return _records("estimate_report", ("n", "exact", "estimate", "ratio"),
+                    ((r.n, str(r.exact), r.estimate, r.ratio) for r in rows), fmt)
 
 
 def decay_digraph(n: int) -> str:
     """DOT digraph of every nuclear partition of n and its decay products."""
     lines = [f"digraph decay_{n} {{"]
-    for parts in iter_parts(n, NUCLEAR):
-        mu = Partition(parts)
-        chain = decay_chain(mu) if parts else []
-        if not chain:
+    for mu in enumerate_partitions(n, NUCLEAR):
+        products = decay_chain(mu) if mu else []
+        if not products:
             lines.append(f'  "{mu}";')
-        for product in chain:
+        for product in products:
             lines.append(f'  "{mu}" -> "{product}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -30,7 +30,6 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
-from functools import partial
 
 from .counting import CountTable, _extend_p, pentagonal_offsets
 
@@ -145,18 +144,6 @@ def p_mod_m_table(limit: int, modulus: int) -> list[int]:
     return residues
 
 
-def _scan(family: CongruenceFamily, limit_n: int, value) -> CongruenceReport:
-    """Residues mod the family's modulus of ``value(a*n + b)`` for n from
-    the family's start to ``limit_n``; the nonzero ones are violations."""
-    a, b = family.progression
-    violations = []
-    for n in range(family.start_n, limit_n + 1):
-        r = value(a * n + b) % family.modulus
-        if r:
-            violations.append((n, r))
-    return CongruenceReport(family, (family.start_n, limit_n), violations)
-
-
 # Each family's value at e = a*n + b, read from p, or p mod m, and m.
 _VALUES = {
     "custom": lambda p, m, e: p[e],
@@ -168,14 +155,23 @@ _VALUES = {
 
 
 def _check(family: CongruenceFamily, limit_n: int, residues: list[int] | None) -> CongruenceReport:
-    """Scan the family on p mod m up to its last argument, computed or checked for length."""
+    """Scan the family on p mod m, computed up to its last argument or checked
+    for length: the nonzero residues of its value at a*n + b, for n from the
+    family's start to ``limit_n``, are the violations."""
     a, b = family.progression
+    m = family.modulus
     top = a * limit_n + b
     if residues is None:
-        residues = p_mod_m_table(top, family.modulus)
+        residues = p_mod_m_table(top, m)
     elif len(residues) <= top:
         raise ValueError(f"residue table too short: need index {top}, have {len(residues) - 1}")
-    return _scan(family, limit_n, partial(_VALUES[family.family_id], residues, family.modulus))
+    value = _VALUES[family.family_id]
+    violations = []
+    for n in range(family.start_n, limit_n + 1):
+        r = value(residues, m, a * n + b) % m
+        if r:
+            violations.append((n, r))
+    return CongruenceReport(family, (family.start_n, limit_n), violations)
 
 
 def check_progression(a: int, b: int, modulus: int, limit_n: int, *,
