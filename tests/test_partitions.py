@@ -154,10 +154,12 @@ def constraints(draw):
 
 @given(n=st.integers(0, 20), c=constraints())
 def test_constraint_soundness(n, c):
-    """Everything yielded satisfies the constraint, and filtering the
-    unconstrained stream gives the identical set."""
+    """Everything yielded satisfies the constraint, in strictly decreasing
+    (reverse-lexicographic) order, and filtering the unconstrained stream
+    gives the identical set."""
     seen = list(iter_parts(n, c))
     assert all(c.satisfies(q) for q in seen)
+    assert all(a > b for a, b in zip(seen, seen[1:]))
     assert set(seen) == {q for q in all_partitions(n) if c.satisfies(q)}
 
 
