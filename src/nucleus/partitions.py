@@ -143,23 +143,66 @@ def iter_parts(n: int, constraint: EnumerationConstraint | None = None) -> Itera
     if n < 0:
         raise ValueError(f"cannot partition a negative total, got {n}")
     c = constraint or UNRESTRICTED
+    lo = c.min_part + (c.forbidden_part == c.min_part)
     cap = n if c.max_part is None else min(n, c.max_part)
-    return _descend(n, cap, c.min_part, c.forbidden_part, [])
+    stream = _reverse_lex(n, lo, cap)
+    forbidden = c.forbidden_part
+    if forbidden is None or forbidden < lo:
+        return stream
+    # A forbidden part above lo is dropped from the [lo, cap] stream; the
+    # order of what remains is unchanged.
+    return (parts for parts in stream if forbidden not in parts)
 
 
-def _descend(remaining, cap, lo, forbidden, prefix):
-    if remaining == 0:
-        yield tuple(prefix)
+def _reverse_lex(n, lo, cap):
+    # Successor rule after Zoghbi & Stojmenovic's ZS1 (Int. J. Comput. Math.
+    # 70, 1998), widened to parts in [lo, cap].  x is the current partition
+    # and its last `run` parts are its trailing run of lo's.  A step lowers the rightmost
+    # part x[h] that can go lower to the largest r whose remainder d of the
+    # suffix sum s still splits into parts in [lo, r], which holds iff
+    # ceil(d / r) * lo <= d, and refills x[h:] with the largest such
+    # split: r, then r's, at most one part in (lo, r), then lo's.  The first
+    # partition is the same step from an empty x with the bound cap.
+    if n == 0:
+        yield ()
         return
-    for part in range(min(cap, remaining), lo - 1, -1):
-        if part == forbidden:
+    x = []
+    run = 0
+    h, s, top = 0, n, cap
+    while True:
+        r = top
+        while r >= lo:
+            d = s - r
+            if (d + r - 1) // r * lo <= d:
+                break
+            r -= 1
+        else:
+            h -= 1
+            if h < 0:
+                return
+            v = x[h]
+            s += v
+            top = v - 1
             continue
-        rest = remaining - part
-        if rest and rest < lo:
-            continue
-        prefix.append(part)
-        yield from _descend(rest, part, lo, forbidden, prefix)
-        prefix.pop()
+        if r == lo:
+            run = s // lo
+            x[h:] = [lo] * run
+        else:
+            # The d still owed after r: k parts of r, less an excess that
+            # lowers the last `run` of them to lo and one more by m.
+            k = (d + r - 1) // r
+            run, m = divmod(k * r - d, r - lo)
+            x[h:] = [r] * (k - run + (not m))
+            if m:
+                x.append(r - m)
+            x += [lo] * run
+        yield tuple(x)
+        h = len(x) - run - 1
+        if h < 0:
+            return
+        v = x[h]
+        s = v + run * lo
+        top = v - 1
 
 
 def enumerate_partitions(n: int, constraint: EnumerationConstraint | None = None) -> Iterator[Partition]:

@@ -1,8 +1,7 @@
 """Brute-force reference implementations, kept independent of the package.
 
-The enumerator recurses on ascending parts and the counter is the plain
-coin dynamic program, so neither shares an algorithm with the code under
-test.
+The enumerators recurse on the parts and the counter is the plain coin
+dynamic program, so none shares an algorithm with the code under test.
 """
 
 # (n, gamma, nu, p) reference rows: 1..20 and 100.
@@ -28,6 +27,31 @@ def ascending_partitions(n, smallest=1):
 def all_partitions(n):
     """Partitions of n as weakly decreasing tuples, in no particular order."""
     return [tuple(reversed(asc)) for asc in ascending_partitions(n)]
+
+
+def reverse_lex_partitions(n, constraint=None):
+    """Partitions of n under an EnumerationConstraint, in reverse-lexicographic
+    order: each part in turn takes every allowed value from the largest down,
+    and the rest of n recurses below it.  The reference for iter_parts' order."""
+    lo = constraint.min_part if constraint else 1
+    top = constraint.max_part if constraint and constraint.max_part is not None else n
+    forbidden = constraint.forbidden_part if constraint else None
+    return _descend(n, top, lo, forbidden, [])
+
+
+def _descend(remaining, cap, lo, forbidden, prefix):
+    if remaining == 0:
+        yield tuple(prefix)
+        return
+    for part in range(min(cap, remaining), lo - 1, -1):
+        if part == forbidden:
+            continue
+        rest = remaining - part
+        if rest and rest < lo:
+            continue
+        prefix.append(part)
+        yield from _descend(rest, part, lo, forbidden, prefix)
+        prefix.pop()
 
 
 def partition_counts(limit):

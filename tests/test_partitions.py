@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,7 +18,7 @@ from nucleus.partitions import (
     multiplicity,
 )
 
-from oracles import all_partitions, partition_counts
+from oracles import all_partitions, partition_counts, reverse_lex_partitions
 
 NUCLEAR = EnumerationConstraint(min_part=2)
 
@@ -137,6 +139,43 @@ def test_enumeration_is_reverse_lexicographic():
         for constraint in (None, NUCLEAR):
             stream = list(iter_parts(n, constraint))
             assert all(a > b for a, b in zip(stream, stream[1:]))
+
+
+def _constraint_grid():
+    yield None
+    yield NUCLEAR
+    for lo in range(1, 7):
+        for top in (None, lo, lo + 1, lo + 2, lo + 3, 12):
+            if top is not None and top < lo:
+                continue
+            for forbidden in (None, 1, 2, 3, 4, 5, 7):
+                yield EnumerationConstraint(lo, top, forbidden)
+
+
+def test_enumeration_matches_reference_order():
+    """The iterative generator yields the recursive reference's stream, in
+    order, for n <= 30 over 254 constraints."""
+    grid = list(_constraint_grid())
+    assert len(grid) == 254
+    for constraint in grid:
+        for n in range(31):
+            assert list(iter_parts(n, constraint)) == list(reverse_lex_partitions(n, constraint)), (n, constraint)
+
+
+def test_enumeration_memory_is_bounded():
+    """Draining all 134,647 nuclear partitions of 60 keeps the traced peak
+    far below the 17.7 MB that keeping them takes.  Measured peaks: 1.8 KB on
+    CPython 3.10 and 2.3 KB on 3.13, but 127 KB on 3.11 and 3.12, whose tuple
+    free list keeps every freed 20-part tuple without reusing it, up to
+    2,000 of them (400 KB); the bound sits above that cap."""
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in iter_parts(60, NUCLEAR))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == 134647
+    assert peak < 512 * 1024
 
 
 def test_enumeration_deterministic():
