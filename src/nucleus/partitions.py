@@ -156,12 +156,12 @@ def iter_parts(n: int, constraint: EnumerationConstraint | None = None) -> Itera
 
 def _reverse_lex(n, lo, cap):
     # Successor rule after Zoghbi & Stojmenovic's ZS1 (Int. J. Comput. Math.
-    # 70, 1998), widened to parts in [lo, cap].  x is the current partition
-    # and its last `run` parts are its trailing run of lo's.  A step lowers the rightmost
-    # part x[h] that can go lower to the largest r whose remainder d of the
-    # suffix sum s still splits into parts in [lo, r], which holds iff
-    # ceil(d / r) * lo <= d, and refills x[h:] with the largest such
-    # split: r, then r's, at most one part in (lo, r), then lo's.  The first
+    # 70, 1998), widened to parts in [lo, cap].  x is the current partition;
+    # its last `run` parts are lo's.  A step lowers the rightmost part x[h]
+    # that can go lower to the largest r whose remainder d of the suffix sum
+    # s still splits into parts in [lo, r], which holds iff
+    # ceil(d / r) * lo <= d, and refills x[h:] with the largest such split:
+    # r, then r's, at most one part in (lo, r), then lo's.  The first
     # partition is the same step from an empty x with the bound cap.
     if n == 0:
         yield ()
