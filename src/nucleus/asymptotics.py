@@ -21,13 +21,21 @@ B = 4.0 * math.sqrt(3.0)
 
 FORMS = ("exact_difference", "simplified")
 
+# The least n at which each estimate is defined.
+ESTIMATE_LOW = {"p": 1, "nu": 2, "gamma": 3}
+
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
+def _check_domain(n: int, quantity: str) -> None:
+    low = ESTIMATE_LOW[quantity]
+    if n < low:
+        raise ValueError(f"{quantity} estimate defined for n >= {low}, got {n}")
 
 
 def log_hr_p(n: int) -> float:
     """Natural log of the p estimate; finite far past float overflow."""
-    if n < 1:
-        raise ValueError(f"estimate defined for n >= 1, got {n}")
+    _check_domain(n, "p")
     return A * math.sqrt(n) - math.log(B * n)
 
 
@@ -47,16 +55,14 @@ def _check_form(form: str) -> None:
 
 def _nu_factor(n: int, form: str) -> float:
     _check_form(form)
-    if n < 2:
-        raise ValueError(f"nu estimate defined for n >= 2, got {n}")
+    _check_domain(n, "nu")
     x = A * (math.sqrt(n) - math.sqrt(n - 1))
     return -math.expm1(-x) if form == "exact_difference" else x
 
 
 def _gamma_factor(n: int, form: str) -> float:
     _check_form(form)
-    if n < 3:
-        raise ValueError(f"gamma estimate defined for n >= 3, got {n}")
+    _check_domain(n, "gamma")
     x = A * (math.sqrt(n) - math.sqrt(n - 1))
     y = A * (math.sqrt(n - 1) - math.sqrt(n - 2))
     return math.exp(-x) - math.exp(-y) if form == "exact_difference" else y - x
@@ -113,7 +119,7 @@ class AsymptoticRow:
 def estimate_rows(points: Sequence[int], table: CountTable, quantity: str = "p",
                   form: str = "exact_difference") -> list[AsymptoticRow]:
     """Estimator-versus-exact rows for the chosen quantity at the given n's."""
-    if quantity not in ("p", "nu", "gamma"):
+    if quantity not in ESTIMATE_LOW:
         raise ValueError(f"quantity must be p, nu or gamma, got {quantity!r}")
     rows = []
     for n in points:

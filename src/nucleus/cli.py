@@ -24,7 +24,7 @@ from itertools import accumulate, chain
 from operator import and_, attrgetter, eq
 
 from . import __version__
-from .asymptotics import estimate_rows, ratio_report
+from .asymptotics import ESTIMATE_LOW, estimate_rows, ratio_report
 from .cache import CacheError, load_table, read_table, resolve_cache_path
 from .congruence import (
     RAMANUJAN_PROGRESSIONS,
@@ -553,6 +553,10 @@ def cmd_ratios(args, parser) -> int:
         points = [25, 100, 400] if args.points is None else args.points
         if not points:
             parser.error("--points selects no n values")
+        low = ESTIMATE_LOW[args.estimator]
+        if min(points) < low:
+            parser.error(f"--points: the {args.estimator} estimate is defined for n >= {low}, "
+                         f"got {min(points)}")
         table = _table_for(args, max(points))
         rows = estimate_rows(points, table, args.estimator, args.form)
         sys.stdout.write(render_estimates(rows, args.format))

@@ -316,18 +316,24 @@ def bounded_sums(limit: int) -> list[int]:
     where c(k, m) counts the partitions of k with every part in [2, m].
 
     One short of nu(n) for n >= 4, and 0 below that.  One row c(., m)
-    rolls over the part bound m = 2..limit-2 and each c(k, m) is
-    scattered to n = k + m: O(limit^2) additions on O(limit) stored
-    integers.
+    rolls over the part bound m = 2..limit//2.  The terms with k > m are
+    unsettled: each c(k, m) is scattered to n = k + m.  The terms with
+    k <= n - k are settled, c(k, n-k) = c(k, k) because no partition of
+    k has a part above k, so row[k] is final once the bound reaches k and
+    each n adds the prefix sum of c(k, k) over k = 2..n//2 once.  About
+    limit^2 / 2 additions on O(limit) stored integers.
     """
     if limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
     sums = [0] * (limit + 1)
     row = [1] + [0] * max(limit - 2, 0)  # c(t, 1) = [t == 0]
-    for m in range(2, limit - 1):
-        top = limit - m  # the largest k that still lands at n <= limit
-        _raise_bound(row, m, top)
-        sums[m + 2:] = map(add, sums[m + 2:], row[2:top + 1])
+    for m in range(2, limit // 2 + 1):
+        _raise_bound(row, m, limit - m)  # k above limit - m lands past limit
+        sums[2 * m + 1:] = map(add, sums[2 * m + 1:], row[m + 1:limit - m + 1])
+    # settled[j] = c(2, 2) + ... + c(j + 2, j + 2); n and n + 1 share n//2.
+    settled = list(accumulate(row[2:limit // 2 + 1]))
+    sums[4::2] = map(add, sums[4::2], settled)
+    sums[5::2] = map(add, sums[5::2], settled)
     return sums
 
 

@@ -63,6 +63,21 @@ def partition_counts(limit):
     return table
 
 
+def bounded_sums(limit):
+    """sum_{k=2..n-2} c(k, n-k) for n = 0..limit, where c(k, m) counts the
+    partitions of k with parts in [2, m].  One coin-DP row c(., m) rolls
+    over m = 2..limit-2 and every c(k, m) is scattered to n = k + m, settled
+    or not.  The reference for counting.bounded_sums."""
+    sums = [0] * (limit + 1)
+    row = [1] + [0] * max(limit - 2, 0)
+    for m in range(2, limit - 1):
+        for total in range(m, limit - m + 1):
+            row[total] += row[total - m]
+        for k in range(2, limit - m + 1):
+            sums[k + m] += row[k]
+    return sums
+
+
 # The derived congruence families as sums over an exact count table (with
 # .p, .nu and .gamma columns), at the progression's end e = m*n + b.
 DERIVED_FAMILIES = {

@@ -504,6 +504,27 @@ def test_ratios_empty_points_selection_is_usage_error(capsys, fmt, spec):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+@pytest.mark.parametrize("estimator, points", [("p", "0,50"), ("nu", "1,50"), ("gamma", "2,50"),
+                                               ("p", "-3")])
+def test_ratios_rejects_points_outside_the_estimate_before_the_cache(capsys, tmp_path, fmt,
+                                                                    estimator, points):
+    fresh = tmp_path / "fresh.csv"
+    existing = tmp_path / "existing.csv"
+    write_table(build_table(10), existing)
+    before = existing.read_bytes()
+    for path in (fresh, existing):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["ratios", "--estimator", estimator, f"--points={points}",
+                      "--format", fmt, "--cache", str(path)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--points" in captured.err and f"the {estimator} estimate" in captured.err
+        assert captured.out == ""
+    assert not fresh.exists()
+    assert existing.read_bytes() == before
+
+
 def test_ratios_deterministic(capsys):
     _, first, _ = run(capsys, "ratios", "--limit", "40", "--format", "json")
     _, second, _ = run(capsys, "ratios", "--limit", "40", "--format", "json")

@@ -26,6 +26,7 @@ from nucleus.counting import (
 )
 
 from oracles import REFERENCE_ROWS, all_partitions, partition_counts
+from oracles import bounded_sums as scatter_all_bounded_sums
 
 K_VALUES = (1, 2, 3, 5, 7, 11)
 
@@ -335,6 +336,18 @@ def test_bounded_sums_equal_the_bounded_sum_route():
     assert len(sums) == 301 and sums[:4] == [0, 0, 0, 0]
     for n in range(4, 301):
         assert sums[n] + 1 == nu_via_bounded_sum(n)[1] == t.nu[n], n
+
+
+def test_bounded_sums_equal_the_scatter_all_reference():
+    for limit in (*range(81), 301, 777):
+        assert bounded_sums(limit) == scatter_all_bounded_sums(limit), limit
+
+
+def test_bounded_sums_give_nu_to_2000():
+    nu = build_table(2000).nu
+    sums = bounded_sums(2000)
+    assert sums[:4] == [0, 0, 0, 0]
+    assert [sums[n] + 1 for n in range(4, 2001)] == nu[4:]
 
 
 # --- counts agree with direct enumeration ---
