@@ -2,9 +2,9 @@
 
 Format: a header line ``n,gamma,nu,p`` followed by one row per n,
 contiguous from 0, values as decimal integers, LF line endings, no
-trailing whitespace.  Loading re-checks the difference identities row by
-row and refuses any file that breaks them, so a cache can only resume
-from verified ground.
+trailing whitespace.  Loading reads the file as bytes and re-checks the
+format and the difference identities row by row, refusing any file that
+breaks them, so a cache can only resume from verified ground.
 """
 
 from __future__ import annotations
@@ -57,9 +57,11 @@ def write_table(table: CountTable, path: Path | str) -> None:
             os.remove(temp)
 
 
-def _field(raw: str, line_no: int, name: str) -> int:
+def _field(raw: bytes, line_no: int, name: str) -> int:
+    # bytes.isdigit accepts ASCII 0-9 only, so int() never sees the signs,
+    # spaces and underscores it would otherwise accept.
     if not raw.isdigit():
-        raise CacheError(f"line {line_no}: {name} must be a nonnegative decimal integer, got {raw!r}")
+        raise CacheError(f"line {line_no}: {name} must be a nonnegative decimal integer, got {raw.decode()!r}")
     return int(raw)
 
 
@@ -67,20 +69,21 @@ def read_table(path: Path | str) -> CountTable:
     """Load and validate a cache file; raises CacheError naming the bad row,
     or saying why the file cannot be read."""
     try:
-        # newline="" keeps a CR in the text, so a CR or CRLF file fails
-        # the row checks instead of being read as LF.
-        with open(path, "r", encoding="ascii", newline="") as handle:
-            text = handle.read()
+        # Read as bytes, so a CR stays in its field and a CR or CRLF file
+        # fails the row checks instead of being read as LF.
+        with open(path, "rb") as handle:
+            data = handle.read()
+        data.decode("ascii")  # only to name the first non-ASCII byte
     except UnicodeDecodeError as exc:
         raise CacheError(f"byte at offset {exc.start} is not ASCII") from None
     except OSError as exc:
         raise CacheError(f"cannot read {path}: {exc.strerror}") from None
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
+    lines = data.split(b"\n")
+    if lines and lines[-1] == b"":
         lines.pop()
-    if not lines or lines[0] != CACHE_HEADER:
+    if not lines or lines[0] != CACHE_HEADER.encode():
         # The first line is cut short: a file with no LF at all is one line.
-        raise CacheError(f"expected header {CACHE_HEADER!r}, got {lines[0][:40]!r}" if lines
+        raise CacheError(f"expected header {CACHE_HEADER!r}, got {lines[0][:40].decode()!r}" if lines
                          else "empty cache file")
     if len(lines) == 1:
         raise CacheError("cache has a header but no rows (row for n=0 is required)")
@@ -88,7 +91,7 @@ def read_table(path: Path | str) -> CountTable:
     nu: list[int] = []
     gamma: list[int] = []
     for line_no, line in enumerate(lines[1:], start=2):
-        fields = line.split(",")
+        fields = line.split(b",")
         if len(fields) != 4:
             raise CacheError(f"line {line_no}: expected 4 comma-separated fields, got {len(fields)}")
         n = _field(fields[0], line_no, "n")

@@ -108,8 +108,9 @@ def p_mod_m_table(limit: int, modulus: int) -> list[int]:
     R is reduced mod m, and one big-integer product with P[:B], in lanes
     wide enough for B * (m-1)^2, gives the block, reduced lane by lane.
     Where 8-byte lanes are too narrow (moduli above about 9.5e7), or on a
-    big-endian host, ``_extend_p`` runs the recurrence one term at a time
-    instead.
+    big-endian host, ``_extend_p`` runs the recurrence instead, one n at a
+    time, each a sum of the terms that n reaches, gathered by one
+    ``itemgetter`` per stretch between pentagonal numbers.
     """
     if modulus < 2:
         raise ValueError(f"modulus must be >= 2, got {modulus}")

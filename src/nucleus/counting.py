@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import add, mul
+from operator import add, itemgetter, mul
 from typing import Iterator
 
 from .partitions import NUCLEAR, iter_parts
@@ -53,19 +53,34 @@ def pentagonal_offsets(limit: int) -> list[tuple[int, int]]:
 
 def _extend_p(p: list[int], limit: int, modulus: int | None = None) -> list[int]:
     """Append p(len(p))..p(limit) to the prefix ``p``, each reduced mod
-    ``modulus`` when one is given."""
+    ``modulus`` when one is given.
+
+    While p(n) is computed, len(p) == n, so p(n - g) is ``p[-g]``.  The
+    offsets g <= n change only where n reaches the next generalised
+    pentagonal number, so between two of those every n reads the same
+    negative indices: one ``itemgetter`` gathers the plus terms, another
+    the minus terms, and p(n) is the difference of their sums.
+    """
     offsets = pentagonal_offsets(limit)
-    for n in range(len(p), limit + 1):
-        acc = 0
-        for g, sign in offsets:
-            if g > n:
-                break
-            if sign > 0:
-                acc += p[n - g]
-            else:
-                acc -= p[n - g]
-        p.append(acc if modulus is None else acc % modulus)
+    n = len(p)
+    for reached, stop in enumerate([g for g, _ in offsets] + [limit + 1]):
+        if stop <= n:
+            continue
+        plus = _gather([-g for g, sign in offsets[:reached] if sign > 0])
+        minus = _gather([-g for g, sign in offsets[:reached] if sign < 0])
+        for _ in range(n, stop):
+            value = sum(plus(p)) - sum(minus(p))
+            p.append(value if modulus is None else value % modulus)
+        n = stop
     return p
+
+
+def _gather(indices: list[int]):
+    """A function of a list returning its items at ``indices`` as a sequence
+    (``itemgetter`` returns a bare item when given one index)."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return lambda values: [values[i] for i in indices]
 
 
 @dataclass

@@ -122,6 +122,40 @@ def test_non_numeric_field_rejected(tmp_path):
         read_table(path)
 
 
+@pytest.mark.parametrize("column", [1, 2, 3])
+@pytest.mark.parametrize("raw", ["+1", " 1", "1 ", "1_0", "\t1"])
+def test_fields_int_would_accept_are_rejected(tmp_path, column, raw):
+    # Row n=1 is 1,0,0,1; int() would parse every raw value drawn here.
+    fields = ["1", "0", "0", "1"]
+    fields[column] = raw
+    path = tmp_path / "counts.csv"
+    path.write_text(f"{CACHE_HEADER}\n0,0,1,1\n{','.join(fields)}\n")
+    name = ("n", "gamma", "nu", "p")[column]
+    with pytest.raises(CacheError) as exc:
+        read_table(path)
+    assert str(exc.value) == f"line 3: {name} must be a nonnegative decimal integer, got {raw!r}"
+
+
+def test_non_ascii_byte_message(tmp_path):
+    path = tmp_path / "counts.csv"
+    path.write_bytes(f"{CACHE_HEADER}\n0,0,1,1\n1,0,0,\u00e9\n".encode())
+    with pytest.raises(CacheError) as exc:
+        read_table(path)
+    assert str(exc.value) == "byte at offset 27 is not ASCII"
+
+
+def test_bad_header_message(tmp_path):
+    path = tmp_path / "counts.csv"
+    path.write_bytes(b"n,nu,gamma,p\n0,0,1,1\n")
+    with pytest.raises(CacheError) as exc:
+        read_table(path)
+    assert str(exc.value) == "expected header 'n,gamma,nu,p', got 'n,nu,gamma,p'"
+    path.write_bytes(b"x" * 100)
+    with pytest.raises(CacheError) as exc:
+        read_table(path)
+    assert str(exc.value) == f"expected header 'n,gamma,nu,p', got {'x' * 40!r}"
+
+
 def test_wrong_field_count_rejected(tmp_path):
     path = tmp_path / "counts.csv"
     path.write_text(f"{CACHE_HEADER}\n0,0,1,1\n1,0,0\n")

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import pytest
@@ -108,6 +109,41 @@ def test_modular_table_memory_is_linear():
     finally:
         tracemalloc.stop()
     assert peak < 2.5e6
+
+
+# --- a large-n oracle that shares no code with the package ---
+
+# 5*7*11*13*17*19*23: large, yet R and the block product both fit 8-byte lanes.
+HRR_MODULUS = 37182145
+
+
+def _sampled_n(limit):
+    """The first block edges, the last n, and 60 seeded random n up to ``limit``."""
+    rng = random.Random(limit)
+    return sorted({BLOCK - 1, BLOCK, 2 * BLOCK - 1, 2 * BLOCK, limit, *rng.sample(range(limit + 1), 60)})
+
+
+@pytest.mark.parametrize("limit", [200000, pytest.param(1100006, marks=pytest.mark.slow)])
+def test_modular_table_matches_hrr_at_large_n(limit):
+    numbers = pytest.importorskip("sympy.functions.combinatorial.numbers")
+    _, width, wide = congruence._lane_plan(pentagonal_offsets(limit), HRR_MODULUS)
+    assert (width, wide) == (8, 8)
+    residues = p_mod_m_table(limit, HRR_MODULUS)
+    for n in _sampled_n(limit):
+        expected = int(numbers.partition(n)) % HRR_MODULUS
+        assert residues[n] == expected, n
+    # mod 11 the kernel runs on narrower lanes, so this checks those too
+    assert [r % 11 for r in residues] == p_mod_m_table(limit, 11)
+
+
+def test_huge_modulus_fallback_matches_hrr():
+    numbers = pytest.importorskip("sympy.functions.combinatorial.numbers")
+    modulus = 10**9 + 7
+    assert congruence._lane_plan(pentagonal_offsets(20000), modulus)[2] is None
+    residues = p_mod_m_table(20000, modulus)
+    for n in _sampled_n(20000):
+        expected = int(numbers.partition(n)) % modulus
+        assert residues[n] == expected, n
 
 
 # --- Ramanujan progressions ---

@@ -4,6 +4,7 @@ import pytest
 
 from nucleus.counting import (
     RestrictedCounts,
+    _extend_p,
     bounded_sums,
     build_table,
     enumerated_counts,
@@ -78,6 +79,16 @@ def test_extend_equals_fresh():
     fresh = build_table(150)
     assert grown.limit == fresh.limit == 150
     assert grown.p == fresh.p and grown.nu == fresh.nu and grown.gamma == fresh.gamma
+
+
+@pytest.mark.parametrize("modulus", [None, 2, 11, 10**9 + 7])
+def test_extend_p_resumes_at_every_prefix(modulus):
+    # 0..130 crosses 18 generalised pentagonal numbers, so resumes land on,
+    # just before and just after every change of the offsets in use.
+    exact = partition_counts(130)
+    want = exact if modulus is None else [v % modulus for v in exact]
+    for start in range(131):
+        assert _extend_p(want[:start] or [1], 130, modulus) == want, start
 
 
 def test_extend_noop_when_large_enough():
