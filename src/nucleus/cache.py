@@ -41,14 +41,15 @@ def write_table(table: CountTable, path: Path | str) -> None:
     new one, never a mix.  A failed write leaves the old file as it was
     and removes the temporary file.
     """
-    lines = [CACHE_HEADER]
-    for n in range(table.limit + 1):
-        lines.append(f"{n},{table.gamma[n]},{table.nu[n]},{table.p[n]}")
     target = Path(os.path.realpath(path))
     temp = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
     try:
         with open(temp, "x", encoding="ascii", newline="\n") as handle:
-            handle.write("\n".join(lines) + "\n")
+            # One row at a time: the text layer writes them out in fixed
+            # 8 KB buffers, so the file's text is never held whole.
+            handle.write(CACHE_HEADER + "\n")
+            handle.writelines(f"{n},{table.gamma[n]},{table.nu[n]},{table.p[n]}\n"
+                              for n in range(table.limit + 1))
         os.replace(temp, target)
     except OSError as exc:
         raise CacheError(f"cannot write {path}: {exc.strerror}") from None

@@ -9,6 +9,7 @@ off the largest part for trailing 1's), with fusion as the inverse map.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import Iterable, Iterator
 
 
@@ -131,21 +132,36 @@ NUCLEAR = EnumerationConstraint(min_part=2)
 UNRESTRICTED = EnumerationConstraint()
 
 
+# Remainders up to this total are served whole from a per-call table of
+# small partitions.  At 22 the table holds the 1,002 nuclear partitions of
+# 0..22 under the nuclear constraint and the 4,508 partitions of 0..22
+# unrestricted; the A/B that chose 22 is in CHANGES.md.
+_TAIL_TOTAL = 22
+
+
 def iter_parts(n: int, constraint: EnumerationConstraint | None = None) -> Iterator[tuple[int, ...]]:
     """Yield the partitions of ``n`` under ``constraint`` as raw tuples.
 
     Order is reverse-lexicographic on part sequences, so ``(n,)`` comes
-    first and the all-minimal partition last.  Memory use is proportional
-    to the partition length, never to the number of partitions.  ``n = 0``
-    yields exactly the empty tuple under any constraint; a constraint
-    impossible to meet yields nothing.
+    first and the all-minimal partition last.  ``n = 0`` yields exactly
+    the empty tuple under any constraint; a constraint impossible to meet
+    yields nothing.
+
+    Each partition is a head, walked in Python one prefix at a time, plus
+    a tail of total at most 22 taken from a table of every allowed small
+    partition, built once per call; the tuples are made by mapping the
+    head's ``__add__`` over a slice of that table, in C.  Memory is that
+    table, at most the 4,508 partitions of 0..22 (468 KB on 64-bit
+    CPython when unrestricted, 88 KB for the nuclear constraint), plus a
+    stack of at most 2n heads; it never grows with the number of
+    partitions.
     """
     if n < 0:
         raise ValueError(f"cannot partition a negative total, got {n}")
     c = constraint or UNRESTRICTED
     lo = c.min_part + (c.forbidden_part == c.min_part)
     cap = n if c.max_part is None else min(n, c.max_part)
-    stream = _reverse_lex(n, lo, cap)
+    stream = chain.from_iterable(_prefix_groups(n, lo, cap))
     forbidden = c.forbidden_part
     if forbidden is None or forbidden < lo:
         return stream
@@ -154,55 +170,38 @@ def iter_parts(n: int, constraint: EnumerationConstraint | None = None) -> Itera
     return (parts for parts in stream if forbidden not in parts)
 
 
-def _reverse_lex(n, lo, cap):
-    # Successor rule after Zoghbi & Stojmenovic's ZS1 (Int. J. Comput. Math.
-    # 70, 1998), widened to parts in [lo, cap].  x is the current partition;
-    # its last `run` parts are lo's.  A step lowers the rightmost part x[h]
-    # that can go lower to the largest r whose remainder d of the suffix sum
-    # s still splits into parts in [lo, r], which holds iff
-    # ceil(d / r) * lo <= d, and refills x[h:] with the largest such split:
-    # r, then r's, at most one part in (lo, r), then lo's.  The first
-    # partition is the same step from an empty x with the bound cap.
-    if n == 0:
-        yield ()
-        return
-    x = []
-    run = 0
-    h, s, top = 0, n, cap
-    while True:
-        r = top
-        while r >= lo:
-            d = s - r
-            if (d + r - 1) // r * lo <= d:
-                break
-            r -= 1
-        else:
-            h -= 1
-            if h < 0:
-                return
-            v = x[h]
-            s += v
-            top = v - 1
+def _prefix_groups(n, lo, cap):
+    # every[s] lists the partitions of s with parts in [lo, cap], reverse-lex;
+    # start[s][t] is the index of the first one whose largest part is <= t.
+    # Those form a suffix of every[s], so the tails of total s under a top
+    # part t are islice(every[s], start[s][t], None).
+    every, start = [[()]], [[0]]
+    for s in range(1, min(n, _TAIL_TOTAL) + 1):
+        rows, first = [], [0] * (s + 1)
+        for a in range(s, 0, -1):
+            first[a] = len(rows)
+            if lo <= a <= cap:
+                d = s - a
+                rows += map((a,).__add__, islice(every[d], start[d][min(d, a)], None))
+        first[0] = len(rows)
+        every.append(rows)
+        start.append(first)
+    # Depth-first over heads (prefix, remainder s, top part).  Children are
+    # pushed smallest part first, so the largest is popped first; a part a
+    # is pushed only if the d = s - a left after it still splits into parts
+    # in [lo, a], which holds iff ceil(d / a) * lo <= d (the feasibility
+    # test of Zoghbi & Stojmenovic's ZS1), so no head is a dead end.
+    stack = [((), n, cap)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        prefix, s, top = pop()
+        if s <= _TAIL_TOTAL:
+            yield map(prefix.__add__, islice(every[s], start[s][min(s, top)], None))
             continue
-        if r == lo:
-            run = s // lo
-            x[h:] = [lo] * run
-        else:
-            # The d still owed after r: k parts of r, less an excess that
-            # lowers the last `run` of them to lo and one more by m.
-            k = (d + r - 1) // r
-            run, m = divmod(k * r - d, r - lo)
-            x[h:] = [r] * (k - run + (not m))
-            if m:
-                x.append(r - m)
-            x += [lo] * run
-        yield tuple(x)
-        h = len(x) - run - 1
-        if h < 0:
-            return
-        v = x[h]
-        s = v + run * lo
-        top = v - 1
+        for a in range(lo, min(top, s) + 1):
+            d = s - a
+            if (d + a - 1) // a * lo <= d:
+                push((prefix + (a,), d, a))
 
 
 def enumerate_partitions(n: int, constraint: EnumerationConstraint | None = None) -> Iterator[Partition]:

@@ -16,7 +16,9 @@ from nucleus.partitions import (
     is_nuclear,
     iter_parts,
     multiplicity,
+    _TAIL_TOTAL,
 )
+from nucleus.counting import nu_bounded
 
 from oracles import all_partitions, partition_counts, reverse_lex_partitions
 
@@ -160,6 +162,31 @@ def test_enumeration_matches_reference_order():
     for constraint in grid:
         for n in range(31):
             assert list(iter_parts(n, constraint)) == list(reverse_lex_partitions(n, constraint)), (n, constraint)
+
+
+def _seam_constraints():
+    for lo in (1, 2, 3):
+        for top in (None, _TAIL_TOTAL, _TAIL_TOTAL - 1):
+            for forbidden in (None, lo + 1, lo + 4):
+                yield EnumerationConstraint(lo, top, forbidden)
+
+
+def test_enumeration_across_the_tail_table_seam():
+    """Where n crosses the largest total the tail table serves, heads and
+    table tails join in the recursive reference's order, under 27
+    constraints."""
+    for constraint in _seam_constraints():
+        for n in range(_TAIL_TOTAL - 1, _TAIL_TOTAL + 9):
+            assert list(iter_parts(n, constraint)) == list(reverse_lex_partitions(n, constraint)), (n, constraint)
+
+
+def test_bounded_nuclear_stream_counts_equal_nu_bounded():
+    """Counting the nuclear stream with parts <= m gives the bounded-part
+    DP's count for every n <= 60, with m on both sides of the table's total."""
+    for m in (2, 3, 7, _TAIL_TOTAL - 1, _TAIL_TOTAL, _TAIL_TOTAL + 1, 60):
+        bounded = EnumerationConstraint(min_part=2, max_part=m)
+        for n in range(61):
+            assert sum(1 for _ in iter_parts(n, bounded)) == nu_bounded(n, m), (n, m)
 
 
 def test_enumeration_memory_is_bounded():
