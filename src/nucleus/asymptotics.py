@@ -63,8 +63,7 @@ def _nu_factor(n: int, form: str) -> float:
 def _gamma_factor(n: int, form: str) -> float:
     _check_form(form)
     _check_domain(n, "gamma")
-    x = A * (math.sqrt(n) - math.sqrt(n - 1))
-    y = A * (math.sqrt(n - 1) - math.sqrt(n - 2))
+    x, y = _nu_factor(n, "simplified"), _nu_factor(n - 1, "simplified")
     return math.exp(-x) - math.exp(-y) if form == "exact_difference" else y - x
 
 
@@ -164,7 +163,7 @@ def ratio_report(limit: int, table: CountTable) -> list[RatioRow]:
         nu_over_p = table.nu[n] / table.p[n]
         gamma_over_nu = table.gamma[n] / table.nu[n] if table.nu[n] else None
         if n % 2 == 0:
-            gap = A * (math.sqrt(n) - math.sqrt(n - 1))
+            gap = _nu_factor(n, "simplified")
             sqn = math.sqrt(n) * table.nu[n] / table.p[n]
             lin = n * table.gamma[n] / table.p[n]
         else:

@@ -116,7 +116,7 @@ def read_table(path: Path | str) -> CountTable:
         gamma.append(g)
         nu.append(v)
         p.append(q)
-    return CountTable(limit=len(p) - 1, p=p, nu=nu, gamma=gamma)
+    return CountTable(p=p, nu=nu, gamma=gamma)
 
 
 def load_table(limit: int, path: Path | str | None) -> CountTable:

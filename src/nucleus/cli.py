@@ -24,7 +24,7 @@ from itertools import accumulate, chain
 from operator import and_, attrgetter, eq
 
 from . import __version__
-from .asymptotics import ESTIMATE_LOW, estimate_rows, ratio_report
+from .asymptotics import ESTIMATE_LOW, FORMS, estimate_rows, ratio_report
 from .cache import CacheError, load_table, read_table, resolve_cache_path
 from .congruence import (
     RAMANUJAN_PROGRESSIONS,
@@ -410,10 +410,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_ratios = sub.add_parser("ratios", help="growth-ratio diagnostics")
     p_ratios.add_argument("--limit", "-N", type=int, default=100,
                           help="largest n for the ratio rows (default 100)")
-    p_ratios.add_argument("--estimator", choices=("p", "nu", "gamma"), default=None,
+    p_ratios.add_argument("--estimator", choices=tuple(ESTIMATE_LOW), default=None,
                           help="compare this estimator against exact values instead")
-    p_ratios.add_argument("--form", choices=("exact_difference", "simplified"),
-                          default="exact_difference", help="estimator form for nu/gamma")
+    p_ratios.add_argument("--form", choices=FORMS, default=None,
+                          help="estimator form for nu/gamma")
     p_ratios.add_argument("--points", type=_int_list, default=None,
                           help="comma-separated n values for --estimator (default 25,100,400)")
     _add_format(p_ratios)
@@ -466,6 +466,9 @@ def cmd_verify(args, parser) -> int:
         unknown = [name for name in names if name not in _IDENTITIES]
         if unknown:
             parser.error(f"unknown identities: {', '.join(unknown)}")
+        repeated = dict.fromkeys(name for name in names if names.count(name) > 1)
+        if repeated:
+            parser.error(f"repeated identities: {', '.join(repeated)}")
     table = _table_for(args, args.limit)
     summary, timings = run_verification(table, args.limit, enum_limit, names)
     errata_demo = None
@@ -558,9 +561,11 @@ def cmd_ratios(args, parser) -> int:
             parser.error(f"--points: the {args.estimator} estimate is defined for n >= {low}, "
                          f"got {min(points)}")
         table = _table_for(args, max(points))
-        rows = estimate_rows(points, table, args.estimator, args.form)
+        rows = estimate_rows(points, table, args.estimator, args.form or FORMS[0])
         sys.stdout.write(render_estimates(rows, args.format))
         return EXIT_OK
+    if args.points is not None or args.form is not None:
+        parser.error("--points and --form need --estimator")
     if args.limit < 1:
         parser.error("--limit must be >= 1")
     table = _table_for(args, args.limit)

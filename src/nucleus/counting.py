@@ -26,12 +26,13 @@ and keeps going.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, islice
 from operator import add, itemgetter, mul
 from typing import Iterator
 
-from .partitions import NUCLEAR, iter_parts
+from .partitions import NUCLEAR, _capacity, iter_parts
 
 
 def pentagonal_offsets(limit: int) -> list[tuple[int, int]]:
@@ -92,17 +93,20 @@ class CountTable:
     Treat a built table as immutable; concurrent reads are safe.
     """
 
-    limit: int
     p: list[int]
     nu: list[int]
     gamma: list[int]
+
+    @property
+    def limit(self) -> int:
+        return len(self.p) - 1
 
 
 def _table_from_p(p: list[int]) -> CountTable:
     limit = len(p) - 1
     nu = [1] + [p[n] - p[n - 1] for n in range(1, limit + 1)]
     gamma = [0] * min(3, limit + 1) + [nu[n] - nu[n - 1] for n in range(3, limit + 1)]
-    return CountTable(limit=limit, p=p, nu=nu, gamma=gamma)
+    return CountTable(p=p, nu=nu, gamma=gamma)
 
 
 def build_table(limit: int) -> CountTable:
@@ -227,29 +231,25 @@ def p_via_nu_chain(n: int, table: CountTable) -> MethodResult:
 def nuclear_gaps(n: int) -> Iterator[int]:
     """Top-pair gaps of the nuclear partitions of n, skipping (n) itself.
 
-    Every nuclear partition other than (n) has at least two parts; the
-    gap is first part minus second part.  Enumeration order.
+    Enumeration order puts (n) first, or () at n = 0, and every later
+    nuclear partition has at least two parts; its gap is its decay
+    capacity, first part minus second part.
     """
-    for parts in iter_parts(n, NUCLEAR):
-        if len(parts) > 1:
-            yield parts[0] - parts[1]
+    return map(_capacity, islice(iter_parts(n, NUCLEAR), 1, None))
 
 
 def enumerated_counts(n: int) -> tuple[int, int, int]:
-    """``(nu(n), gap-sum value, gamma(n))`` from one pass over the nuclear
-    partitions of n.
+    """``(nu(n), gap-sum value, gamma(n))`` tallied from one pass of
+    ``nuclear_gaps(n)``.
 
-    The gap-sum value is n + nu(n) - 1 + (sum of top-pair gaps over the
-    nuclear partitions of n other than (n)); it equals p(n) for n >= 2
-    only.  Ground states are the partitions whose top-pair gap is 0.
+    Every n but 1 has the first nuclear partition that ``nuclear_gaps``
+    skips, so nu(n) is the number of gaps plus (n != 1).  The gap-sum
+    value is n + nu(n) - 1 + (sum of the gaps); it equals p(n) for
+    n >= 2 only.  gamma(n) counts the ground states, whose gap is 0.
     """
-    nuclear = gap_total = ground = 0
-    for parts in iter_parts(n, NUCLEAR):
-        nuclear += 1
-        if len(parts) > 1:
-            gap_total += parts[0] - parts[1]
-            ground += parts[0] == parts[1]
-    return nuclear, n + nuclear - 1 + gap_total, ground
+    gaps = Counter(nuclear_gaps(n))
+    nu = (n != 1) + sum(gaps.values())
+    return nu, n + nu - 1 + sum(g * count for g, count in gaps.items()), gaps[0]
 
 
 def p_via_gap_sum(n: int) -> MethodResult:
@@ -268,7 +268,7 @@ def _gamma_moments(table: CountTable, last: int) -> tuple[list[int], list[int]]:
     """Running sums S1(n) = sum_{k=3..n} gamma(k) and
     S2(n) = sum_{k=3..n} k * gamma(k) for n = 0..last."""
     _check_range(last, table)
-    gamma = [0] * min(3, last + 1) + table.gamma[3 : last + 1]
+    gamma = table.gamma[: last + 1]
     return list(accumulate(gamma)), list(accumulate(map(mul, range(last + 1), gamma)))
 
 

@@ -222,7 +222,7 @@ def is_ground_state(partition) -> bool:
     there is no slack to shed into 1's.
     """
     parts = _as_parts(partition)
-    return len(parts) >= 2 and parts[0] == parts[1] and 1 not in parts
+    return bool(parts) and 1 not in parts and _capacity(parts) == 0
 
 
 def multiplicity(partition, k: int) -> int:
@@ -261,9 +261,14 @@ def decay_capacity(partition) -> int:
         raise ValueError("the empty partition does not decay")
     if 1 in parts:
         raise ValueError(f"decay is defined on nuclear partitions only, got {Partition(parts)}")
-    if len(parts) == 1:
-        return parts[0] - 1
-    return parts[0] - parts[1]
+    return _capacity(parts)
+
+
+def _capacity(parts: tuple[int, ...]) -> int:
+    # The top-pair rule, for nonempty nuclear parts: the largest part
+    # sheds units into 1's until it would drop below the next part, or
+    # below 1 for a single part.
+    return parts[0] - (parts[1] if len(parts) > 1 else 1)
 
 
 def decay_step(partition, j: int) -> Partition:

@@ -150,6 +150,18 @@ def test_verify_unknown_identity_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("spec, repeated", [("nu_chain,nu_chain", "nu_chain"),
+                                             ("gap_sum,nu_chain, gap_sum,nu_chain", "gap_sum, nu_chain")])
+def test_verify_repeated_identity_is_usage_error(capsys, spec, repeated):
+    # The timings are keyed by name, so a repeated row would lose its timing.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--identities", spec])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"repeated identities: {repeated}" in captured.err
+    assert captured.out == ""
+
+
 def test_verify_enum_limit_cannot_exceed_limit(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--limit", "10", "--enum-limit", "20"])
@@ -523,6 +535,17 @@ def test_ratios_rejects_points_outside_the_estimate_before_the_cache(capsys, tmp
         assert captured.out == ""
     assert not fresh.exists()
     assert existing.read_bytes() == before
+
+
+@pytest.mark.parametrize("argv", [["--points", "5"], ["--form", "simplified"],
+                                  ["--form", "exact_difference"], ["--points", "25", "--form", "simplified"]])
+def test_ratios_estimator_options_need_an_estimator(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["ratios", *argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--points and --form need --estimator" in captured.err
+    assert captured.out == ""
 
 
 def test_ratios_deterministic(capsys):

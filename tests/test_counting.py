@@ -377,8 +377,12 @@ def test_enumeration_agreement_to_40(table):
 def test_enumerated_counts_match_the_table(table):
     for n in range(2, 31):
         assert enumerated_counts(n) == (table.nu[n], table.p[n], table.gamma[n]), n
-    assert enumerated_counts(0)[::2] == (1, 0)
-    assert enumerated_counts(1)[::2] == (0, 0)
+    # n = 0 has the one nuclear partition (), n = 1 none; the gap-sum
+    # value undercounts both, p(0) = p(1) = 1.
+    assert enumerated_counts(0) == (1, 0, 0)
+    assert enumerated_counts(1) == (0, 0, 0)
+    for n in (0, 1, 2):
+        assert list(nuclear_gaps(n)) == []
 
 
 def test_nu_bounded_matches_bounded_enumeration():

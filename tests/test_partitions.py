@@ -191,10 +191,10 @@ def test_bounded_nuclear_stream_counts_equal_nu_bounded():
 
 def test_enumeration_memory_is_bounded():
     """Draining all 134,647 nuclear partitions of 60 keeps the traced peak
-    far below the 17.7 MB that keeping them takes.  Measured peaks: 1.8 KB on
-    CPython 3.10 and 2.3 KB on 3.13, but 127 KB on 3.11 and 3.12, whose tuple
-    free list keeps every freed 20-part tuple without reusing it, up to
-    2,000 of them (400 KB); the bound sits above that cap."""
+    far below the 17.7 MB that keeping them takes.  Measured peak: 211 KB on
+    CPython 3.11, 88 KB of it the per-call table of small partitions.  The
+    tuple free list of 3.11 and 3.12 can keep up to 2,000 freed tuples of
+    each length (400 KB at 20 parts); the bound sits above that cap."""
     tracemalloc.start()
     try:
         count = sum(1 for _ in iter_parts(60, NUCLEAR))
