@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass
 from typing import Sequence
 
-from .counting import CountTable
+from .counting import CountTable, _check_range
 
 A = math.pi * math.sqrt(2.0 / 3.0)
 B = 4.0 * math.sqrt(3.0)
@@ -122,8 +122,7 @@ def estimate_rows(points: Sequence[int], table: CountTable, quantity: str = "p",
         raise ValueError(f"quantity must be p, nu or gamma, got {quantity!r}")
     rows = []
     for n in points:
-        if n > table.limit:
-            raise ValueError(f"n={n} exceeds the table limit {table.limit}")
+        _check_range(n, table)
         if quantity == "p":
             exact, estimate = table.p[n], hr_p(n)
         elif quantity == "nu":
@@ -156,8 +155,7 @@ class RatioRow:
 
 def ratio_report(limit: int, table: CountTable) -> list[RatioRow]:
     """Ratio diagnostics for n = 1..limit."""
-    if limit > table.limit:
-        raise ValueError(f"limit {limit} exceeds the table limit {table.limit}")
+    _check_range(limit, table)
     rows = []
     for n in range(1, limit + 1):
         nu_over_p = table.nu[n] / table.p[n]

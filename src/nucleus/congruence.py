@@ -31,12 +31,12 @@ import sys
 from array import array
 from dataclasses import dataclass
 
-from .counting import CountTable, _extend_p, pentagonal_offsets
+from .counting import CountTable, _check_range, _extend_p, pentagonal_offsets
 
 RAMANUJAN_PROGRESSIONS: dict[int, tuple[int, int]] = {5: (5, 4), 7: (7, 5), 11: (11, 6)}
 
-# Residues per block of p_mod_m_table; of 1024, 2048 and 4096, 2048 was the fastest.
-_BLOCK = 2048
+# Residues per block of p_mod_m_table; of 512, 768, 1024 and 2048, 512 was the fastest.
+_BLOCK = 512
 # Lane width in bytes -> an unsigned array typecode of that item size.
 _LANE_CODES = {array(code).itemsize: code for code in "LQHI"}
 
@@ -70,8 +70,9 @@ def _lane_bytes(value: int) -> int | None:
 
 
 def _lane_plan(offsets: list[tuple[int, int]], modulus: int) -> tuple[int, int | None, int | None]:
-    """For ``p_mod_m_table``: the per-lane bias of R, and the lane widths in
-    bytes of R and of the block product (None where 8 bytes are too few)."""
+    """For ``p_mod_m_table``: the bias every accumulator lane starts at, and
+    the lane widths in bytes of the accumulators and of the block product
+    (None where 8 bytes are too few)."""
     minus = sum(sign < 0 for _, sign in offsets)
     bias = -(-minus * (modulus - 1) // modulus) * modulus
     peak = bias + len(offsets) * (modulus - 1)
@@ -93,23 +94,33 @@ def p_mod_m_table(limit: int, modulus: int) -> list[int]:
     """Residues p(n) mod ``modulus`` for n = 0..limit, exactly, in O(limit)
     bytes and with the standard library alone.
 
-    The pentagonal recurrence, run a block at a time.  Given p(0..s-1),
-    the block b = p(s..s+B-1) solves E*b = R (mod x^B), where E(x) =
-    sum (-1)^k x^(k(3k+-1)/2) is Euler's sparse product and R_t sums, with
-    the recurrence signs, the terms p(s+t-g) that reach back before the
-    block.  As 1/E = P, the block is b = P[:B] * R (mod x^B).  B doubles
-    from 1 up to _BLOCK, so P[:B] is always known, and the last block
-    stops at ``limit``.
+    The pentagonal recurrence, run a block of B = _BLOCK residues at a
+    time.  Given p(0..s-1), the block b = p(s..s+B-1) solves E*b = R
+    (mod x^B), where E(x) = sum (-1)^k x^(k(3k+-1)/2) is Euler's sparse
+    product and R_t sums, with the recurrence signs, the terms p(s+t-g)
+    that reach back before the block.  As 1/E = P, the block is
+    b = P[:B] * R (mod x^B).  ``_extend_p`` computes the first block,
+    p(0..B-1), which is also P[:B]; the last block stops at ``limit``.
 
-    The residues are kept as fixed-width little-endian lanes of a
-    bytearray.  R is one slice of it per pentagonal offset, shifted into
-    place and added onto a per-lane bias: a multiple of the modulus no
-    smaller than any lane's sum of minus terms, so no lane ever borrows.
-    R is reduced mod m, and one big-integer product with P[:B], in lanes
-    wide enough for B * (m-1)^2, gives the block, reduced lane by lane.
+    R is scattered, not gathered.  Block j's accumulator holds the lanes
+    jB..jB+2B-1 of one integer, and R for block j is its low half plus the
+    high half of block j-1's, added after unpacking.  A finished block
+    p(s..s+B-1) is packed into one integer once, and for each pentagonal
+    offset g it is added, with g's sign and shifted by g mod B lanes, into
+    the accumulator of the block that lane s+g falls in.  Where g < B, the
+    lanes that land inside the block itself are its own P[:B] * R product,
+    so only their spill into the next block is kept.  Every lane starts at a
+    bias: a multiple of the modulus, so counting it twice changes nothing
+    mod m, and no smaller than (m-1) times the number of minus offsets.  A
+    lane receives each of its plus and minus terms, all in [0, m-1], at most
+    once, so it stays within [0, bias + (m-1) * len(offsets)], the width
+    that ``_lane_plan`` sizes: no lane ever borrows or carries.  R is
+    reduced mod m, and one big-integer product with P[:B], in lanes wide
+    enough for B * (m-1)^2, gives the block, reduced lane by lane.
+
     Where 8-byte lanes are too narrow (moduli above about 9.5e7), or on a
-    big-endian host, ``_extend_p`` runs the recurrence instead, one n at a
-    time, each a sum of the terms that n reaches, gathered by one
+    big-endian host, ``_extend_p`` runs the whole recurrence instead, one
+    n at a time, each a sum of the terms that n reaches, gathered by one
     ``itemgetter`` per stretch between pentagonal numbers.
     """
     if modulus < 2:
@@ -122,26 +133,25 @@ def p_mod_m_table(limit: int, modulus: int) -> list[int]:
     if wide is None or sys.byteorder != "little":
         return _extend_p(residues, limit, modulus)
     code, wide_code = _LANE_CODES[width], _LANE_CODES[wide]
-    lanes = bytearray(array(code, residues))
-    while (s := len(residues)) <= limit:
-        size = min(s, _BLOCK, limit + 1 - s)
-        acc = _pack([bias] * size, code)
-        with memoryview(lanes) as view:
-            for g, sign in offsets:
-                if g >= s + size:
-                    break
-                lo = max(0, g - s)
-                # the view ends at p(s-1), so the slice stops there when g < size
-                term = int.from_bytes(view[(s + lo - g) * width:(s + size - g) * width], "little")
-                if sign > 0:
-                    acc += term << 8 * width * lo
-                else:
-                    acc -= term << 8 * width * lo
-        reduced = [v % modulus for v in _unpack(acc, code, size)]
-        product = _pack(reduced, wide_code) * _pack(residues[:size], wide_code)
-        block = array(code, [v % modulus for v in _unpack(product, wide_code, size)])
-        lanes += block
-        residues.extend(block)
+    block, wrap = _BLOCK, 8 * width * _BLOCK
+    series = _pack(_extend_p(residues, min(limit, block - 1), modulus), wide_code)
+    pending = [_pack([bias] * 2 * block, code)] * (limit // block + 1)
+    reach = [(g // block, 8 * width * (g % block), sign) for g, sign in offsets]
+    for j, s in enumerate(range(block, limit + 1, block)):
+        done = _pack(residues[-block:], code)
+        for k, shift, sign in reach:
+            if (k := k + j) >= len(pending):
+                break
+            term = done << shift if k > j else done >> wrap - shift << wrap
+            if sign > 0:
+                pending[k] += term
+            else:
+                pending[k] -= term
+        size = min(block, limit + 1 - s)
+        low, high = _unpack(pending[j + 1], code, size), _unpack(pending[j] >> wrap, code, size)
+        reduced = _pack([(x + y) % modulus for x, y in zip(low, high)], wide_code)
+        residues += [v % modulus for v in _unpack(reduced * series, wide_code, size)]
+        pending[j] = None
     return residues
 
 
@@ -219,6 +229,5 @@ def parity_via_gamma(n: int, table: CountTable) -> int:
     """
     if n % 2 or n < 4:
         raise ValueError(f"the gamma parity sum is defined for even n >= 4, got {n}")
-    if n > table.limit:
-        raise ValueError(f"n={n} exceeds the table limit {table.limit}")
+    _check_range(n, table)
     return sum(table.gamma[4 : n + 1 : 2]) % 2

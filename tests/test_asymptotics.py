@@ -139,8 +139,9 @@ def test_ratio_report_field_presence(big_table):
 
 
 def test_ratio_report_rejects_overrun(big_table):
-    with pytest.raises(ValueError):
-        ratio_report(big_table.limit + 1, big_table)
+    top = big_table.limit
+    with pytest.raises(ValueError, match=f"^n={top + 1} exceeds the table limit {top}$"):
+        ratio_report(top + 1, big_table)
 
 
 def test_vanishing_ratios_block_means_decrease(big_table):
@@ -185,5 +186,6 @@ def test_estimate_rows(big_table):
     assert math.isnan(gamma_rows[0].ratio)  # gamma(5) = 0
     with pytest.raises(ValueError):
         estimate_rows([10], big_table, "q")
-    with pytest.raises(ValueError):
-        estimate_rows([big_table.limit + 1], big_table, "p")
+    top = big_table.limit
+    with pytest.raises(ValueError, match=f"^n={top + 1} exceeds the table limit {top}$"):
+        estimate_rows([25, top + 1], big_table, "p")

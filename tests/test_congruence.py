@@ -51,21 +51,30 @@ def test_modular_table_rejects_bad_args():
 # --- blocked modular kernel ---
 
 BLOCK = congruence._BLOCK
+# How far the kernel is checked against the exact table: at least 6,145,
+# however small a block is, and at least three full blocks and one residue.
+REACH = max(6145, 3 * BLOCK + 1)
 
 
 @pytest.fixture(scope="module")
 def block_p():
-    """Exact p(n) for n = 0..3B+1: three full blocks and one residue."""
-    return build_table(3 * BLOCK + 1).p
+    """Exact p(n) for n = 0..REACH."""
+    return build_table(REACH).p
 
 
 def test_modular_table_every_modulus_over_three_blocks(block_p):
     for modulus in range(2, 401):
-        assert p_mod_m_table(3 * BLOCK + 1, modulus) == [p % modulus for p in block_p], modulus
+        assert p_mod_m_table(REACH, modulus) == [p % modulus for p in block_p], modulus
+
+
+# The edges of the first three blocks, and those at 2048 and 4096: block edges
+# for every B that divides 2048, they keep the check reaching past 4,096.
+EDGES = sorted({BLOCK - 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1,
+                3 * BLOCK - 1, 3 * BLOCK, 3 * BLOCK + 1, 2046, 2047, 2048, 2049, 4096, 4097})
 
 
 @pytest.mark.parametrize("modulus", [2, 11, 385])
-@pytest.mark.parametrize("limit", [BLOCK - 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1])
+@pytest.mark.parametrize("limit", EDGES)
 def test_modular_table_at_block_edges(block_p, modulus, limit):
     assert p_mod_m_table(limit, modulus) == [p % modulus for p in block_p[: limit + 1]]
 
@@ -86,29 +95,29 @@ def _first_wider(offsets, index, width):
 
 @pytest.mark.parametrize("index, width, wider", [(1, 2, 4), (2, 4, 8), (1, 4, 8), (2, 8, None)])
 def test_modular_table_either_side_of_a_lane_switch(block_p, index, width, wider):
-    limit = 3 * BLOCK + 1
-    offsets = pentagonal_offsets(limit)
+    offsets = pentagonal_offsets(REACH)
     first = _first_wider(offsets, index, width)
     for modulus, lanes in ((first - 1, width), (first, wider)):
         assert congruence._lane_plan(offsets, modulus)[index] == lanes
-        assert p_mod_m_table(limit, modulus) == [p % modulus for p in block_p], modulus
+        assert p_mod_m_table(REACH, modulus) == [p % modulus for p in block_p], modulus
 
 
 def test_modular_table_huge_modulus_runs_the_recurrence(block_p):
     modulus = 10**9 + 7
-    assert congruence._lane_plan(pentagonal_offsets(3 * BLOCK + 1), modulus)[2] is None
-    assert p_mod_m_table(3 * BLOCK + 1, modulus) == [p % modulus for p in block_p]
+    assert congruence._lane_plan(pentagonal_offsets(REACH), modulus)[2] is None
+    assert p_mod_m_table(REACH, modulus) == [p % modulus for p in block_p]
 
 
 def test_modular_table_memory_is_linear():
-    # The returned list alone is about 0.9 MB; an FFT or dense design would not fit.
+    # The returned list alone is about 0.9 MB and the whole call peaks at about
+    # 1.06 MB on CPython 3.11; an FFT or dense design would not fit.
     tracemalloc.start()
     try:
         p_mod_m_table(110006, 11)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2.5e6
+    assert peak < 2.2e6
 
 
 # --- a large-n oracle that shares no code with the package ---
@@ -313,8 +322,9 @@ def test_parity_rejects_bad_n(table):
         parity_via_gamma(7, table)
     with pytest.raises(ValueError):
         parity_via_gamma(2, table)
-    with pytest.raises(ValueError):
-        parity_via_gamma(table.limit + 2, table)
+    top = table.limit
+    with pytest.raises(ValueError, match=f"^n={top + 2} exceeds the table limit {top}$"):
+        parity_via_gamma(top + 2, table)
 
 
 def test_parity_agrees_with_modular_table(table):
