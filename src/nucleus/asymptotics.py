@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .counting import CountTable, _check_range
 
@@ -41,7 +40,7 @@ def log_hr_p(n: int) -> float:
 
 def hr_p(n: int) -> float:
     """exp(A*sqrt(n)) / (B*n); inf once the exponent overflows doubles
-    (n around 77000), at which point use log_hr_p instead."""
+    (from n = 79,446), at which point use log_hr_p instead."""
     log_value = log_hr_p(n)
     if log_value >= _LOG_FLOAT_MAX:
         return math.inf
@@ -105,8 +104,7 @@ def log_hr_gamma(n: int, form: str = "exact_difference") -> float:
     return log_hr_p(n) + math.log(factor)
 
 
-@dataclass(frozen=True)
-class AsymptoticRow:
+class AsymptoticRow(NamedTuple):
     """Exact value, estimate, and their ratio at one n."""
 
     n: int
@@ -134,8 +132,7 @@ def estimate_rows(points: Sequence[int], table: CountTable, quantity: str = "p",
     return rows
 
 
-@dataclass(frozen=True)
-class RatioRow:
+class RatioRow(NamedTuple):
     """Vanishing-ratio diagnostics at one n.
 
     ``gamma_over_nu`` is None where nu(n) = 0.  The even-n fields compare

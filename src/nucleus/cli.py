@@ -6,7 +6,7 @@ partition or emit the decay digraph), ``parity`` (parity listing),
 ``ratios`` (growth diagnostics) and ``cache`` (build or check the CSV
 cache).  Machine output (csv or json) is byte-deterministic for
 identical invocations; timings go to stderr.  Unbounded integers travel
-as decimal strings in JSON.
+as decimal strings in JSON, and a NaN or infinite float as null.
 
 Exit status: 0 all requested checks passed, 1 a check failed, 2 usage
 error, 3 cache file unreadable, unwritable or invalid.
@@ -16,15 +16,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
-from dataclasses import dataclass
 from functools import cache, partial
 from itertools import accumulate, chain
 from operator import and_, attrgetter, eq
+from typing import NamedTuple
 
 from . import __version__
-from .asymptotics import ESTIMATE_LOW, FORMS, estimate_rows, ratio_report
+from .asymptotics import ESTIMATE_LOW, FORMS, RatioRow, estimate_rows, ratio_report
 from .cache import CacheError, load_table, read_table, resolve_cache_path
 from .congruence import (
     RAMANUJAN_PROGRESSIONS,
@@ -67,8 +68,7 @@ FORMATS = ("text", "csv", "json")
 # verification sweeps
 # --------------------------------------------------------------------------
 
-@dataclass
-class IdentityOutcome:
+class IdentityOutcome(NamedTuple):
     identity: str
     checked: int
     failures: int
@@ -86,8 +86,7 @@ class IdentityOutcome:
         return "expected-fail" if self.expected_fail else "pass"
 
 
-@dataclass
-class VerificationSummary:
+class VerificationSummary(NamedTuple):
     exact_limit: int
     enum_limit: int
     outcomes: list[IdentityOutcome]
@@ -207,11 +206,17 @@ def _grid(header, rows, fmt: str) -> str:
                      for row in rows) + "\n"
 
 
+def _json_cell(value):
+    # RFC 8259 has no NaN or Infinity; json writes null for them.
+    return None if type(value) is float and not math.isfinite(value) else value
+
+
 def _records(kind: str, header, rows, fmt: str) -> str:
     """Rows of typed values under ``header``: in json one record per row,
-    ``dict(zip(header, row))``, else a csv or text grid."""
+    ``dict(zip(header, row))`` with a NaN or infinite float as null, else
+    a csv or text grid."""
     if fmt == "json":
-        return _json_dumps({"kind": kind, "rows": [dict(zip(header, row)) for row in rows]})
+        return _json_dumps({"kind": kind, "rows": [dict(zip(header, map(_json_cell, row))) for row in rows]})
     return _grid(header, rows, fmt)
 
 
@@ -226,7 +231,7 @@ def render_summary(summary: VerificationSummary, fmt: str, errata_demo=None) -> 
             "kind": "verification_summary",
             "exact_limit": summary.exact_limit,
             "enum_limit": summary.enum_limit,
-            "identities": [{**vars(o), "status": o.status} for o in summary.outcomes],
+            "identities": [{**o._asdict(), "status": o.status} for o in summary.outcomes],
             "passed": summary.passed,
         }
         if errata_demo is not None:
@@ -254,7 +259,7 @@ def render_report(report: CongruenceReport, fmt: str) -> str:
     family = report.family
     a, b = family.progression
     if fmt == "json":
-        return _json_dumps({"kind": "congruence_report", "family": vars(family),
+        return _json_dumps({"kind": "congruence_report", "family": family._asdict(),
                             "range_checked": report.range_checked, "violations": report.violations})
     if fmt == "csv":
         first = report.violations[0][0] if report.violations else None
@@ -281,8 +286,7 @@ def render_parity(rows, fmt: str) -> str:
 
 
 def render_ratios(rows, fmt: str) -> str:
-    header = ("n", "nu_over_p", "gamma_over_nu", "gap_estimate", "sqrt_weighted_nu", "linear_weighted_gamma")
-    return _records("ratio_report", header, map(attrgetter(*header), rows), fmt)
+    return _records("ratio_report", RatioRow._fields, rows, fmt)
 
 
 def render_estimates(rows, fmt: str) -> str:

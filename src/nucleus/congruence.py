@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .counting import CountTable, _check_range, _extend_p, pentagonal_offsets
 
@@ -41,8 +41,7 @@ _BLOCK = 512
 _LANE_CODES = {array(code).itemsize: code for code in "LQHI"}
 
 
-@dataclass(frozen=True)
-class CongruenceFamily:
+class CongruenceFamily(NamedTuple):
     """One congruence family: arguments a*n + b checked modulo ``modulus``."""
 
     family_id: str
@@ -51,8 +50,7 @@ class CongruenceFamily:
     start_n: int
 
 
-@dataclass
-class CongruenceReport:
+class CongruenceReport(NamedTuple):
     """Sweep outcome: empty violations iff the family held on the range."""
 
     family: CongruenceFamily

@@ -27,10 +27,9 @@ and keeps going.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import accumulate, islice
 from operator import add, itemgetter, mul
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .partitions import NUCLEAR, _capacity, iter_parts
 
@@ -84,8 +83,7 @@ def _gather(indices: list[int]):
     return lambda values: [values[i] for i in indices]
 
 
-@dataclass
-class CountTable:
+class CountTable(NamedTuple):
     """Exact values p(n), nu(n), gamma(n) for 0 <= n <= limit.
 
     Satisfies p[0] = nu[0] = 1, nu[n] = p[n] - p[n-1] for n >= 1,
@@ -127,8 +125,7 @@ def extend_table(table: CountTable, limit: int) -> CountTable:
     return _table_from_p(_extend_p(list(table.p), limit))
 
 
-@dataclass(frozen=True)
-class MethodResult:
+class MethodResult(NamedTuple):
     """A value of p(n) or nu(n) labelled with the route that produced it."""
 
     method: str

@@ -8,9 +8,8 @@ off the largest part for trailing 1's), with fusion as the inverse map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, islice
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 
 class Partition:
@@ -97,8 +96,15 @@ def _as_parts(value) -> tuple[int, ...]:
     return Partition(value).parts
 
 
-@dataclass(frozen=True)
-class EnumerationConstraint:
+# The fields of EnumerationConstraint.  A NamedTuple body may not define
+# __new__, so the checks live on the subclass.
+class _Bounds(NamedTuple):
+    min_part: int
+    max_part: int | None
+    forbidden_part: int | None
+
+
+class EnumerationConstraint(_Bounds):
     """Part bounds for enumeration.
 
     Covers the three restricted families in one record: ``min_part=2``
@@ -106,17 +112,21 @@ class EnumerationConstraint:
     no part k, and ``max_part=m`` the bounded-part variants.
     """
 
-    min_part: int = 1
-    max_part: int | None = None
-    forbidden_part: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.min_part < 1:
-            raise ValueError(f"min_part must be >= 1, got {self.min_part}")
-        if self.max_part is not None and self.max_part < self.min_part:
-            raise ValueError(f"max_part {self.max_part} is below min_part {self.min_part}")
-        if self.forbidden_part is not None and self.forbidden_part < 1:
-            raise ValueError(f"forbidden_part must be >= 1, got {self.forbidden_part}")
+    def __new__(cls, min_part: int = 1, max_part: int | None = None, forbidden_part: int | None = None):
+        if min_part < 1:
+            raise ValueError(f"min_part must be >= 1, got {min_part}")
+        if max_part is not None and max_part < min_part:
+            raise ValueError(f"max_part {max_part} is below min_part {min_part}")
+        if forbidden_part is not None and forbidden_part < 1:
+            raise ValueError(f"forbidden_part must be >= 1, got {forbidden_part}")
+        return super().__new__(cls, min_part, max_part, forbidden_part)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, so it runs the checks too.
+        return cls(*iterable)
 
     def satisfies(self, partition) -> bool:
         """True iff every part obeys the bounds."""

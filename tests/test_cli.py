@@ -3,8 +3,11 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -12,10 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nucleus import cli, counting
-from nucleus.asymptotics import AsymptoticRow
+from nucleus.asymptotics import AsymptoticRow, RatioRow
 from nucleus.cache import write_table
 from nucleus.congruence import CongruenceFamily, CongruenceReport
-from nucleus.counting import build_table
+from nucleus.counting import CountTable, MethodResult, build_table
+from nucleus.partitions import EnumerationConstraint
 
 from oracles import REFERENCE_ROWS
 
@@ -28,6 +32,10 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not json (RFC 8259)")
 
 
 # --- table ---
@@ -655,7 +663,8 @@ def _argv(draw):
 def test_random_argv_exits_with_a_documented_code(tmp_path_factory, argv):
     directory = tmp_path_factory.mktemp("argv")
     argv = [word.format(file=directory / "counts.csv", dir=directory) for word in argv]
-    with mock.patch.dict(os.environ), contextlib.redirect_stdout(io.StringIO()), \
+    out = io.StringIO()
+    with mock.patch.dict(os.environ), contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(io.StringIO()):
         os.environ.pop("NUCLEUS_CACHE", None)
         try:
@@ -663,6 +672,8 @@ def test_random_argv_exits_with_a_documented_code(tmp_path_factory, argv):
         except SystemExit as exc:
             code = exc.code
     assert code in (0, 1, 2, 3), argv
+    if code in (0, 1) and "--format" in argv and argv[argv.index("--format") + 1] == "json":
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
 
 
 def test_version_flag(capsys):
@@ -730,7 +741,7 @@ _EDGE_JSON = {
         {"n": 4, "gamma_sum": "1", "parity": "odd", "agrees": True},
         {"n": 6, "gamma_sum": "4", "parity": "even", "agrees": False}]},
     "estimates": {"kind": "estimate_report", "rows": [
-        {"n": 2, "exact": "0", "estimate": math.inf, "ratio": math.nan},
+        {"n": 2, "exact": "0", "estimate": None, "ratio": None},
         {"n": 5, "exact": "7", "estimate": 7.25, "ratio": 1.0357142857142858}]},
 }
 
@@ -743,3 +754,59 @@ def test_renderer_edge_cells(name):
     assert render("text") == _EDGE_TEXT[name]
     assert render("csv") == _EDGE_CSV[name]
     assert render("json") == json.dumps(_EDGE_JSON[name], indent=2) + "\n"
+
+
+def test_ratios_json_writes_null_for_non_finite_floats(capsys):
+    """gamma(3) = 0 makes the ratio NaN: null in json, nan in csv."""
+    code, out, _ = run(capsys, "ratios", "--estimator", "gamma", "--points", "3,4", "--format", "json")
+    assert code == 0
+    rows = json.loads(out, parse_constant=_reject_constant)["rows"]
+    assert [row["ratio"] is None for row in rows] == [True, False]
+    code, out, _ = run(capsys, "ratios", "--estimator", "gamma", "--points", "3", "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[1].endswith(",nan")
+
+
+# --- the records behind the output ---
+
+def test_record_fields_are_the_output_columns(capsys):
+    """The renderers write a record's fields in ``_fields`` order."""
+    _, out, _ = run(capsys, "verify", "--limit", "6", "--enum-limit", "6", "--format", "json")
+    for row in json.loads(out)["identities"]:
+        assert tuple(row) == (*cli.IdentityOutcome._fields, "status")
+    _, out, _ = run(capsys, "congruence", "ramanujan", "5", "--limit", "3", "--format", "json")
+    assert tuple(json.loads(out)["family"]) == CongruenceFamily._fields
+    _, out, _ = run(capsys, "ratios", "--limit", "2", "--format", "csv")
+    assert tuple(out.splitlines()[0].split(",")) == RatioRow._fields
+
+
+def test_records_are_immutable():
+    outcome = cli.IdentityOutcome("nu_chain", 1, 0, None)
+    family = CongruenceFamily("custom", 3, (2, 0), 0)
+    records = [
+        CountTable([1], [1], [0]),
+        MethodResult("nu_chain", 0, 1),
+        EnumerationConstraint(2),
+        AsymptoticRow(5, 7, 7.25, 1.0),
+        RatioRow(1, 0.0, None, None, None, None),
+        family,
+        CongruenceReport(family, (0, 1), []),
+        outcome,
+        cli.VerificationSummary(1, 1, [outcome]),
+    ]
+    for record in records:
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+
+
+def test_startup_imports_no_introspection_modules():
+    """No command pays for dataclasses or the inspect/ast/dis/tokenize
+    chain it imports."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-X", "importtime", "-m", "nucleus", "--version"],
+                            capture_output=True, text=True, env=env, timeout=60, check=True)
+    imported = {line.rpartition("|")[2].strip() for line in result.stderr.splitlines()}
+    assert "nucleus.cli" in imported
+    assert not imported & {"dataclasses", "inspect", "ast", "dis", "tokenize"}

@@ -3,11 +3,13 @@
 The digests were recorded before the package was refactored, so any
 change to the bytes a command prints, or to its exit status, fails
 here.  Every README example is covered in each output format it
-accepts.  Commands run in-process through ``cli.main`` in an empty
-working directory with ``NUCLEUS_CACHE`` unset.
+accepts, and every json output must parse as strict RFC 8259 json (no
+NaN or Infinity).  Commands run in-process through ``cli.main`` in an
+empty working directory with ``NUCLEUS_CACHE`` unset.
 """
 
 import hashlib
+import json
 import shlex
 
 import pytest
@@ -80,9 +82,22 @@ GOLDEN = {
 }
 
 
-def _run(capsys, command):
+def _output(capsys, command):
     code = cli.main(shlex.split(command))
-    return code, hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    return code, capsys.readouterr().out
+
+
+def _digest(out):
+    return hashlib.sha256(out.encode("utf-8")).hexdigest()
+
+
+def _run(capsys, command):
+    code, out = _output(capsys, command)
+    return code, _digest(out)
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not json (RFC 8259)")
 
 
 @pytest.fixture
@@ -94,7 +109,10 @@ def scratch_cwd(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("command", list(GOLDEN))
 def test_cli_output_matches_golden(capsys, scratch_cwd, command):
-    assert _run(capsys, command) == GOLDEN[command]
+    code, out = _output(capsys, command)
+    assert (code, _digest(out)) == GOLDEN[command]
+    if "--format json" in command:
+        json.loads(out, parse_constant=_reject_constant)
 
 
 CACHE_BUILD = "cache build --limit 5000 --cache counts.csv"

@@ -119,12 +119,17 @@ def test_enumerate_negative_rejected():
 
 
 def test_constraint_validation():
-    with pytest.raises(ValueError):
-        EnumerationConstraint(min_part=5, max_part=4)
-    with pytest.raises(ValueError):
-        EnumerationConstraint(min_part=0)
-    with pytest.raises(ValueError):
-        EnumerationConstraint(forbidden_part=0)
+    """Each bad bound has its own message, by position or by keyword."""
+    cases = [((5, 4), {"min_part": 5, "max_part": 4}, "max_part 4 is below min_part 5"),
+             ((0,), {"min_part": 0}, "min_part must be >= 1, got 0"),
+             ((1, None, 0), {"forbidden_part": 0}, "forbidden_part must be >= 1, got 0")]
+    for args, kwargs, message in cases:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            EnumerationConstraint(*args)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            EnumerationConstraint(**kwargs)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            EnumerationConstraint()._replace(**kwargs)
 
 
 def test_enumeration_completeness_to_30():
