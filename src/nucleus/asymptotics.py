@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import NamedTuple, Sequence
+from functools import partial
+from typing import Callable, NamedTuple, Sequence
 
 from .counting import CountTable, _check_range
 
@@ -122,14 +123,30 @@ def estimate_rows(points: Sequence[int], table: CountTable, quantity: str = "p",
     for n in points:
         _check_range(n, table)
         if quantity == "p":
-            exact, estimate = table.p[n], hr_p(n)
+            exact, estimate, log_estimate = table.p[n], hr_p(n), partial(log_hr_p, n)
         elif quantity == "nu":
-            exact, estimate = table.nu[n], hr_nu(n, form)
+            exact, estimate, log_estimate = table.nu[n], hr_nu(n, form), partial(log_hr_nu, n, form)
         else:
-            exact, estimate = table.gamma[n], hr_gamma(n, form)
-        ratio = estimate / exact if exact > 0 else math.nan
-        rows.append(AsymptoticRow(n, exact, estimate, ratio))
+            exact, estimate, log_estimate = table.gamma[n], hr_gamma(n, form), partial(log_hr_gamma, n, form)
+        rows.append(AsymptoticRow(n, exact, estimate, _ratio(estimate, exact, log_estimate)))
     return rows
+
+
+def _ratio(estimate: float, exact: int, log_estimate: Callable[[], float]) -> float:
+    """estimate / exact, NaN where exact is 0.
+
+    From n = 79,446 the estimates are inf and p(n) no longer converts to
+    a float; there the ratio comes from logs, as ``math.log`` takes an
+    int of any size.  Below that the quotient is today's float division.
+    """
+    if exact <= 0:
+        return math.nan
+    if estimate < math.inf:
+        try:
+            return estimate / exact
+        except OverflowError:
+            pass
+    return math.exp(log_estimate() - math.log(exact))
 
 
 class RatioRow(NamedTuple):
@@ -159,7 +176,12 @@ def ratio_report(limit: int, table: CountTable) -> list[RatioRow]:
         gamma_over_nu = table.gamma[n] / table.nu[n] if table.nu[n] else None
         if n % 2 == 0:
             gap = _nu_factor(n, "simplified")
-            sqn = math.sqrt(n) * table.nu[n] / table.p[n]
+            try:
+                sqn = math.sqrt(n) * table.nu[n] / table.p[n]
+            except OverflowError:
+                sqn = math.inf
+            if sqn == math.inf:  # sqrt(n) * nu(n) or p(n) passed the float range
+                sqn = math.sqrt(n) * nu_over_p
             lin = n * table.gamma[n] / table.p[n]
         else:
             gap = sqn = lin = None

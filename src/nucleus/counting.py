@@ -236,17 +236,55 @@ def nuclear_gaps(n: int) -> Iterator[int]:
 
 
 def enumerated_counts(n: int) -> tuple[int, int, int]:
-    """``(nu(n), gap-sum value, gamma(n))`` tallied from one pass of
-    ``nuclear_gaps(n)``.
+    """``(nu(n), gap-sum value, gamma(n))`` tallied over the nuclear
+    partitions of n, with no partition built.
 
-    Every n but 1 has the first nuclear partition that ``nuclear_gaps``
-    skips, so nu(n) is the number of gaps plus (n != 1).  The gap-sum
-    value is n + nu(n) - 1 + (sum of the gaps); it equals p(n) for
-    n >= 2 only.  gamma(n) counts the ground states, whose gap is 0.
+    The gap-sum value is n + nu(n) - 1 + (sum of the top-pair gaps of
+    every nuclear partition but (n)); it equals p(n) for n >= 2 only.
+    gamma(n) counts the ground states, whose gap is 0.
+
+    For n >= 4 the partitions are walked as ascending compositions by
+    Kelleher & O'Sullivan's AccelAsc (arXiv:0909.2331).  Its inner loop
+    steps the last two parts x <= y, the top pair, as x + i, y - i; the
+    gaps of that run are an arithmetic progression, so the run is
+    tallied in closed form and the loop takes one step per run, plus one
+    for the partition a[:k] + [x + y] that closes it.  The sentinel
+    a[0] = 1 with y = n - 2 starts the first part at 2, so no part is 1.
+
+    Below 4 the count is ``nuclear_gaps(n)`` tallied; there every n but 1
+    has the partition (n), or () at n = 0, that ``nuclear_gaps`` skips.
     """
-    gaps = Counter(nuclear_gaps(n))
-    nu = (n != 1) + sum(gaps.values())
-    return nu, n + nu - 1 + sum(g * count for g, count in gaps.items()), gaps[0]
+    if n < 4:
+        gaps = Counter(nuclear_gaps(n))
+        nu = (n != 1) + sum(gaps.values())
+        return nu, n + nu - 1 + sum(g * count for g, count in gaps.items()), gaps[0]
+    nu = gap_sum = ties = 0
+    a = [1] * (n // 2 + 1)  # a[:k] holds the parts below the top pair
+    k, y = 1, n - 2
+    while k:
+        k -= 1
+        x = a[k] + 1
+        while 2 * x <= y:
+            a[k] = x
+            y -= x
+            k += 1
+        # The run a[:k] + [x + i, y - i] for i = 0..m-1: top pair
+        # (y - i, x + i), gap d - 2i, down to 0 (a tie) when d is even.
+        d = y - x
+        if d >= 0:
+            m = d // 2 + 1
+            nu += m
+            gap_sum += m * (d - m + 1)
+            ties += d % 2 == 0
+        # a[:k] + [x + y]: top pair (x + y, a[k - 1]), or (n) itself at
+        # k = 0, which the gap sum leaves out.
+        x += y
+        a[k] = x
+        nu += 1
+        if k:
+            gap_sum += x - a[k - 1]
+        y = x - 1
+    return nu, n + nu - 1 + gap_sum, ties
 
 
 def p_via_gap_sum(n: int) -> MethodResult:

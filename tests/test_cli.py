@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nucleus import cli, counting
-from nucleus.asymptotics import AsymptoticRow, RatioRow
+from nucleus.asymptotics import AsymptoticRow, RatioRow, estimate_rows, hr_p, log_hr_p, ratio_report
 from nucleus.cache import write_table
 from nucleus.congruence import CongruenceFamily, CongruenceReport
 from nucleus.counting import CountTable, MethodResult, build_table
@@ -261,7 +261,7 @@ def _count_calls(monkeypatch, modules, name):
 
 
 def test_verify_enumerates_each_n_once(monkeypatch):
-    calls = _count_calls(monkeypatch, [counting], "iter_parts")
+    calls = _count_calls(monkeypatch, [cli], "enumerated_counts")
     names = ("gap_sum", "nuclear_count", "ground_state_count")
     summary, timings = cli.run_verification(build_table(14), 14, 14, names)
     assert summary.passed and set(timings) == set(names)
@@ -765,6 +765,45 @@ def test_ratios_json_writes_null_for_non_finite_floats(capsys):
     code, out, _ = run(capsys, "ratios", "--estimator", "gamma", "--points", "3", "--format", "csv")
     assert code == 0
     assert out.splitlines()[1].endswith(",nan")
+
+
+def _int_near_hr_p(n):
+    """hr_p(n) as an int, to about 13 significant digits, at any size."""
+    shift = math.floor(log_hr_p(n) / math.log(2)) - 60
+    return round(math.exp(log_hr_p(n) - shift * math.log(2))) << shift
+
+
+def test_estimate_ratios_stay_finite_past_the_float_range():
+    """p(n) and hr_p(n) leave the float range at n = 79,446.  A synthetic
+    table whose p(79,445) and p(79,446) are the estimates, rounded to ints,
+    straddles that seam without the exact recurrence; every ratio is 1."""
+    seam = 79446
+    table = counting._table_from_p(list(range(1, seam)) + [_int_near_hr_p(seam - 1), _int_near_hr_p(seam)])
+    assert math.isfinite(float(table.p[seam - 1]))
+    with pytest.raises(OverflowError):
+        float(table.p[seam])
+    rows = estimate_rows([seam - 1, seam], table, "p")
+    assert [row.estimate for row in rows] == [hr_p(seam - 1), math.inf]
+    assert [row.ratio for row in rows] == pytest.approx([1.0, 1.0], rel=1e-9)
+    csv = cli.render_estimates(rows, "csv").splitlines()
+    assert [line.split(",")[2] for line in csv[1:]] == ["1.79335770488e+308", "inf"]
+    records = json.loads(cli.render_estimates(rows, "json"), parse_constant=_reject_constant)["rows"]
+    assert [record["estimate"] is None for record in records] == [False, True]
+    assert all(math.isfinite(record["ratio"]) for record in records)
+
+
+def test_ratio_report_stays_finite_past_the_float_range():
+    """In a synthetic table p passes 2**1024 between n = 5 and 6, and at
+    n = 4 sqrt(4) * nu(4) overflows a float while p(4) does not; the
+    sqrt-weighted column is then sqrt(n) times the exact quotient nu/p."""
+    p = [1, 2, 3, 5, 3 << 1022, 1 << 1030, 1 << 1040, 1 << 1050]
+    table = counting._table_from_p(p)
+    rows = ratio_report(7, table)
+    assert all(math.isfinite(value) for row in rows for value in row if value is not None)
+    assert rows[1].sqrt_weighted_nu == math.sqrt(2) * table.nu[2] / p[2]
+    assert rows[3].sqrt_weighted_nu == 2 * (table.nu[4] / p[4])
+    assert rows[5].sqrt_weighted_nu == math.sqrt(6) * (table.nu[6] / p[6])
+    assert [row.nu_over_p for row in rows] == [table.nu[n] / p[n] for n in range(1, 8)]
 
 
 # --- the records behind the output ---

@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -25,8 +26,9 @@ from nucleus.counting import (
     p_via_n_nu_minus_gamma,
     p_via_nu_chain,
 )
+from nucleus.partitions import NUCLEAR
 
-from oracles import REFERENCE_ROWS, all_partitions, partition_counts
+from oracles import REFERENCE_ROWS, all_partitions, partition_counts, reverse_lex_partitions
 from oracles import bounded_sums as scatter_all_bounded_sums
 
 K_VALUES = (1, 2, 3, 5, 7, 11)
@@ -383,6 +385,20 @@ def test_enumerated_counts_match_the_table(table):
     assert enumerated_counts(1) == (0, 0, 0)
     for n in (0, 1, 2):
         assert list(nuclear_gaps(n)) == []
+
+
+def test_enumerated_counts_match_an_independent_enumeration():
+    """The AccelAsc tally against the oracle's recursive reverse-lex walk,
+    which shares no code with the package, and against the tally of
+    ``nuclear_gaps``, which runs through ``iter_parts``."""
+    for n in range(41):
+        parts = list(reverse_lex_partitions(n, NUCLEAR))
+        gaps = [q[0] - q[1] for q in parts if len(q) > 1]
+        expected = (len(parts), n + len(parts) - 1 + sum(gaps), gaps.count(0))
+        assert enumerated_counts(n) == expected, n
+        streamed = Counter(nuclear_gaps(n))
+        nu = (n != 1) + streamed.total()
+        assert enumerated_counts(n) == (nu, n + nu - 1 + sum(g * c for g, c in streamed.items()), streamed[0]), n
 
 
 def test_nu_bounded_matches_bounded_enumeration():
