@@ -39,13 +39,24 @@ def log_hr_p(n: int) -> float:
     return A * math.sqrt(n) - math.log(B * n)
 
 
+def _exp(log_value: float) -> float:
+    """exp(log_value), or inf where that leaves the float range."""
+    return math.exp(log_value) if log_value < _LOG_FLOAT_MAX else math.inf
+
+
 def hr_p(n: int) -> float:
     """exp(A*sqrt(n)) / (B*n); inf once the exponent overflows doubles
     (from n = 79,446), at which point use log_hr_p instead."""
-    log_value = log_hr_p(n)
-    if log_value >= _LOG_FLOAT_MAX:
-        return math.inf
-    return math.exp(log_value)
+    return _exp(log_hr_p(n))
+
+
+def _scale_hr_p(n: int, factor: float) -> float:
+    """hr_p(n) * factor.  Where hr_p(n) alone is inf the product is taken
+    from logs, so it stays finite as long as the scaled estimate is."""
+    estimate = hr_p(n)
+    if estimate < math.inf:
+        return estimate * factor
+    return _exp(log_hr_p(n) + math.log(factor))
 
 
 def _check_form(form: str) -> None:
@@ -75,8 +86,7 @@ def hr_nu(n: int, form: str = "exact_difference") -> float:
     agree in the limit; the measured mutual gap is about 6.6% at n = 100
     and shrinks like x/2.
     """
-    factor = _nu_factor(n, form)
-    return hr_p(n) * factor
+    return _scale_hr_p(n, _nu_factor(n, form))
 
 
 def log_hr_nu(n: int, form: str = "exact_difference") -> float:
@@ -95,8 +105,7 @@ def hr_gamma(n: int, form: str = "exact_difference") -> float:
     gamma(n) by roughly a factor A*sqrt(n) (measured: about 18x at
     n = 100); they are order-of-growth diagnostics, not point estimates.
     """
-    factor = _gamma_factor(n, form)
-    return hr_p(n) * factor
+    return _scale_hr_p(n, _gamma_factor(n, form))
 
 
 def log_hr_gamma(n: int, form: str = "exact_difference") -> float:
@@ -135,9 +144,10 @@ def estimate_rows(points: Sequence[int], table: CountTable, quantity: str = "p",
 def _ratio(estimate: float, exact: int, log_estimate: Callable[[], float]) -> float:
     """estimate / exact, NaN where exact is 0.
 
-    From n = 79,446 the estimates are inf and p(n) no longer converts to
-    a float; there the ratio comes from logs, as ``math.log`` takes an
-    int of any size.  Below that the quotient is today's float division.
+    Where the estimate is inf or the count no longer converts to a float
+    (p from n = 79,446, nu and gamma a little later) the ratio comes from
+    logs, as ``math.log`` takes an int of any size; elsewhere it is the
+    float quotient.
     """
     if exact <= 0:
         return math.nan

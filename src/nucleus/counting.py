@@ -19,8 +19,8 @@ independent route so the routes can be checked against each other:
 
 Each route over the exact table also has a whole-range sweep
 (``*_sweep``, ``bounded_sums``) that evaluates it for every n up to a
-bound by running or prefix sums; the per-n functions read the same
-formula.  All arithmetic is exact; p(n) outgrows 64 bits at n = 417
+bound by running sums or one rolled row; the per-n functions read the
+same formula.  All arithmetic is exact; p(n) outgrows 64 bits at n = 417
 and keeps going.
 """
 
@@ -154,11 +154,15 @@ def nu_k(n: int, k: int, table: CountTable) -> int:
     return table.p[n]
 
 
-def _raise_bound(row: list[int], m: int, top: int) -> None:
+def _raise_bound(row: list[int], m: int, top: int, low: int | None = None) -> None:
     """c(., m-1) -> c(., m) in place for t <= top, where c(t, m) counts the
     partitions of t with parts in [2, m]: c(t, m) = c(t, m-1) + c(t-m, m),
-    one block of m at a time so each block reads the one before, updated."""
-    for lo in range(m, top + 1, m):
+    one block of m at a time so each block reads the one before, updated.
+    As generating functions this divides the row by 1 - x^m.  The blocks
+    start at ``low`` (default m): the entries below it are kept and those
+    below low - m never read, so only the terms from degree low - m up
+    are divided."""
+    for lo in range(low or m, top + 1, m):
         hi = min(lo + m, top + 1)
         row[lo:hi] = map(add, row[lo:hi], row[lo - m:hi - m])
 
@@ -365,26 +369,25 @@ def bounded_sums(limit: int) -> list[int]:
     """Truncated bounded sums sum_{k=2..n-2} c(k, n-k) for n = 0..limit,
     where c(k, m) counts the partitions of k with every part in [2, m].
 
-    One short of nu(n) for n >= 4, and 0 below that.  One row c(., m)
-    rolls over the part bound m = 2..limit//2.  The terms with k > m are
-    unsettled: each c(k, m) is scattered to n = k + m.  The terms with
-    k <= n - k are settled, c(k, n-k) = c(k, k) because no partition of
-    k has a part above k, so row[k] is final once the bound reaches k and
-    each n adds the prefix sum of c(k, k) over k = 2..n//2 once.  About
-    limit^2 / 2 additions on O(limit) stored integers.
+    One short of nu(n) for n >= 4, and 0 below that.  By largest part L,
+    the nuclear partitions have the generating function
+    S = sum_{L>=2} x^L prod_{j=2..L} 1/(1 - x^j), summed as the bracket
+
+        B_L = x^L + B_{L+1} / (1 - x^{L+1}),    S = B_2 / (1 - x^2)
+
+    with one row divided from the top bound down; S[n] - 1 leaves out (n)
+    itself.  B_m has no term below degree m, so its division by 1 - x^m
+    starts at degree 2m and does nothing for m > limit//2.  Each x^L lies
+    below every degree read before its own division, so the row holds
+    them all from the start.  About limit^2 / 4 additions on O(limit)
+    stored integers.
     """
     if limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
-    sums = [0] * (limit + 1)
-    row = [1] + [0] * max(limit - 2, 0)  # c(t, 1) = [t == 0]
-    for m in range(2, limit // 2 + 1):
-        _raise_bound(row, m, limit - m)  # k above limit - m lands past limit
-        sums[2 * m + 1:] = map(add, sums[2 * m + 1:], row[m + 1:limit - m + 1])
-    # settled[j] = c(2, 2) + ... + c(j + 2, j + 2); n and n + 1 share n//2.
-    settled = list(accumulate(row[2:limit // 2 + 1]))
-    sums[4::2] = map(add, sums[4::2], settled)
-    sums[5::2] = map(add, sums[5::2], settled)
-    return sums
+    row = [0, 0] + [1] * (limit - 1)  # x^2 + x^3 + ... + x^limit
+    for m in range(limit // 2, 1, -1):
+        _raise_bound(row, m, limit, 2 * m)
+    return [0] * min(limit + 1, 2) + [s - 1 for s in row[2:]]
 
 
 def _k_skip_chain(table: CountTable, k: int, rest: int, last: int) -> list[int]:

@@ -3,8 +3,11 @@ import math
 import pytest
 
 from nucleus.asymptotics import (
+    FORMS,
     A,
     B,
+    _gamma_factor,
+    _nu_factor,
     dyadic_block_means,
     estimate_rows,
     hr_gamma,
@@ -56,6 +59,21 @@ def test_hr_p_survives_float_overflow():
     assert hr_p(80000) == math.inf
     assert math.isfinite(log_hr_p(80000))
     assert log_hr_p(80000) == pytest.approx(A * math.sqrt(80000) - math.log(B * 80000))
+
+
+@pytest.mark.parametrize("form", FORMS)
+@pytest.mark.parametrize("estimate, log_estimate, factor", [(hr_nu, log_hr_nu, _nu_factor),
+                                                            (hr_gamma, log_hr_gamma, _gamma_factor)],
+                         ids=["nu", "gamma"])
+def test_scaled_estimates_stay_finite_past_hr_p(estimate, log_estimate, factor, form):
+    """hr_p leaves the float range at n = 79,446; the nu and gamma
+    estimates, a small factor times it, are still floats there.  Below
+    the seam they are the plain product, bit for bit."""
+    assert hr_p(79445) < math.inf == hr_p(79446)
+    assert estimate(79445, form) == hr_p(79445) * factor(79445, form)
+    for n in (79445, 79446, 80000):
+        assert math.isfinite(estimate(n, form))
+        assert math.log(estimate(n, form)) == pytest.approx(log_estimate(n, form), rel=1e-12)
 
 
 # --- nu estimator: tolerances measured against the exact table, then frozen ---

@@ -220,8 +220,9 @@ def test_n_nu_minus_gamma_at_100():
 
 
 @pytest.mark.parametrize("call, limit_mb", [(lambda: nu_bounded(600, 2), 0.5),
-                                            (lambda: nu_via_bounded_sum(600), 2)],
-                         ids=["nu_bounded", "nu_via_bounded_sum"])
+                                            (lambda: nu_via_bounded_sum(600), 2),
+                                            (lambda: bounded_sums(2000), 0.5)],
+                         ids=["nu_bounded", "nu_via_bounded_sum", "bounded_sums"])
 def test_bounded_per_n_functions_run_in_linear_memory(call, limit_mb):
     tracemalloc.start()
     try:
@@ -357,10 +358,12 @@ def test_bounded_sums_equal_the_scatter_all_reference():
 
 
 def test_bounded_sums_give_nu_to_2000():
-    nu = build_table(2000).nu
+    nu = build_table(2001).nu
     sums = bounded_sums(2000)
     assert sums[:4] == [0, 0, 0, 0]
-    assert [sums[n] + 1 for n in range(4, 2001)] == nu[4:]
+    assert [sums[n] + 1 for n in range(4, 2001)] == nu[4:2001]
+    odd_top = bounded_sums(2001)  # limit // 2 rounds down
+    assert [odd_top[n] + 1 for n in range(4, 2002)] == nu[4:]
 
 
 # --- counts agree with direct enumeration ---
