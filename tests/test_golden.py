@@ -79,6 +79,8 @@ GOLDEN = {
     "ratios --estimator gamma --form simplified --format json": (0, "13ea7226f67b13cf8e914bcbd90b19bc3aec5ddf14624f38005400d7f252eb76"),
     "decay 5,2": (0, "69e3ef41e4366a58efe1b42749baa40ec321b73b7a83a3c70720a6b8e4dced5e"),
     "decay --dot 8": (0, "261d322a486a4aee84254f0a8b5df9b0086c4f476ecfac439c880fa6eb644ec8"),
+    # decay --dot walks every nuclear partition of n through iter_parts.
+    "decay --dot 30": (0, "d34a226f8a9b847325cd4a7ac6a54125b1032911975597ba886c4fd8983f0f04"),
 }
 
 
