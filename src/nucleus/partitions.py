@@ -8,7 +8,6 @@ off the largest part for trailing 1's), with fusion as the inverse map.
 
 from __future__ import annotations
 
-from itertools import chain, islice
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -142,13 +141,6 @@ NUCLEAR = EnumerationConstraint(min_part=2)
 UNRESTRICTED = EnumerationConstraint()
 
 
-# Remainders up to this total are served whole from a per-call table of
-# small partitions.  At 22 the table holds the 1,002 nuclear partitions of
-# 0..22 under the nuclear constraint and the 4,508 partitions of 0..22
-# unrestricted; the A/B that chose 22 is in CHANGES.md.
-_TAIL_TOTAL = 22
-
-
 def iter_parts(n: int, constraint: EnumerationConstraint | None = None) -> Iterator[tuple[int, ...]]:
     """Yield the partitions of ``n`` under ``constraint`` as raw tuples.
 
@@ -157,21 +149,16 @@ def iter_parts(n: int, constraint: EnumerationConstraint | None = None) -> Itera
     the empty tuple under any constraint; a constraint impossible to meet
     yields nothing.
 
-    Each partition is a head, walked in Python one prefix at a time, plus
-    a tail of total at most 22 taken from a table of every allowed small
-    partition, built once per call; the tuples are made by mapping the
-    head's ``__add__`` over a slice of that table, in C.  Memory is that
-    table, at most the 4,508 partitions of 0..22 (468 KB on 64-bit
-    CPython when unrestricted, 88 KB for the nuclear constraint), plus a
-    stack of at most 2n heads; it never grows with the number of
-    partitions.
+    The partitions are walked depth first, one prefix at a time, and a
+    prefix is yielded once nothing of ``n`` is left.  Memory is a stack
+    of at most 2n prefixes; it never grows with the number of partitions.
     """
     if n < 0:
         raise ValueError(f"cannot partition a negative total, got {n}")
     c = constraint or UNRESTRICTED
     lo = c.min_part + (c.forbidden_part == c.min_part)
     cap = n if c.max_part is None else min(n, c.max_part)
-    stream = chain.from_iterable(_prefix_groups(n, lo, cap))
+    stream = _walk(n, lo, cap)
     forbidden = c.forbidden_part
     if forbidden is None or forbidden < lo:
         return stream
@@ -180,33 +167,18 @@ def iter_parts(n: int, constraint: EnumerationConstraint | None = None) -> Itera
     return (parts for parts in stream if forbidden not in parts)
 
 
-def _prefix_groups(n, lo, cap):
-    # every[s] lists the partitions of s with parts in [lo, cap], reverse-lex;
-    # start[s][t] is the index of the first one whose largest part is <= t.
-    # Those form a suffix of every[s], so the tails of total s under a top
-    # part t are islice(every[s], start[s][t], None).
-    every, start = [[()]], [[0]]
-    for s in range(1, min(n, _TAIL_TOTAL) + 1):
-        rows, first = [], [0] * (s + 1)
-        for a in range(s, 0, -1):
-            first[a] = len(rows)
-            if lo <= a <= cap:
-                d = s - a
-                rows += map((a,).__add__, islice(every[d], start[d][min(d, a)], None))
-        first[0] = len(rows)
-        every.append(rows)
-        start.append(first)
-    # Depth-first over heads (prefix, remainder s, top part).  Children are
+def _walk(n, lo, cap):
+    # Depth-first over (prefix, remainder s, top part).  Children are
     # pushed smallest part first, so the largest is popped first; a part a
     # is pushed only if the d = s - a left after it still splits into parts
     # in [lo, a], which holds iff ceil(d / a) * lo <= d (the feasibility
-    # test of Zoghbi & Stojmenovic's ZS1), so no head is a dead end.
+    # test of Zoghbi & Stojmenovic's ZS1), so no prefix is a dead end.
     stack = [((), n, cap)]
     pop, push = stack.pop, stack.append
     while stack:
         prefix, s, top = pop()
-        if s <= _TAIL_TOTAL:
-            yield map(prefix.__add__, islice(every[s], start[s][min(s, top)], None))
+        if not s:
+            yield prefix
             continue
         for a in range(lo, min(top, s) + 1):
             d = s - a
