@@ -158,31 +158,39 @@ def _constraint_grid():
                 yield EnumerationConstraint(lo, top, forbidden)
 
 
-def _wide_constraints():
+def test_enumeration_matches_reference_order():
+    """The iterative generator yields the recursive reference's stream, in
+    order, for n <= 30 over 254 constraints."""
+    grid = list(_constraint_grid())
+    assert len(grid) == 254
+    for constraint in grid:
+        for n in range(31):
+            assert list(iter_parts(n, constraint)) == list(reverse_lex_partitions(n, constraint)), (n, constraint)
+
+
+def _seam_constraints():
     for lo in (1, 2, 3):
         for top in (None, 22, 21):
             for forbidden in (None, lo + 1, lo + 4):
                 yield EnumerationConstraint(lo, top, forbidden)
 
 
-def test_enumeration_matches_reference_order():
-    """The iterative generator yields the recursive reference's stream, in
-    order, for n <= 30 over 254 constraints, and for n = 21..30 over 27
-    constraints with tops up to 22."""
-    grid = list(_constraint_grid())
-    assert len(grid) == 254
-    cases = [(n, constraint) for constraint in grid for n in range(31)]
-    wide = list(_wide_constraints())
-    assert len(wide) == 27
-    cases += [(n, constraint) for constraint in wide for n in range(21, 31)]
-    for n, constraint in cases:
-        assert list(iter_parts(n, constraint)) == list(reverse_lex_partitions(n, constraint)), (n, constraint)
+def test_enumeration_across_the_tail_table_seam():
+    """For n = 21..30, with parts capped at 21, 22 or not at all, the walk
+    yields the recursive reference's stream in order under 27 constraints.
+    n = 22 is where an earlier enumerator joined its heads to a table of
+    small partitions; the walk has no such seam and must not grow one."""
+    constraints = list(_seam_constraints())
+    assert len(constraints) == 27
+    for constraint in constraints:
+        for n in range(21, 31):
+            assert list(iter_parts(n, constraint)) == list(reverse_lex_partitions(n, constraint)), (n, constraint)
 
 
 def test_bounded_nuclear_stream_counts_equal_nu_bounded():
     """Counting the nuclear stream with parts <= m gives the bounded-part
-    DP's count for every n <= 60."""
-    for m in (2, 3, 7, 60):
+    DP's count for every n <= 60, with m on both sides of 22."""
+    for m in (2, 3, 7, 21, 22, 23, 60):
         bounded = EnumerationConstraint(min_part=2, max_part=m)
         for n in range(61):
             assert sum(1 for _ in iter_parts(n, bounded)) == nu_bounded(n, m), (n, m)
