@@ -303,6 +303,39 @@ def test_verify_times_every_identity():
     assert all(seconds >= 0 for seconds in timings.values())
 
 
+@pytest.mark.parametrize("bumped, counts", [
+    (1000, {"bounded_sum": (1197, 2, 1000, "fail"),
+            "bounded_sum_truncated": (1197, 2, 1000, "fail")}),
+    (10, {"bounded_sum": (1197, 2, 10, "fail"),
+          "gap_sum": (19, 1, 10, "fail"),
+          "nuclear_count": (21, 2, 10, "fail"),
+          "ground_state_count": (21, 3, 10, "fail"),
+          "bounded_sum_truncated": (1197, 2, 10, "fail")}),
+])
+def test_verify_counts_failures_on_a_corrupted_table(bumped, counts):
+    """p(bumped) + 1 on the true p(0..1200): every row's checked count,
+    failure count, first failure and status, as recorded before the sweeps
+    compared whole columns.  nu shifts at bumped and bumped + 1, gamma also
+    at bumped + 2; the rows that only telescope the table still pass."""
+    p = build_table(1200).p
+    p[bumped] += 1
+    summary, _ = cli.run_verification(counting._table_from_p(p), 1200, 20)
+    passing = {"nu_chain": (1201, 0, None, "pass"),
+               "gamma_chain": (1199, 0, None, "pass"),
+               "gamma_weights": (1199, 0, None, "pass"),
+               "n_nu_minus_gamma": (1199, 0, None, "pass"),
+               "k_nuclear": (1201, 0, None, "pass"),
+               "gap_sum": (19, 0, None, "pass"),
+               "nuclear_count": (21, 0, None, "pass"),
+               "ground_state_count": (21, 0, None, "pass"),
+               "k_nuclear_shifted": (1, 0, None, "expected-fail")}
+    expected = {**passing, **counts}
+    assert {o.identity: (o.checked, o.failures, o.first_failure, o.status)
+            for o in summary.outcomes} == expected
+    assert [o.identity for o in summary.outcomes] == list(cli.IDENTITY_NAMES)
+    assert not summary.passed
+
+
 def test_verify_corrupt_cache_is_distinct_failure(capsys, tmp_path):
     path = tmp_path / "counts.csv"
     write_table(build_table(60), path)

@@ -1,9 +1,12 @@
+import inspect
+import sys
 import tracemalloc
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from nucleus import partitions
 from nucleus.partitions import (
     EnumerationConstraint,
     Partition,
@@ -211,6 +214,41 @@ def test_enumeration_memory_is_bounded():
         tracemalloc.stop()
     assert count == 134647
     assert peak < 512 * 1024
+
+
+def _walk_pushes(n, constraint):
+    """The partitions iter_parts yields for n, and the number of prefixes
+    its walk pushed meanwhile, counted by a line tracer on the push line."""
+    code = partitions._walk.__code__
+    lines, first = inspect.getsourcelines(code)
+    (push_line,) = [first + i for i, line in enumerate(lines) if "push((" in line]
+    pushes = 0
+
+    def on_line(frame, event, arg):
+        nonlocal pushes
+        pushes += event == "line" and frame.f_lineno == push_line
+        return on_line
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: on_line if frame.f_code is code else None)
+    try:
+        stream = list(iter_parts(n, constraint))
+    finally:
+        sys.settrace(previous)
+    return stream, pushes
+
+
+@pytest.mark.parametrize("constraint", [NUCLEAR, EnumerationConstraint(3), EnumerationConstraint(2, 7)],
+                         ids=["nuclear", "lo3", "lo2-top7"])
+def test_walk_pushes_no_dead_end_prefix(constraint):
+    """With parts >= 2 some prefixes cannot be completed, e.g. (5,) of 6;
+    the ZS1 feasibility test keeps the walk from pushing them, so every
+    pushed prefix is a prefix of a yielded partition and the pushes are
+    exactly the distinct non-empty prefixes."""
+    for n in range(31):
+        stream, pushes = _walk_pushes(n, constraint)
+        prefixes = {parts[:i] for parts in stream for i in range(1, len(parts) + 1)}
+        assert pushes == len(prefixes), (n, constraint)
 
 
 def test_enumeration_deterministic():
