@@ -20,8 +20,8 @@ import math
 import sys
 import time
 from functools import cache, partial
-from itertools import accumulate, chain
-from operator import and_, attrgetter, eq
+from itertools import accumulate, chain, repeat
+from operator import add, and_, attrgetter, eq, sub
 from typing import NamedTuple
 
 from . import __version__
@@ -99,15 +99,11 @@ class VerificationSummary(NamedTuple):
 K_VALUES = (1, 2, 3, 5, 7, 11)
 
 
-def _sweep(name, low, high, predicate, expected_fail):
-    failures = 0
-    first = None
-    for n in range(low, high + 1):
-        if not predicate(n):
-            failures += 1
-            if first is None:
-                first = n
-    return IdentityOutcome(name, max(high - low + 1, 0), failures, first, expected_fail)
+def _sweep(name, low, high, column, expected_fail):
+    truths = list(column(slice(low, high + 1)))
+    failures = truths.count(False)
+    first = low + truths.index(False) if failures else None
+    return IdentityOutcome(name, len(truths), failures, first, expected_fail)
 
 
 def _k_nuclear_agreement(t, last):
@@ -132,26 +128,34 @@ _ROUTES = {
 }
 
 
-# name: (first n, last n, predicate, expected_fail).  The last n is the
+# name: (first n, last n, column, expected_fail).  The last n is the
 # exact limit, the enumeration limit or a fixed value capped at the exact
-# limit.  The predicate takes (table, route, enumerated, n) and is true
-# where the identity holds at n.  route(name) is the _ROUTES column up to
-# the exact limit and enumerated(n) is enumerated_counts(n); each is
-# evaluated once and shared by every identity that reads it.
+# limit.  The column takes (table, route, enumerated, span), where span is
+# the slice first n..last n, and yields one truth per n in it: true where
+# the identity holds at n.  route(name) is the _ROUTES column up to the
+# exact limit and enumerated(n) is enumerated_counts(n); each is evaluated
+# once and shared by every identity that reads it.  The exact rows compare
+# whole slices; the enumeration rows and the fixed row go n by n.
 _EXACT, _ENUM = "exact", "enum"
 _IDENTITIES = {
-    "nu_chain": (0, _EXACT, lambda t, r, e, n: r("nu_chain")[n] == t.p[n], False),
-    "gamma_chain": (2, _EXACT, lambda t, r, e, n: r("gamma_chain")[n] == t.nu[n], False),
-    "gamma_weights": (2, _EXACT, lambda t, r, e, n: r("gamma_weights")[n] == t.p[n], False),
-    "n_nu_minus_gamma": (2, _EXACT, lambda t, r, e, n: r("n_nu_minus_gamma")[n] == t.p[n], False),
-    "bounded_sum": (4, _EXACT, lambda t, r, e, n: r("bounded")[n] + 1 == t.nu[n], False),
-    "k_nuclear": (0, _EXACT, lambda t, r, e, n: r("k_nuclear")[n], False),
-    "gap_sum": (2, _ENUM, lambda t, r, e, n: e(n)[1] == t.p[n], False),
-    "nuclear_count": (0, _ENUM, lambda t, r, e, n: e(n)[0] == t.nu[n], False),
-    "ground_state_count": (0, _ENUM, lambda t, r, e, n: e(n)[2] == t.gamma[n], False),
+    "nu_chain": (0, _EXACT, lambda t, r, e, s: map(eq, r("nu_chain")[s], t.p[s]), False),
+    "gamma_chain": (2, _EXACT, lambda t, r, e, s: map(eq, r("gamma_chain")[s], t.nu[s]), False),
+    "gamma_weights": (2, _EXACT, lambda t, r, e, s: map(eq, r("gamma_weights")[s], t.p[s]), False),
+    "n_nu_minus_gamma": (2, _EXACT, lambda t, r, e, s: map(eq, r("n_nu_minus_gamma")[s], t.p[s]), False),
+    "bounded_sum": (4, _EXACT, lambda t, r, e, s:
+                    map(eq, map(add, r("bounded")[s], repeat(1)), t.nu[s]), False),
+    "k_nuclear": (0, _EXACT, lambda t, r, e, s: r("k_nuclear")[s], False),
+    "gap_sum": (2, _ENUM, lambda t, r, e, s:
+                (e(n)[1] == t.p[n] for n in range(s.start, s.stop)), False),
+    "nuclear_count": (0, _ENUM, lambda t, r, e, s:
+                      (e(n)[0] == t.nu[n] for n in range(s.start, s.stop)), False),
+    "ground_state_count": (0, _ENUM, lambda t, r, e, s:
+                           (e(n)[2] == t.gamma[n] for n in range(s.start, s.stop)), False),
     # The truncated variant must come out exactly one short, everywhere.
-    "bounded_sum_truncated": (4, _EXACT, lambda t, r, e, n: r("bounded")[n] == t.nu[n] - 1, True),
-    "k_nuclear_shifted": (6, 6, lambda t, r, e, n: p_via_k_nuclear(n, 2, t)[0] != t.p[n], True),
+    "bounded_sum_truncated": (4, _EXACT, lambda t, r, e, s:
+                              map(eq, r("bounded")[s], map(sub, t.nu[s], repeat(1))), True),
+    "k_nuclear_shifted": (6, 6, lambda t, r, e, s:
+                          (p_via_k_nuclear(n, 2, t)[0] != t.p[n] for n in range(s.start, s.stop)), True),
 }
 IDENTITY_NAMES = tuple(_IDENTITIES)
 
@@ -168,10 +172,10 @@ def run_verification(table: CountTable, exact_limit: int, enum_limit: int,
     outcomes = []
     timings = {}
     for name in names:
-        low, high, predicate, expected_fail = _IDENTITIES[name]
+        low, high, column, expected_fail = _IDENTITIES[name]
         last = limits[high] if high in limits else min(high, exact_limit)
         start = time.perf_counter()
-        outcomes.append(_sweep(name, low, last, partial(predicate, table, route, enumerated), expected_fail))
+        outcomes.append(_sweep(name, low, last, partial(column, table, route, enumerated), expected_fail))
         timings[name] = time.perf_counter() - start
     return VerificationSummary(exact_limit, enum_limit, outcomes), timings
 

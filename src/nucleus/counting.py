@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import accumulate, islice
-from operator import add, itemgetter, mul
+from operator import add, itemgetter, mul, sub
 from typing import Iterator, NamedTuple
 
 from .partitions import NUCLEAR, _capacity, iter_parts
@@ -156,15 +156,27 @@ def nu_k(n: int, k: int, table: CountTable) -> int:
 
 def _raise_bound(row: list[int], m: int, top: int, low: int | None = None) -> None:
     """c(., m-1) -> c(., m) in place for t <= top, where c(t, m) counts the
-    partitions of t with parts in [2, m]: c(t, m) = c(t, m-1) + c(t-m, m),
-    one block of m at a time so each block reads the one before, updated.
-    As generating functions this divides the row by 1 - x^m.  The blocks
-    start at ``low`` (default m): the entries below it are kept and those
-    below low - m never read, so only the terms from degree low - m up
-    are divided."""
-    for lo in range(low or m, top + 1, m):
-        hi = min(lo + m, top + 1)
-        row[lo:hi] = map(add, row[lo:hi], row[lo - m:hi - m])
+    partitions of t with parts in [2, m]: c(t, m) = c(t, m-1) + c(t-m, m).
+    As generating functions this divides the row by 1 - x^m.  Only the
+    entries from ``low`` (default m) up change; those below it are kept
+    and those below low - m never read, so only the terms from degree
+    low - m up are divided.
+
+    Along one residue class mod m the division is a prefix sum, so it runs
+    in whichever form takes fewer C-level passes over the top + 1 - low
+    entries: m prefix sums, one per class, each from the class's kept
+    entry in [low - m, low) up; or one block of m entries at a time, each
+    block adding the block before it, already updated.  The two forms
+    make the same additions.
+    """
+    low = low or m
+    if m * m < top + 1 - low:
+        for start in range(low - m, low):
+            row[start:top + 1:m] = accumulate(row[start:top + 1:m])
+    else:
+        for lo in range(low, top + 1, m):
+            hi = min(lo + m, top + 1)
+            row[lo:hi] = map(add, row[lo:hi], row[lo - m:hi - m])
 
 
 class RestrictedCounts:
@@ -392,8 +404,12 @@ def bounded_sums(limit: int) -> list[int]:
 
 def _k_skip_chain(table: CountTable, k: int, rest: int, last: int) -> list[int]:
     """The k-skip sums V(n) for n = rest, rest + k, ... <= last, where
-    rest < k: V(rest) = nu_k(rest) = p(rest) and V(n) = V(n - k) + nu_k(n)."""
-    return list(accumulate(nu_k(n, k, table) for n in range(rest, last + 1, k)))
+    rest < k: V(rest) = nu_k(rest) = p(rest) and V(n) = V(n - k) + nu_k(n),
+    with nu_k(n) = p(n) - p(n - k) for n >= k.  One running sum over the
+    differences of consecutive p values along the chain (``map`` stops at
+    the shorter slice, so the second may run one entry past)."""
+    p = table.p
+    return list(accumulate(map(sub, p[rest + k:last + 1:k], p[rest:last + 1:k]), initial=p[rest]))
 
 
 def k_nuclear_sweep(table: CountTable, k: int, last: int) -> list[int]:

@@ -1,11 +1,14 @@
+import random
 import tracemalloc
 from collections import Counter
+from itertools import accumulate
 
 import pytest
 
 from nucleus.counting import (
     RestrictedCounts,
     _extend_p,
+    _table_from_p,
     bounded_sums,
     build_table,
     enumerated_counts,
@@ -160,6 +163,30 @@ def test_restricted_counts_growth_consistency():
             assert grown.count(n, m) == fresh.count(n, m) == nu_bounded(n, m)
 
 
+def _coin_counts(top, m):
+    """c(t, m) for t = 0..top, the partitions of t with every part in
+    [2, m], by the plain coin dynamic program."""
+    row = [1] + [0] * top
+    for part in range(2, m + 1):
+        for total in range(part, top + 1):
+            row[total] += row[total - part]
+    return row
+
+
+def test_bounded_counts_on_both_sides_of_the_prefix_sum_switch():
+    """_raise_bound divides by 1 - x^m as m prefix sums, one per residue
+    class, when m^2 < top + 1 - low, and as blocks of m otherwise.
+    nu_bounded and RestrictedCounts divide from low = m, so at part bound m
+    the form switches at top = m^2 + m.  n runs over 0..170, which takes in
+    m^2 - 1..m^2 + m + 1 for every m = 2..12."""
+    top = 170
+    reference = {m: _coin_counts(top, m) for m in range(1, 14)}
+    for n in range(top + 1):
+        counts = RestrictedCounts()
+        for m in range(1, 14):
+            assert nu_bounded(n, m) == counts.count(n, m) == reference[m][n], (n, m)
+
+
 # --- identity routes ---
 
 def test_nu_chain_examples(table):
@@ -287,6 +314,19 @@ def test_k_nuclear_shifted_equals_the_displaced_sum():
             assert p_via_k_nuclear(n, k, t)[0] == direct, (n, k)
 
 
+def test_k_nuclear_sweep_sums_an_arbitrary_sequence():
+    """On the true p the k-skip sums telescope to p(n), so a summation that
+    is right for each n matches whatever it adds.  Here p is an arbitrary
+    increasing sequence: the sweep must equal the direct per-n sum
+    p(n mod k) + sum_j nu_k(n - jk), on and next to each chain's first n."""
+    rng = random.Random(19)
+    t = _table_from_p(list(accumulate(rng.randrange(1, 10**30) for _ in range(301))))
+    for k in range(1, 14):
+        for last in sorted({0, k - 1, k, k + 1, 300}):
+            direct = [t.p[n % k] + sum(nu_k(n - j * k, k, t) for j in range(n // k)) for n in range(last + 1)]
+            assert k_nuclear_sweep(t, k, last) == direct, (k, last)
+
+
 def test_k_nuclear_rejects_bad_args(table):
     with pytest.raises(ValueError):
         p_via_k_nuclear(5, 0, table)
@@ -353,7 +393,12 @@ def test_bounded_sums_equal_the_bounded_sum_route():
 
 
 def test_bounded_sums_equal_the_scatter_all_reference():
-    for limit in (*range(81), 301, 777):
+    """bounded_sums divides by 1 - x^m from low = 2m, so _raise_bound
+    switches from blocks of m to residue-class prefix sums at limit
+    m^2 + 2m: limits 0..80 cross it for m <= 8, and m^2 + 2m - 1..+1 for
+    m = 9..12."""
+    switch = (m * m + 2 * m + d for m in range(9, 13) for d in (-1, 0, 1))
+    for limit in (*range(81), *switch, 301, 777):
         assert bounded_sums(limit) == scatter_all_bounded_sums(limit), limit
 
 
