@@ -40,7 +40,7 @@ from .congruence import (
 from .counting import (
     CountTable,
     bounded_sums,
-    enumerated_counts,
+    enumerated_sweep,
     gamma_chain_sweep,
     gamma_weights_sweep,
     k_nuclear_sweep,
@@ -133,9 +133,10 @@ _ROUTES = {
 # limit.  The column takes (table, route, enumerated, span), where span is
 # the slice first n..last n, and yields one truth per n in it: true where
 # the identity holds at n.  route(name) is the _ROUTES column up to the
-# exact limit and enumerated(n) is enumerated_counts(n); each is evaluated
-# once and shared by every identity that reads it.  The exact rows compare
-# whole slices; the enumeration rows and the fixed row go n by n.
+# exact limit and enumerated() the (nu, gap-sum value, gamma) columns of
+# enumerated_sweep at the enumeration limit; each is evaluated once and
+# shared by every identity that reads it.  Every row but the fixed one
+# compares whole slices.
 _EXACT, _ENUM = "exact", "enum"
 _IDENTITIES = {
     "nu_chain": (0, _EXACT, lambda t, r, e, s: map(eq, r("nu_chain")[s], t.p[s]), False),
@@ -145,12 +146,9 @@ _IDENTITIES = {
     "bounded_sum": (4, _EXACT, lambda t, r, e, s:
                     map(eq, map(add, r("bounded")[s], repeat(1)), t.nu[s]), False),
     "k_nuclear": (0, _EXACT, lambda t, r, e, s: r("k_nuclear")[s], False),
-    "gap_sum": (2, _ENUM, lambda t, r, e, s:
-                (e(n)[1] == t.p[n] for n in range(s.start, s.stop)), False),
-    "nuclear_count": (0, _ENUM, lambda t, r, e, s:
-                      (e(n)[0] == t.nu[n] for n in range(s.start, s.stop)), False),
-    "ground_state_count": (0, _ENUM, lambda t, r, e, s:
-                           (e(n)[2] == t.gamma[n] for n in range(s.start, s.stop)), False),
+    "gap_sum": (2, _ENUM, lambda t, r, e, s: map(eq, e()[1][s], t.p[s]), False),
+    "nuclear_count": (0, _ENUM, lambda t, r, e, s: map(eq, e()[0][s], t.nu[s]), False),
+    "ground_state_count": (0, _ENUM, lambda t, r, e, s: map(eq, e()[2][s], t.gamma[s]), False),
     # The truncated variant must come out exactly one short, everywhere.
     "bounded_sum_truncated": (4, _EXACT, lambda t, r, e, s:
                               map(eq, r("bounded")[s], map(sub, t.nu[s], repeat(1))), True),
@@ -167,7 +165,7 @@ def run_verification(table: CountTable, exact_limit: int, enum_limit: int,
     A route shared by several identities is timed under the first of them.
     """
     route = cache(lambda name: _ROUTES[name](table, exact_limit))
-    enumerated = cache(enumerated_counts)
+    enumerated = cache(lambda: list(zip(*enumerated_sweep(enum_limit))))
     limits = {_EXACT: exact_limit, _ENUM: enum_limit}
     outcomes = []
     timings = {}

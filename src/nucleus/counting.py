@@ -251,61 +251,81 @@ def nuclear_gaps(n: int) -> Iterator[int]:
     return map(_capacity, islice(iter_parts(n, NUCLEAR), 1, None))
 
 
-def enumerated_counts(n: int) -> tuple[int, int, int]:
+def _prefixes_by_lo(limit: int) -> list[int]:
+    """Entry lo, for lo = 0..limit, counts the prefixes mu (nuclear
+    partitions, () included) with |mu| + 2 max(mu, 2) = lo.
+
+    The walk is depth first from (), whose lo is 4.  The children
+    mu + (x,) of a prefix of size ``total`` and top part ``top`` have
+    x >= top and lo = total + 3x, so the ones with lo <= limit, x up to
+    (limit - total) // 3, make one run of lo with step 3.  The run goes
+    in as two difference entries, summed along each class mod 3 at the
+    end.  Only the children with children of their own, x up to
+    (limit - total) // 4, are pushed, so the loop takes one step per
+    prefix that has room for another part.
+    """
+    counts = [0] * (limit + 4)
+    stack = []
+    if limit >= 4:
+        counts[4], counts[7] = 1, -1  # (), a run of one
+        stack.append((0, 2))
+    while stack:
+        total, top = stack.pop()
+        rest = limit - total
+        # At limit 4 and 5 the run of () is empty and the entries cancel.
+        counts[total + 3 * top] += 1
+        counts[total + 3 * (rest // 3) + 3] -= 1
+        stack += [(total + x, x) for x in range(top, rest // 4 + 1)]
+    for start in range(3):
+        counts[start::3] = accumulate(counts[start::3])
+    return counts[:limit + 1]
+
+
+def enumerated_sweep(limit: int) -> list[tuple[int, int, int]]:
     """``(nu(n), gap-sum value, gamma(n))`` tallied over the nuclear
-    partitions of n, with no partition built.
+    partitions of n, for n = 0..limit, with no partition built.
 
     The gap-sum value is n + nu(n) - 1 + (sum of the top-pair gaps of
     every nuclear partition but (n)); it equals p(n) for n >= 2 only.
     gamma(n) counts the ground states, whose gap is 0.
 
-    For n >= 4 the partitions are walked as ascending compositions by
-    Kelleher & O'Sullivan's AccelAsc (arXiv:0909.2331).  Its inner loop
-    steps the last two parts x <= y, the top pair, as x + i, y - i; the
-    gaps of that run are an arithmetic progression, so the run is
-    tallied in closed form and the loop takes one step per run, plus one
-    for the partition a[:k] + [x + y] that closes it.  The sentinel
-    a[0] = 1 with y = n - 2 starts the first part at 2, so no part is 1.
+    A nuclear partition with two or more parts is a prefix mu, the parts
+    below its top pair, and the pair u <= v, with u >= a = max(mu, 2).
+    With lo = |mu| + 2a and d = n - lo >= 0, the pairs that complete mu
+    to n are u = a + i, v = a + d - i for i = 0..d // 2: a run of
+    d // 2 + 1 partitions, whose gaps d - 2i sum to (d + 1)^2 // 4 and
+    end in one tie, gap 0, when d is even.  These depend on d alone, so
+    ``_prefixes_by_lo`` counts the prefixes by lo once, and in powers of
+    x the three tallies are those counts times 1/((1 - x)(1 - x^2)),
+    x/((1 - x)^2 (1 - x^2)) and 1/(1 - x^2): running sums, O(limit).
 
-    Below 4 the count is ``nuclear_gaps(n)`` tallied; there every n but 1
-    has the partition (n), or () at n = 0, that ``nuclear_gaps`` skips.
+    Below 4, where no run reaches, each row is ``nuclear_gaps(n)``
+    tallied; there every n but 1 has the partition (n), or () at n = 0,
+    that ``nuclear_gaps`` skips.
     """
-    if n < 4:
-        gaps = Counter(nuclear_gaps(n))
-        nu = (n != 1) + sum(gaps.values())
-        return nu, n + nu - 1 + sum(g * count for g, count in gaps.items()), gaps[0]
-    nu = gap_sum = ties = 0
-    a = [1] * (n // 2 + 1)  # a[:k] holds the parts below the top pair
-    k, y = 1, n - 2
-    while k:
-        k -= 1
-        x = a[k] + 1
-        while 2 * x <= y:
-            a[k] = x
-            y -= x
-            k += 1
-        # The run a[:k] + [x + i, y - i] for i = 0..m-1: top pair
-        # (y - i, x + i), gap d - 2i, down to 0 (a tie) when d is even.
-        d = y - x
-        if d >= 0:
-            m = d // 2 + 1
-            nu += m
-            gap_sum += m * (d - m + 1)
-            ties += d % 2 == 0
-        # a[:k] + [x + y]: top pair (x + y, a[k - 1]), or (n) itself at
-        # k = 0, which the gap sum leaves out.
-        x += y
-        a[k] = x
-        nu += 1
-        if k:
-            gap_sum += x - a[k - 1]
-        y = x - 1
-    return nu, n + nu - 1 + gap_sum, ties
+    if limit < 0:
+        raise ValueError(f"limit must be >= 0, got {limit}")
+    ties = _prefixes_by_lo(limit)
+    for start in range(2):  # divide by 1 - x^2: runs that end in a tie at n
+        ties[start::2] = accumulate(ties[start::2])
+    runs = list(accumulate(ties))  # partitions of n with two or more parts
+    gaps = list(accumulate(runs, initial=0))  # their gap sum at n is gaps[n]
+    rows = []
+    for n in range(min(limit, 3) + 1):
+        tally = Counter(nuclear_gaps(n))
+        nu = (n != 1) + sum(tally.values())
+        rows.append((nu, n + nu - 1 + sum(g * count for g, count in tally.items()), tally[0]))
+    return rows + [(1 + runs[n], n + runs[n] + gaps[n], ties[n]) for n in range(4, limit + 1)]
+
+
+def enumerated_counts(n: int) -> tuple[int, int, int]:
+    """Row n of ``enumerated_sweep(n)``."""
+    return enumerated_sweep(n)[n]
 
 
 def p_via_gap_sum(n: int) -> MethodResult:
     """p(n) = n + nu(n) - 1 + (sum of top-pair gaps over nuclear partitions
-    of n other than (n)), evaluated by direct enumeration.
+    of n other than (n)), tallied by ``enumerated_sweep``.
 
     Defined for n >= 2 only: at n = 1 the nuclear set is empty and the
     formula yields 0 instead of p(1) = 1.

@@ -261,11 +261,20 @@ def _count_calls(monkeypatch, modules, name):
 
 
 def test_verify_enumerates_each_n_once(monkeypatch):
-    calls = _count_calls(monkeypatch, [cli], "enumerated_counts")
-    names = ("gap_sum", "nuclear_count", "ground_state_count")
-    summary, timings = cli.run_verification(build_table(14), 14, 14, names)
-    assert summary.passed and set(timings) == set(names)
-    assert calls == Counter(range(15))
+    """The three enumeration rows share one prefix sweep, at the
+    enumeration limit, and no sweep runs when none of them is selected."""
+    calls = _count_calls(monkeypatch, [cli], "enumerated_sweep")
+    table = build_table(14)
+    enumerated = ("gap_sum", "nuclear_count", "ground_state_count")
+    unenumerated = tuple(name for name in cli.IDENTITY_NAMES if name not in enumerated)
+    for names, expected in [(enumerated, Counter({14: 1})),
+                            (cli.IDENTITY_NAMES, Counter({14: 1})),
+                            (("ground_state_count",), Counter({14: 1})),
+                            (unenumerated, Counter())]:
+        calls.clear()
+        summary, timings = cli.run_verification(table, 14, 14, names)
+        assert summary.passed and set(timings) == set(names)
+        assert calls == expected, names
 
 
 def test_verify_sums_bounded_parts_in_one_pass(monkeypatch):

@@ -12,6 +12,7 @@ from nucleus.counting import (
     bounded_sums,
     build_table,
     enumerated_counts,
+    enumerated_sweep,
     extend_table,
     gamma_chain_sweep,
     gamma_weights_sweep,
@@ -425,8 +426,9 @@ def test_enumeration_agreement_to_40(table):
 
 
 def test_enumerated_counts_match_the_table(table):
-    for n in range(2, 31):
-        assert enumerated_counts(n) == (table.nu[n], table.p[n], table.gamma[n]), n
+    sweep = enumerated_sweep(80)
+    for n in range(2, 81):
+        assert sweep[n] == (table.nu[n], table.p[n], table.gamma[n]), n
     # n = 0 has the one nuclear partition (), n = 1 none; the gap-sum
     # value undercounts both, p(0) = p(1) = 1.
     assert enumerated_counts(0) == (1, 0, 0)
@@ -436,17 +438,31 @@ def test_enumerated_counts_match_the_table(table):
 
 
 def test_enumerated_counts_match_an_independent_enumeration():
-    """The AccelAsc tally against the oracle's recursive reverse-lex walk,
-    which shares no code with the package, and against the tally of
+    """One prefix sweep to 40 against the oracle's recursive reverse-lex
+    walk, which shares no code with the package, and against the tally of
     ``nuclear_gaps``, which runs through ``iter_parts``."""
+    sweep = enumerated_sweep(40)
+    assert len(sweep) == 41
     for n in range(41):
         parts = list(reverse_lex_partitions(n, NUCLEAR))
         gaps = [q[0] - q[1] for q in parts if len(q) > 1]
         expected = (len(parts), n + len(parts) - 1 + sum(gaps), gaps.count(0))
-        assert enumerated_counts(n) == expected, n
+        assert sweep[n] == expected, n
         streamed = Counter(nuclear_gaps(n))
         nu = (n != 1) + streamed.total()
-        assert enumerated_counts(n) == (nu, n + nu - 1 + sum(g * c for g, c in streamed.items()), streamed[0]), n
+        assert sweep[n] == (nu, n + nu - 1 + sum(g * c for g, c in streamed.items()), streamed[0]), n
+
+
+def test_enumerated_sweep_is_a_prefix_of_a_longer_one():
+    """The rows of a sweep to L are the first rows of a sweep to 60, for
+    every L <= 60: the walk keeps every prefix whose runs reach L, the
+    largest n included, and the rows below 4 come out the same."""
+    longest = enumerated_sweep(60)
+    for limit in range(61):
+        assert enumerated_sweep(limit) == longest[:limit + 1], limit
+        assert enumerated_counts(limit) == longest[limit], limit
+    with pytest.raises(ValueError):
+        enumerated_sweep(-1)
 
 
 def test_nu_bounded_matches_bounded_enumeration():
