@@ -2,9 +2,10 @@
 
 Format: a header line ``n,gamma,nu,p`` followed by one row per n,
 contiguous from 0, values as decimal integers, LF line endings, no
-trailing whitespace.  Loading reads the file as bytes and re-checks the
-format and the difference identities row by row, refusing any file that
-breaks them, so a cache can only resume from verified ground.
+trailing whitespace.  Loading reads the file one line at a time, as
+bytes, and re-checks the format and the difference identities row by
+row, refusing any file that breaks them, so a cache can only resume from
+verified ground.  The file's text is never held whole.
 """
 
 from __future__ import annotations
@@ -66,6 +67,18 @@ def _field(raw: bytes, line_no: int, name: str) -> int:
     return int(raw)
 
 
+def _ascii_lines(handle):
+    """The handle's lines one at a time, each checked to be ASCII and
+    without its trailing LF."""
+    offset = 0
+    for line in handle:
+        if not line.isascii():
+            bad = offset + next(i for i, byte in enumerate(line) if byte > 0x7F)
+            raise CacheError(f"byte at offset {bad} is not ASCII") from None
+        offset += len(line)
+        yield line[:-1] if line.endswith(b"\n") else line
+
+
 def read_table(path: Path | str) -> CountTable:
     """Load and validate a cache file; raises CacheError naming the bad row,
     or saying why the file cannot be read."""
@@ -73,25 +86,29 @@ def read_table(path: Path | str) -> CountTable:
         # Read as bytes, so a CR stays in its field and a CR or CRLF file
         # fails the row checks instead of being read as LF.
         with open(path, "rb") as handle:
-            data = handle.read()
-        data.decode("ascii")  # only to name the first non-ASCII byte
-    except UnicodeDecodeError as exc:
-        raise CacheError(f"byte at offset {exc.start} is not ASCII") from None
+            lines = _ascii_lines(handle)
+            try:
+                return _parse_rows(lines)
+            except CacheError:
+                # A non-ASCII byte anywhere in the file is reported ahead
+                # of a row error, so check the lines the rows left unread.
+                for _ in lines:
+                    pass
+                raise
     except OSError as exc:
         raise CacheError(f"cannot read {path}: {exc.strerror}") from None
-    lines = data.split(b"\n")
-    if lines and lines[-1] == b"":
-        lines.pop()
-    if not lines or lines[0] != CACHE_HEADER.encode():
+
+
+def _parse_rows(lines) -> CountTable:
+    header = next(lines, None)
+    if header != CACHE_HEADER.encode():
         # The first line is cut short: a file with no LF at all is one line.
-        raise CacheError(f"expected header {CACHE_HEADER!r}, got {lines[0][:40].decode()!r}" if lines
+        raise CacheError(f"expected header {CACHE_HEADER!r}, got {header[:40].decode()!r}" if header is not None
                          else "empty cache file")
-    if len(lines) == 1:
-        raise CacheError("cache has a header but no rows (row for n=0 is required)")
     p: list[int] = []
     nu: list[int] = []
     gamma: list[int] = []
-    for line_no, line in enumerate(lines[1:], start=2):
+    for line_no, line in enumerate(lines, start=2):
         fields = line.split(b",")
         if len(fields) != 4:
             raise CacheError(f"line {line_no}: expected 4 comma-separated fields, got {len(fields)}")
@@ -116,6 +133,8 @@ def read_table(path: Path | str) -> CountTable:
         gamma.append(g)
         nu.append(v)
         p.append(q)
+    if not p:
+        raise CacheError("cache has a header but no rows (row for n=0 is required)")
     return CountTable(p=p, nu=nu, gamma=gamma)
 
 

@@ -195,8 +195,9 @@ def _grid(header, rows, fmt: str) -> str:
     """A header and an iterable of rows of typed values, as csv or as
     right-aligned text.  A str stays as it is, an int is written in
     decimal, a float to 12 significant digits, None as an empty cell and
-    a bool as true/false in csv, yes/NO in text.  Csv streams the rows;
-    text needs them all to size the columns."""
+    a bool as true/false in csv, yes/NO in text.  Either format returns
+    one string, whose join holds every row's string until it ends; text
+    also needs every row first to size the columns."""
     bools = ("false", "true") if fmt == "csv" else ("NO", "yes")
     to_cell = {**_CELLS, bool: bools.__getitem__}
     rows = ([to_cell[type(v)](v) for v in row] for row in rows)
@@ -596,14 +597,19 @@ def cmd_cache(args, parser) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # Inside the try: a row spec such as 0-100000000000 is expanded
+        # while the arguments are parsed.
+        args = parser.parse_args(argv)
         return args.func(args)
     except CacheError as exc:
         print(f"cache error: {exc}", file=sys.stderr)
         return EXIT_CACHE_ERROR
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        print("error: out of memory: the request is too large for this machine", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -1,4 +1,5 @@
 import errno
+import os
 import sys
 import threading
 import tracemalloc
@@ -282,6 +283,72 @@ def test_write_streams_the_rows(tmp_path):
         tracemalloc.stop()
     assert peak < path.stat().st_size // 4
     assert read_table(path).p == table.p
+
+
+def test_read_streams_the_rows(tmp_path):
+    """Reading 3,000 rows peaks under 1.25 times the table it returns: the
+    file is read one line at a time, never held whole with its split,
+    which took 2.9 times the table."""
+    path = tmp_path / "counts.csv"
+    write_table(build_table(3000), path)
+    tracemalloc.start()
+    try:
+        table = read_table(path)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.limit == 3000
+    assert peak < 1.25 * size
+
+
+def test_non_ascii_byte_far_after_a_bad_row_is_reported_first(tmp_path):
+    """The first non-ASCII byte is reported ahead of a row error, at its
+    offset in the file, also when it lies far past the bad row."""
+    path = tmp_path / "counts.csv"
+    write_table(build_table(3000), path)
+    data = bytearray(path.read_bytes())
+    bad_row = data.index(b"\n3,") + 1
+    data[bad_row] = ord("4")  # line 5 now breaks the n sequence
+    offset = data.index(b"\n2500,") + 3
+    assert offset - bad_row > 64 * 1024
+    data[offset] = 0xE9
+    path.write_bytes(bytes(data))
+    with pytest.raises(CacheError) as exc:
+        read_table(path)
+    assert str(exc.value) == f"byte at offset {offset} is not ASCII"
+    data[offset] = ord("0")
+    path.write_bytes(bytes(data))
+    with pytest.raises(CacheError) as exc:
+        read_table(path)
+    assert str(exc.value) == "line 5: rows must be contiguous from 0, expected n=3, got n=4"
+
+
+def test_read_from_a_fifo(tmp_path):
+    """A cache read through a pipe loads: the file is read once, with no
+    seek and no second open.  The file is larger than a pipe's buffer."""
+    source = tmp_path / "counts.csv"
+    table = build_table(3000)
+    write_table(table, source)
+    fifo = tmp_path / "counts.fifo"
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as handle:
+            handle.write(source.read_bytes())
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    assert tables_equal(read_table(fifo), table)
+    writer.join(timeout=30)
+    assert not writer.is_alive()
+
+
+def test_last_row_without_lf_loads(tmp_path):
+    path = tmp_path / "counts.csv"
+    table = build_table(50)
+    write_table(table, path)
+    path.write_bytes(path.read_bytes().removesuffix(b"\n"))
+    assert tables_equal(read_table(path), table)
 
 
 def test_concurrent_resumes_leave_a_valid_cache(tmp_path):

@@ -651,6 +651,28 @@ def test_cache_path_under_missing_directory_exits_3(capsys, tmp_path):
     assert not path.parent.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    "congruence custom 1000000 0 13 --limit 1000000",
+    "congruence ramanujan 5 --limit 10000000000",
+    "table --rows 0-100000000000",  # expanded while the arguments are parsed
+])
+def test_memory_exhaustion_exits_2(argv):
+    """A request too large for the memory exits 2 with one stderr line, not
+    1 with a traceback.  The child caps its own address space at 1 GB, so
+    the test never exhausts the memory of the machine it runs on."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("NUCLEUS_CACHE", None)
+    child = ("import resource, runpy\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+             "runpy.run_module('nucleus', run_name='__main__', alter_sys=True)\n")
+    result = subprocess.run([sys.executable, "-c", child, *argv.split()],
+                            capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: out of memory") and result.stderr.count("\n") == 1
+    assert result.stdout == ""
+
+
 def test_cache_needs_path(capsys, monkeypatch):
     monkeypatch.delenv("NUCLEUS_CACHE", raising=False)
     with pytest.raises(SystemExit) as exc:
