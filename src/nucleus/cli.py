@@ -530,9 +530,7 @@ def cmd_decay(args, parser) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     if not is_nuclear(mu):
-        ones = multiplicity(mu, 1)
-        print(f"error: {mu} is not nuclear: {ones} part(s) equal 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"{mu} is not nuclear: {multiplicity(mu, 1)} part(s) equal 1")
     if len(mu) == 0:
         print("() is the empty partition: nothing to decay")
         return EXIT_OK

@@ -11,12 +11,17 @@ from __future__ import annotations
 from typing import Iterable, Iterator, NamedTuple
 
 
-class Partition:
-    """A weakly decreasing tuple of positive integer parts."""
+class Partition(tuple):
+    """A weakly decreasing tuple of positive integer parts.
 
-    __slots__ = ("_parts",)
+    A Partition is the tuple of its parts: it equals and hashes as that
+    plain tuple, orders as tuples do, and tuple's own methods (``+``,
+    ``*``, slicing) return plain tuples.
+    """
 
-    def __init__(self, parts: Iterable[int] = ()):
+    __slots__ = ()
+
+    def __new__(cls, parts: Iterable[int] = ()):
         parts = tuple(parts)
         previous = None
         for part in parts:
@@ -25,7 +30,7 @@ class Partition:
             if previous is not None and part > previous:
                 raise ValueError(f"parts must be weakly decreasing, got {parts}")
             previous = part
-        self._parts = parts
+        return super().__new__(cls, parts)
 
     @classmethod
     def parse(cls, text: str) -> "Partition":
@@ -47,52 +52,30 @@ class Partition:
 
     @property
     def parts(self) -> tuple[int, ...]:
-        return self._parts
+        return tuple(self)
 
     @property
     def size(self) -> int:
         """Sum of the parts; 0 for the empty partition."""
-        return sum(self._parts)
-
-    def __len__(self) -> int:
-        return len(self._parts)
-
-    def __getitem__(self, index):
-        return self._parts[index]
-
-    def __iter__(self):
-        return iter(self._parts)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Partition):
-            return self._parts == other._parts
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._parts)
-
-    def __lt__(self, other: "Partition") -> bool:
-        return self._parts < other._parts
+        return sum(self)
 
     def __repr__(self) -> str:
-        return f"Partition({list(self._parts)!r})"
+        return f"Partition({list(self)!r})"
 
     def __str__(self) -> str:
-        return "(" + ",".join(str(part) for part in self._parts) + ")"
+        return "(" + ",".join(str(part) for part in self) + ")"
 
 
 def _trusted(parts: tuple[int, ...]) -> Partition:
     # Construction bypass for already-validated tuples; enumeration yields
-    # millions of values, so skipping __init__ checks matters.
-    value = Partition.__new__(Partition)
-    value._parts = parts
-    return value
+    # millions of values, so skipping the __new__ checks matters.
+    return tuple.__new__(Partition, parts)
 
 
-def _as_parts(value) -> tuple[int, ...]:
+def _as_parts(value) -> Partition:
     if isinstance(value, Partition):
-        return value.parts
-    return Partition(value).parts
+        return value
+    return Partition(value)
 
 
 # The fields of EnumerationConstraint.  A NamedTuple body may not define
@@ -225,7 +208,7 @@ def fuse(partition) -> Partition:
     parts = _as_parts(partition)
     ones = parts.count(1)
     if ones == 0:
-        raise ValueError(f"fuse needs a part equal to 1, got {Partition(parts)}")
+        raise ValueError(f"fuse needs a part equal to 1, got {parts}")
     rest = parts[:-ones]
     if rest:
         return _trusted((rest[0] + ones,) + rest[1:])
@@ -242,7 +225,7 @@ def decay_capacity(partition) -> int:
     if not parts:
         raise ValueError("the empty partition does not decay")
     if 1 in parts:
-        raise ValueError(f"decay is defined on nuclear partitions only, got {Partition(parts)}")
+        raise ValueError(f"decay is defined on nuclear partitions only, got {parts}")
     return _capacity(parts)
 
 
@@ -259,15 +242,15 @@ def decay_step(partition, j: int) -> Partition:
     Requires nuclear input and 1 <= j <= decay_capacity; the result is a
     non-nuclear partition of the same size.
     """
-    cap = decay_capacity(partition)
     parts = _as_parts(partition)
+    cap = decay_capacity(parts)
     if not 1 <= j <= cap:
-        raise ValueError(f"decay step must be in 1..{cap} for {Partition(parts)}, got {j}")
+        raise ValueError(f"decay step must be in 1..{cap} for {parts}, got {j}")
     return _trusted((parts[0] - j,) + parts[1:] + (1,) * j)
 
 
 def decay_chain(partition) -> list[Partition]:
     """All decay products, in step order; empty for a ground state."""
-    mu = _trusted(_as_parts(partition))
+    mu = _as_parts(partition)
     return [decay_step(mu, j) for j in range(1, decay_capacity(mu) + 1)]
 

@@ -1,6 +1,9 @@
 import inspect
+import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -84,6 +87,16 @@ def test_str_parse_round_trip(parts):
     assert Partition.parse(str(p)) == p
 
 
+def test_partition_is_the_tuple_of_its_parts():
+    p = Partition([5, 2])
+    assert p == (5, 2) and (5, 2) == p
+    assert hash(p) == hash((5, 2))
+    for other in [(5, 2), (5, 1, 1), (5, 3), (6,), (4, 2, 1)]:
+        q = Partition(other)
+        assert (p <= q, p > q, p >= q) == ((5, 2) <= other, (5, 2) > other, (5, 2) >= other), other
+    assert not hasattr(p, "__dict__")
+
+
 # --- enumeration ---
 
 def test_enumerate_nuclear_6_order():
@@ -118,6 +131,42 @@ def test_enumerate_min_part_above_n_is_empty():
 def test_enumerate_negative_rejected():
     with pytest.raises(ValueError):
         list(enumerate_partitions(-1))
+
+
+@pytest.mark.parametrize("constraint", [
+    None,
+    NUCLEAR,
+    EnumerationConstraint(max_part=4),
+    EnumerationConstraint(forbidden_part=2),
+])
+def test_enumerate_partitions_equals_iter_parts(constraint):
+    for n in range(13):
+        assert list(enumerate_partitions(n, constraint)) == list(iter_parts(n, constraint)), n
+
+
+def _held_bytes(name):
+    """Traced bytes of list(name(45, NUCLEAR)), in a fresh interpreter: in
+    one process the tuples freed by an earlier list would be reused from
+    the free list and hide most of the later list's allocations."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = ("import tracemalloc\n"
+             f"from nucleus.partitions import NUCLEAR, {name}\n"
+             "tracemalloc.start()\n"
+             f"held = list({name}(45, NUCLEAR))\n"
+             "print(len(held), tracemalloc.get_traced_memory()[0])\n")
+    result = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                            env=env, timeout=60, check=True)
+    count, size = map(int, result.stdout.split())
+    assert count == 13959
+    return size
+
+
+def test_held_partitions_are_one_object_each():
+    """Holding the 13,959 nuclear partitions of 45 as Partition values costs
+    little more than holding the plain tuples (1.07x measured on CPython
+    3.11), not a wrapper object around each tuple (1.35x)."""
+    assert _held_bytes("enumerate_partitions") <= 1.15 * _held_bytes("iter_parts")
 
 
 def test_constraint_validation():
