@@ -20,12 +20,12 @@ import math
 import sys
 import time
 from functools import cache, partial
-from itertools import accumulate, chain, repeat
-from operator import add, and_, attrgetter, eq, sub
+from itertools import accumulate, chain, repeat, tee
+from operator import add, and_, attrgetter, eq, mod, sub
 from typing import NamedTuple
 
 from . import __version__
-from .asymptotics import ESTIMATE_LOW, FORMS, RatioRow, estimate_rows, ratio_report
+from .asymptotics import ESTIMATE_LOW, FORMS, AsymptoticRow, RatioRow, estimate_rows, ratio_report
 from .cache import CacheError, load_table, read_table, resolve_cache_path
 from .congruence import (
     RAMANUJAN_PROGRESSIONS,
@@ -186,46 +186,70 @@ def _json_dumps(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-# The cell of a typed value, by its type; _grid adds bool per format.
-# "".format takes None and returns the empty string.
-_CELLS = {str: str, int: str, float: "{:.12g}".format, type(None): "".format}
+def _write(text: str) -> None:
+    """Write ``text`` to stdout in 64 KB slices.  The text layer encodes
+    each str it is given whole, so one write would add a bytes copy of
+    the whole output to the peak."""
+    for start in range(0, len(text), 1 << 16):
+        sys.stdout.write(text[start:start + (1 << 16)])
+
+
+# The %-format of a cell by its type: a str as it is, an int in decimal, a
+# float to 12 significant digits.  None and bool are not here: their cell
+# is fixed by the value, so _grid looks the value up among its words, each
+# followed by "%.0s", which consumes the value and writes none of it.
+_SPECS = {int: "%d", str: "%s", float: "%.12g"}
 
 
 def _grid(header, rows, fmt: str) -> str:
     """A header and an iterable of rows of typed values, as csv or as
     right-aligned text.  A str stays as it is, an int is written in
     decimal, a float to 12 significant digits, None as an empty cell and
-    a bool as true/false in csv, yes/NO in text.  Either format returns
-    one string, whose join holds every row's string until it ends; text
-    also needs every row first to size the columns."""
-    bools = ("false", "true") if fmt == "csv" else ("NO", "yes")
-    to_cell = {**_CELLS, bool: bools.__getitem__}
-    rows = ([to_cell[type(v)](v) for v in row] for row in rows)
+    a bool as true/false in csv, yes/NO in text.
+
+    The header and the cells are read into one flat tuple of values.  Csv
+    is then one %-format of that tuple: its template holds one line per
+    row, shared by every row of the same cell types, so the only
+    output-sized object is the result.  Text formats each cell on its
+    own, since it needs every cell to size the columns."""
+    no, yes = ("false", "true") if fmt == "csv" else ("NO", "yes")
+    words = {None: "%.0s", False: no + "%.0s", True: yes + "%.0s"}
+    values = tuple(chain(header, chain.from_iterable(rows)))
+    keys = map(_SPECS.get, map(type, values), values)
     if fmt == "csv":
-        return "\n".join(",".join(row) for row in chain([header], rows)) + "\n"
-    rows = [header, *rows]
+        line = cache(lambda shape: ",".join(map(words.get, shape, shape)) + "\n")
+        return "".join(map(line, zip(*[keys] * len(header)))) % values
+    cells = map(mod, map(words.get, *tee(keys)), values)
+    rows = list(zip(*[cells] * len(header)))
     widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
     return "\n".join("  ".join(cell.rjust(width) for cell, width in zip(row, widths)).rstrip()
                      for row in rows) + "\n"
 
 
 def _json_cell(value):
+    # An int is an exact count, which json carries as a decimal string.
     # RFC 8259 has no NaN or Infinity; json writes null for them.
+    if type(value) is int:
+        return str(value)
     return None if type(value) is float and not math.isfinite(value) else value
 
 
 def _records(kind: str, header, rows, fmt: str) -> str:
-    """Rows of typed values under ``header``: in json one record per row,
-    ``dict(zip(header, row))`` with a NaN or infinite float as null, else
-    a csv or text grid."""
+    """Rows of typed values under ``header``, whose first column is the
+    row index ``n``: in json one record per row, ``dict(zip(header,
+    row))`` with ``n`` as a number, every other int as a decimal string
+    and a NaN or infinite float as null, else a csv or text grid."""
     if fmt == "json":
-        return _json_dumps({"kind": kind, "rows": [dict(zip(header, map(_json_cell, row))) for row in rows]})
+        return _json_dumps({"kind": kind, "rows": [dict(zip(header, map(_json_cell, row)), n=row[0])
+                                                   for row in rows]})
     return _grid(header, rows, fmt)
 
 
-def render_table(table: CountTable, rows: list[int], fmt: str) -> str:
-    return _records("count_table", ("n", "gamma", "nu", "p"),
-                    ((n, str(table.gamma[n]), str(table.nu[n]), str(table.p[n])) for n in rows), fmt)
+def render_table(table: CountTable, rows, fmt: str) -> str:
+    """The n, gamma, nu, p rows of ``table`` at each n in the iterable ``rows``."""
+    n, *index = tee(rows, 4)
+    columns = (table.gamma.__getitem__, table.nu.__getitem__, table.p.__getitem__)
+    return _records("count_table", ("n", "gamma", "nu", "p"), zip(n, *map(map, columns, index)), fmt)
 
 
 def render_summary(summary: VerificationSummary, fmt: str, errata_demo=None) -> str:
@@ -285,7 +309,7 @@ def render_report(report: CongruenceReport, fmt: str) -> str:
 def render_parity(rows, fmt: str) -> str:
     # rows: (n, gamma_sum, parity_bit, agrees)
     return _records("parity_report", ("n", "gamma_sum", "parity", "agrees"),
-                    ((n, str(total), "odd" if bit else "even", agrees) for n, total, bit, agrees in rows), fmt)
+                    ((n, total, "odd" if bit else "even", agrees) for n, total, bit, agrees in rows), fmt)
 
 
 def render_ratios(rows, fmt: str) -> str:
@@ -293,8 +317,7 @@ def render_ratios(rows, fmt: str) -> str:
 
 
 def render_estimates(rows, fmt: str) -> str:
-    return _records("estimate_report", ("n", "exact", "estimate", "ratio"),
-                    ((r.n, str(r.exact), r.estimate, r.ratio) for r in rows), fmt)
+    return _records("estimate_report", AsymptoticRow._fields, rows, fmt)
 
 
 def decay_digraph(n: int) -> str:
@@ -447,13 +470,13 @@ def cmd_table(args, parser) -> int:
         limit = 20 if limit is None else limit
         if limit < 1:  # the default rows 1..limit would be empty
             parser.error(f"--limit must be >= 1, got {limit}")
-        rows = list(range(1, limit + 1))
+        rows = range(1, limit + 1)
     elif limit is None:
         limit = rows[-1]
     elif rows[-1] > limit:
         parser.error(f"--rows selects n={rows[-1]} beyond --limit {limit}")
     table = _table_for(args, limit)
-    sys.stdout.write(render_table(table, rows, args.format))
+    _write(render_table(table, rows, args.format))
     return EXIT_OK
 
 
@@ -488,7 +511,7 @@ def cmd_verify(args, parser) -> int:
             errata_demo.append(f"k-skip shifted: n=6,k=2 -> {shifted} vs p(6)={table.p[6]}")
     for name, seconds in timings.items():
         print(f"timing: {name} {seconds:.3f}s", file=sys.stderr)
-    sys.stdout.write(render_summary(summary, args.format, errata_demo))
+    _write(render_summary(summary, args.format, errata_demo))
     return EXIT_OK if summary.passed else EXIT_CHECK_FAILED
 
 
@@ -511,7 +534,7 @@ def cmd_congruence(args, parser) -> int:
         checks = {"ramanujan": check_ramanujan, "nu_window": check_nu_window,
                   "nu_k_progression": check_nu_k_progression, "gamma_weighted": check_gamma_weighted}
         report = checks[family](modulus, args.limit)
-    sys.stdout.write(render_report(report, args.format))
+    _write(render_report(report, args.format))
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
@@ -523,7 +546,7 @@ def cmd_decay(args, parser) -> int:
             parser.error(f"--dot expects the size n as an integer, got {args.target!r}")
         if n < 0:
             parser.error("--dot expects n >= 0")
-        sys.stdout.write(decay_digraph(n))
+        _write(decay_digraph(n))
         return EXIT_OK
     try:
         mu = Partition.parse(args.target)
@@ -532,15 +555,11 @@ def cmd_decay(args, parser) -> int:
     if not is_nuclear(mu):
         raise ValueError(f"{mu} is not nuclear: {multiplicity(mu, 1)} part(s) equal 1")
     if len(mu) == 0:
-        print("() is the empty partition: nothing to decay")
-        return EXIT_OK
-    print(str(mu))
-    chain = decay_chain(mu)
-    if not chain:
-        print(f"{mu} is a ground state (top two parts equal): no decay products")
-        return EXIT_OK
-    for product in chain:
-        print(str(product))
+        _write("() is the empty partition: nothing to decay\n")
+    elif not (products := decay_chain(mu)):
+        _write(f"{mu}\n{mu} is a ground state (top two parts equal): no decay products\n")
+    else:
+        _write("".join(f"{partition}\n" for partition in (mu, *products)))
     return EXIT_OK
 
 
@@ -552,7 +571,7 @@ def cmd_parity(args, parser) -> int:
     evens = range(4, args.limit + 1, 2)
     rows = [(n, total, total % 2, total % 2 == residues[n])
             for n, total in zip(evens, accumulate(table.gamma[4::2]))]
-    sys.stdout.write(render_parity(rows, args.format))
+    _write(render_parity(rows, args.format))
     return EXIT_OK if all(agrees for *_rest, agrees in rows) else EXIT_CHECK_FAILED
 
 
@@ -567,14 +586,14 @@ def cmd_ratios(args, parser) -> int:
                          f"got {min(points)}")
         table = _table_for(args, max(points))
         rows = estimate_rows(points, table, args.estimator, args.form or FORMS[0])
-        sys.stdout.write(render_estimates(rows, args.format))
+        _write(render_estimates(rows, args.format))
         return EXIT_OK
     if args.points is not None or args.form is not None:
         parser.error("--points and --form need --estimator")
     if args.limit < 1:
         parser.error("--limit must be >= 1")
     table = _table_for(args, args.limit)
-    sys.stdout.write(render_ratios(ratio_report(args.limit, table), args.format))
+    _write(render_ratios(ratio_report(args.limit, table), args.format))
     return EXIT_OK
 
 
@@ -586,10 +605,10 @@ def cmd_cache(args, parser) -> int:
         if args.limit < 0:
             parser.error("--limit must be >= 0")
         table = load_table(args.limit, path)
-        print(f"cache {path}: rows 0..{table.limit}")
+        _write(f"cache {path}: rows 0..{table.limit}\n")
         return EXIT_OK
     table = read_table(path)
-    print(f"cache {path}: ok, rows 0..{table.limit}")
+    _write(f"cache {path}: ok, rows 0..{table.limit}\n")
     return EXIT_OK
 
 

@@ -109,6 +109,78 @@ def test_table_output_is_deterministic(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+def test_render_table_takes_any_iterable_of_rows(fmt):
+    table = build_table(30)
+    expected = cli.render_table(table, [0, 7, 30], fmt)
+    assert cli.render_table(table, iter([0, 7, 30]), fmt) == expected
+    assert cli.render_table(table, range(0, 31, 23), fmt) == cli.render_table(table, [0, 23], fmt)
+
+
+def test_table_json_writes_exact_counts_as_strings():
+    """The renderers hand over exact counts as ints; json writes each as a
+    decimal string, and the row index n as a number.  p(300) is above 2**53,
+    where a json number would lose digits."""
+    table = build_table(300)
+    assert table.p[300] == 9253082936723602 > 2 ** 53
+    rows = json.loads(cli.render_table(table, [299, 300], "json"))["rows"]
+    assert rows == [{"n": n, "gamma": str(table.gamma[n]), "nu": str(table.nu[n]), "p": str(table.p[n])}
+                    for n in (299, 300)]
+    assert rows[1]["p"] == "9253082936723602"
+
+
+_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                     1e16, -1e16, 1.7976931348623157e308]),
+    st.floats(min_value=1e16, allow_infinity=False),
+    st.floats(min_value=-1e-300, max_value=1e-300),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=_FLOATS)
+def test_float_cells_are_twelve_significant_digits(x):
+    """Csv and text write a float with the same cell spec, which is
+    ``format(x, ".12g")`` for every float."""
+    expected = format(x, ".12g")
+    assert cli._grid(("x",), [(x,)], "csv") == f"x\n{expected}\n"
+    assert cli._grid(("x",), [(x,)], "text").splitlines()[1].lstrip() == expected
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KB and per child on Linux")
+def test_csv_render_holds_little_more_than_its_output(tmp_path):
+    """``table --format csv`` on a 10,000-row cache peaks at most 1.5 times
+    the csv's length above ``cache check`` on the same cache, which loads
+    the same table.  Each command runs in a child of a small launcher,
+    whose ``os.wait4`` reads the child's own peak: a child forked straight
+    from the test process would count this process's memory as its own."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    cache, out = tmp_path / "counts.csv", tmp_path / "table.csv"
+    write_table(build_table(10000), cache)
+    launcher = ("import os, sys\n"
+                "pid = os.fork()\n"
+                "if pid == 0:\n"
+                "    os.execv(sys.executable, [sys.executable, '-m', 'nucleus', *sys.argv[1:]])\n"
+                "_, status, usage = os.wait4(pid, 0)\n"
+                "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, file=sys.stderr)\n")
+
+    def peak_kb(*argv):
+        with open(out, "wb") as stdout:
+            result = subprocess.run([sys.executable, "-I", "-S", "-c", launcher, *argv, "--cache", str(cache)],
+                                    stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+        code, kb = map(int, result.stderr.split())
+        assert code == 0
+        return kb
+
+    check_kb = peak_kb("cache", "check")
+    table_kb = peak_kb("table", "--limit", "10000", "--format", "csv")
+    csv_bytes = out.stat().st_size
+    assert out.read_bytes().count(b"\n") == 10001
+    assert (table_kb - check_kb) * 1024 <= 1.5 * csv_bytes, (table_kb, check_kb, csv_bytes)
+
+
 # --- verify ---
 
 def test_verify_passes_with_expected_fail_rows(capsys):
