@@ -28,17 +28,23 @@ n = 1, the Ramanujan families themselves at n = 0.
 from __future__ import annotations
 
 import sys
-from array import array
 from typing import NamedTuple
 
-from .counting import CountTable, _check_range, _extend_p, pentagonal_offsets
+from .counting import (
+    _LANE_CODES,
+    CountTable,
+    _check_range,
+    _extend_p,
+    _lane_bytes,
+    _pack,
+    _unpack,
+    pentagonal_offsets,
+)
 
 RAMANUJAN_PROGRESSIONS: dict[int, tuple[int, int]] = {5: (5, 4), 7: (7, 5), 11: (11, 6)}
 
 # Residues per block of p_mod_m_table; of 512, 768, 1024 and 2048, 512 was the fastest.
 _BLOCK = 512
-# Lane width in bytes -> an unsigned array typecode of that item size.
-_LANE_CODES = {array(code).itemsize: code for code in "LQHI"}
 
 
 class CongruenceFamily(NamedTuple):
@@ -62,11 +68,6 @@ class CongruenceReport(NamedTuple):
         return not self.violations
 
 
-def _lane_bytes(value: int) -> int | None:
-    """The fewest bytes, out of 2, 4 and 8, in which ``value`` fits."""
-    return next((width for width in (2, 4, 8) if value >> 8 * width == 0), None)
-
-
 def _lane_plan(offsets: list[tuple[int, int]], modulus: int) -> tuple[int, int | None, int | None]:
     """For ``p_mod_m_table``: the bias every accumulator lane starts at, and
     the lane widths in bytes of the accumulators and of the block product
@@ -75,17 +76,6 @@ def _lane_plan(offsets: list[tuple[int, int]], modulus: int) -> tuple[int, int |
     bias = -(-minus * (modulus - 1) // modulus) * modulus
     peak = bias + len(offsets) * (modulus - 1)
     return bias, _lane_bytes(peak), _lane_bytes(_BLOCK * (modulus - 1) ** 2)
-
-
-def _pack(values, code: str) -> int:
-    """``values`` as the little-endian lanes of one integer."""
-    return int.from_bytes(array(code, values), "little")
-
-
-def _unpack(value: int, code: str, count: int) -> array:
-    """The lowest ``count`` lanes of ``value``."""
-    size = count * array(code).itemsize
-    return array(code, (value & ((1 << 8 * size) - 1)).to_bytes(size, "little"))
 
 
 def p_mod_m_table(limit: int, modulus: int) -> list[int]:

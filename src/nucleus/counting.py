@@ -26,12 +26,17 @@ and keeps going.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections import Counter
 from itertools import accumulate, islice
 from operator import add, itemgetter, mul, sub
 from typing import Iterator, NamedTuple
 
 from .partitions import NUCLEAR, _capacity, iter_parts
+
+# Lane width in bytes -> an unsigned array typecode of that item size.
+_LANE_CODES = {array(code).itemsize: code for code in "LQHI"}
 
 
 def pentagonal_offsets(limit: int) -> list[tuple[int, int]]:
@@ -177,6 +182,66 @@ def _raise_bound(row: list[int], m: int, top: int, low: int | None = None) -> No
         for lo in range(low, top + 1, m):
             hi = min(lo + m, top + 1)
             row[lo:hi] = map(add, row[lo:hi], row[lo - m:hi - m])
+
+
+def _lane_bytes(value: int) -> int | None:
+    """The fewest bytes, out of 2, 4 and 8, in which ``value`` fits."""
+    return next((width for width in (2, 4, 8) if value >> 8 * width == 0), None)
+
+
+def _pack(values, code: str) -> int:
+    """``values`` as the little-endian lanes of one integer."""
+    return int.from_bytes(array(code, values), "little")
+
+
+def _unpack(value: int, code: str, count: int) -> array:
+    """The lowest ``count`` lanes of ``value``."""
+    size = count * array(code).itemsize
+    return array(code, (value & ((1 << 8 * size) - 1)).to_bytes(size, "little"))
+
+
+def _raise_bounds_packed(row: list[int], m: int, top: int) -> int:
+    """Divide ``row`` in place by 1 - x^b from degree 2b, for b = m, m - 1,
+    ... down to 2 while no 64-bit lane can carry, as ``_raise_bound(row, b,
+    top, 2 * b)`` would; return the first b left undivided (1 when none is).
+    The entries must be nonnegative and below 2^64.
+
+    The entries of degrees m + 1..top are packed into one integer of
+    unsigned 64-bit lanes in reversed order, lane i holding degree top - i,
+    so the degrees b..top that a division reads are the lowest top - b + 1
+    lanes and each big-integer operation costs O(top - b).  Degree b joins
+    as the next lane when its division comes: every division so far
+    started above it, so the row still holds its entry.  Along one residue
+    class mod b the division is a prefix sum, taken by doubling:
+    ``lanes += lanes >> 64 * step`` for step = b, 2b, 4b, ... <= top - b.
+
+    The guard: a class holds at most t = (top - b) // b + 1 of the degrees
+    b..top, and with s = t.bit_length(), t < 2^s.  When every lane is below
+    2^(64 - s), which one AND with a mask of the top s bits of each lane
+    shows, every prefix sum, partial or final, is below 2^64, so no lane
+    carries into the next.  When a lane is not, the row is unpacked and
+    handed back undivided at b.  Sums of nonnegative entries only grow as
+    b falls and t rises, so the guard would fail at every smaller b too.
+    """
+    code = _LANE_CODES[8]
+    lanes = _pack(reversed(row[m + 1:top + 1]), code)
+    ones = _pack([1] * (top + 1), code)
+    bits = mask = 0
+    while m > 1:
+        lanes += row[m] << 64 * (top - m)
+        terms = (top - m) // m + 1
+        if terms.bit_length() != bits:
+            bits = terms.bit_length()
+            mask = ones * (((1 << bits) - 1) << 64 - bits)
+        if lanes & mask:
+            break
+        step = m
+        while step <= top - m:
+            lanes += lanes >> 64 * step
+            step *= 2
+        m -= 1
+    row[m + 1:top + 1] = reversed(_unpack(lanes, code, top - m))
+    return m
 
 
 class RestrictedCounts:
@@ -413,11 +478,24 @@ def bounded_sums(limit: int) -> list[int]:
     below every degree read before its own division, so the row holds
     them all from the start.  About limit^2 / 4 additions on O(limit)
     stored integers.
+
+    The divisions run in two phases.  While every count the row holds is
+    small, from m = limit//2 down, ``_raise_bounds_packed`` keeps the row
+    as one integer of 64-bit lanes and divides all of it in a few
+    big-integer shift-adds per m, as long as its guard proves that no
+    lane can carry: each entry of degree m..limit below 2^(64 - s), where
+    s is the bit length of the number of terms a prefix sum adds.  Once
+    the counts are too large for that, here from m = 2 at limit 408 and
+    m = 86 at limit 2000, ``_raise_bound`` divides one entry at a time.
+    On a big-endian host the second phase runs alone.
     """
     if limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
     row = [0, 0] + [1] * (limit - 1)  # x^2 + x^3 + ... + x^limit
-    for m in range(limit // 2, 1, -1):
+    m = limit // 2
+    if sys.byteorder == "little":
+        m = _raise_bounds_packed(row, m, limit)
+    for m in range(m, 1, -1):
         _raise_bound(row, m, limit, 2 * m)
     return [0] * min(limit + 1, 2) + [s - 1 for s in row[2:]]
 

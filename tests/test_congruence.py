@@ -1,4 +1,5 @@
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -106,6 +107,17 @@ def test_modular_table_huge_modulus_runs_the_recurrence(block_p):
     modulus = 10**9 + 7
     assert congruence._lane_plan(pentagonal_offsets(REACH), modulus)[2] is None
     assert p_mod_m_table(REACH, modulus) == [p % modulus for p in block_p]
+
+
+def test_modular_table_on_a_big_endian_host_runs_the_recurrence(monkeypatch):
+    expected = p_mod_m_table(5000, 11)
+    monkeypatch.setattr(sys, "byteorder", "big")
+
+    def no_lanes(*args):
+        raise AssertionError("packed lanes on a big-endian host")
+
+    monkeypatch.setattr(congruence, "_pack", no_lanes)
+    assert p_mod_m_table(5000, 11) == expected
 
 
 def test_modular_table_memory_is_linear():

@@ -1,13 +1,17 @@
 import random
+import sys
 import tracemalloc
 from collections import Counter
 from itertools import accumulate
 
 import pytest
 
+from nucleus import counting
 from nucleus.counting import (
     RestrictedCounts,
     _extend_p,
+    _raise_bound,
+    _raise_bounds_packed,
     _table_from_p,
     bounded_sums,
     build_table,
@@ -397,10 +401,39 @@ def test_bounded_sums_equal_the_scatter_all_reference():
     """bounded_sums divides by 1 - x^m from low = 2m, so _raise_bound
     switches from blocks of m to residue-class prefix sums at limit
     m^2 + 2m: limits 0..80 cross it for m <= 8, and m^2 + 2m - 1..+1 for
-    m = 9..12."""
+    m = 9..12.  The packed divisions start at m = limit // 2 from limit 4
+    (limits 0..3 never pack) and run to m = 2 up to limit 407; the guard
+    hands the row back undivided at m = 2 from limit 408 and at m = 3
+    from 440, where _raise_bound takes over."""
     switch = (m * m + 2 * m + d for m in range(9, 13) for d in (-1, 0, 1))
-    for limit in (*range(81), *switch, 301, 777):
+    for limit in (*range(81), *switch, 301, 407, 408, 439, 440, 777):
         assert bounded_sums(limit) == scatter_all_bounded_sums(limit), limit
+
+
+@pytest.mark.parametrize("hand_back_at, last_lane", [(9, 2**62 - 1), (10, 2**62)],
+                         ids=["all_below_2^62", "one_at_2^62"])
+def test_packed_division_guard(hand_back_at, last_lane):
+    """At m = 10, top = 30 a prefix sum adds up to t = 3 lanes, so s = 2 and
+    every lane must be below 2^62: lanes of 2^62 - 1 take the packed
+    division, whose sums of three (just below 2^64) then fail the guard at
+    m = 9; one lane of 2^62 hands the row back undivided at m = 10."""
+    row = [0] * 10 + [2**62 - 1] * 20 + [last_lane]
+    expected = list(row)
+    for m in range(10, hand_back_at, -1):
+        _raise_bound(expected, m, 30, 2 * m)
+    assert _raise_bounds_packed(row, 10, 30) == hand_back_at
+    assert row == expected
+
+
+def test_bounded_sums_on_a_big_endian_host_divide_per_entry(monkeypatch):
+    expected = bounded_sums(2001)
+    monkeypatch.setattr(sys, "byteorder", "big")
+
+    def no_lanes(*args):
+        raise AssertionError("packed lanes on a big-endian host")
+
+    monkeypatch.setattr(counting, "_raise_bounds_packed", no_lanes)
+    assert bounded_sums(2001) == expected
 
 
 def test_bounded_sums_give_nu_to_2000():
