@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from functools import cache, partial
@@ -189,9 +190,20 @@ def _json_dumps(payload) -> str:
 def _write(text: str) -> None:
     """Write ``text`` to stdout in 64 KB slices.  The text layer encodes
     each str it is given whole, so one write would add a bytes copy of
-    the whole output to the peak."""
-    for start in range(0, len(text), 1 << 16):
-        sys.stdout.write(text[start:start + (1 << 16)])
+    the whole output to the peak.
+
+    A reader that closes the pipe early, such as ``head``, ends the output,
+    not the command: fd 1 is pointed at os.devnull, so no later write and
+    not the interpreter's last flush of what is still buffered can raise.
+    """
+    try:
+        for start in range(0, len(text), 1 << 16):
+            sys.stdout.write(text[start:start + (1 << 16)])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 # The %-format of a cell by its type: a str as it is, an int in decimal, a

@@ -200,48 +200,100 @@ def _unpack(value: int, code: str, count: int) -> array:
     return array(code, (value & ((1 << 8 * size) - 1)).to_bytes(size, "little"))
 
 
-def _raise_bounds_packed(row: list[int], m: int, top: int) -> int:
+def _headroom(m: int, span: int, bits: int) -> int:
+    """The bound on lane 0 under which lanes of ``bits`` bits that hold a
+    row nondecreasing on degrees m..m + span, lane 0 the top one, divide by
+    1 - x^m without a carry.  A residue class mod m holds at most t = span
+    // m + 1 of those degrees, and with s = t.bit_length(), t < 2^s.  Lane 0
+    is the largest, so when it is below 2^(bits - s) every prefix sum,
+    partial or final, is below 2^bits."""
+    return 1 << bits - (span // m + 1).bit_length()
+
+
+def _prefix_sums(lanes: int, m: int, span: int, bits: int) -> int:
+    """``lanes`` divided by 1 - x^m, lane 0 the top degree and lane ``span``
+    degree m: along one residue class mod m the division is a prefix sum
+    toward lane 0, taken by doubling, ``lanes += lanes >> bits * step`` for
+    step = m, 2m, 4m, ... <= span."""
+    step = m
+    while step <= span:
+        lanes += lanes >> bits * step
+        step *= 2
+    return lanes
+
+
+def _raise_bounds_packed(row: list[int], m: int, top: int, width: int = 8) -> int:
     """Divide ``row`` in place by 1 - x^b from degree 2b, for b = m, m - 1,
-    ... down to 2 while no 64-bit lane can carry, as ``_raise_bound(row, b,
-    top, 2 * b)`` would; return the first b left undivided (1 when none is).
-    The entries must be nonnegative and below 2^64.
+    ... down to 2 while no lane of ``width`` bytes can carry, as
+    ``_raise_bound(row, b, top, 2 * b)`` would; return the first b left
+    undivided (1 when none is).  The entries must be nonnegative, fit a
+    lane, and be nondecreasing on degrees m..top.
 
     The entries of degrees m + 1..top are packed into one integer of
-    unsigned 64-bit lanes in reversed order, lane i holding degree top - i,
-    so the degrees b..top that a division reads are the lowest top - b + 1
+    unsigned lanes in reversed order, lane i holding degree top - i, so
+    the degrees b..top that a division reads are the lowest top - b + 1
     lanes and each big-integer operation costs O(top - b).  Degree b joins
     as the next lane when its division comes: every division so far
-    started above it, so the row still holds its entry.  Along one residue
-    class mod b the division is a prefix sum, taken by doubling:
-    ``lanes += lanes >> 64 * step`` for step = b, 2b, 4b, ... <= top - b.
+    started above it, so the row still holds its entry.
 
-    The guard: a class holds at most t = (top - b) // b + 1 of the degrees
-    b..top, and with s = t.bit_length(), t < 2^s.  When every lane is below
-    2^(64 - s), which one AND with a mask of the top s bits of each lane
-    shows, every prefix sum, partial or final, is below 2^64, so no lane
-    carries into the next.  When a lane is not, the row is unpacked and
-    handed back undivided at b.  Sums of nonnegative entries only grow as
-    b falls and t rises, so the guard would fail at every smaller b too.
+    The guard, ``_headroom``, reads lane 0 alone.  In ``bounded_sums`` the
+    row before the division at b holds, on degrees b..top, x^b plus the
+    partitions into parts >= b + 1.  Raising the largest part by one maps
+    the partitions of d one-to-one into those of d + 1, so the counts
+    never fall as the degree rises and lane 0 is the largest lane.  When
+    it fails, the row is unpacked and handed back undivided at b, to wider
+    lanes or to the 64-bit stage, ``_raise_bounds_split``.
     """
-    code = _LANE_CODES[8]
+    code, bits = _LANE_CODES[width], 8 * width
+    lane = (1 << bits) - 1
     lanes = _pack(reversed(row[m + 1:top + 1]), code)
-    ones = _pack([1] * (top + 1), code)
-    bits = mask = 0
     while m > 1:
-        lanes += row[m] << 64 * (top - m)
-        terms = (top - m) // m + 1
-        if terms.bit_length() != bits:
-            bits = terms.bit_length()
-            mask = ones * (((1 << bits) - 1) << 64 - bits)
-        if lanes & mask:
+        lanes += row[m] << bits * (top - m)
+        if lanes & lane >= _headroom(m, top - m, bits):
             break
-        step = m
-        while step <= top - m:
-            lanes += lanes >> 64 * step
-            step *= 2
+        lanes = _prefix_sums(lanes, m, top - m, bits)
         m -= 1
     row[m + 1:top + 1] = reversed(_unpack(lanes, code, top - m))
     return m
+
+
+def _raise_bounds_split(row: list[int], m: int, top: int) -> None:
+    """The 64-bit stage: divide ``row`` in place by 1 - x^b from degree 2b,
+    for b = m, m - 1, ... down to 2, as ``_raise_bound(row, b, top, 2 * b)``
+    would, on entries as ``_raise_bounds_packed`` takes them.
+
+    The degrees b..s are 64-bit lanes as there, with s = top at first.  A
+    lane 0 that fails the guard before the division at b does not hand
+    the row back.  The row is nondecreasing on b..s, so the lanes that
+    fail are a prefix, the top degrees: only they leave the integer for
+    ``row``, and s falls below them.  Each division then runs packed on
+    degrees b..s and one entry at a time on s + 1..top, through
+    ``_raise_bound(row, b, top, max(2b, s + 1))``, once the b lanes just
+    below s + 1, which it reads, are unpacked into ``row``.  In
+    ``bounded_sums`` the entries of degrees b..2b + 1 are 1 and never
+    leave, so s > 2b and those b lanes are all above degree b.  At limit
+    2000 the lanes still hold every degree up to 407 at b = 2.
+    """
+    code, lane = _LANE_CODES[8], (1 << 64) - 1
+    lanes = _pack(reversed(row[m + 1:top + 1]), code)
+    s = top
+    while m > 1:
+        lanes += row[m] << 64 * (s - m)
+        bound = _headroom(m, s - m, 64)
+        if lanes & lane >= bound:
+            count = 2
+            while (head := _unpack(lanes, code, count))[-1] >= bound:
+                count *= 2
+            out = sum(entry >= bound for entry in head)
+            row[s - out + 1:s + 1] = reversed(head[:out])
+            lanes >>= 64 * out
+            s -= out
+        lanes = _prefix_sums(lanes, m, s - m, 64)
+        if s < top:
+            row[s - m + 1:s + 1] = reversed(_unpack(lanes, code, m))
+            _raise_bound(row, m, top, max(2 * m, s + 1))
+        m -= 1
+    row[m + 1:s + 1] = reversed(_unpack(lanes, code, s - m))
 
 
 class RestrictedCounts:
@@ -479,24 +531,31 @@ def bounded_sums(limit: int) -> list[int]:
     them all from the start.  About limit^2 / 4 additions on O(limit)
     stored integers.
 
-    The divisions run in two phases.  While every count the row holds is
-    small, from m = limit//2 down, ``_raise_bounds_packed`` keeps the row
-    as one integer of 64-bit lanes and divides all of it in a few
-    big-integer shift-adds per m, as long as its guard proves that no
-    lane can carry: each entry of degree m..limit below 2^(64 - s), where
-    s is the bit length of the number of terms a prefix sum adds.  Once
-    the counts are too large for that, here from m = 2 at limit 408 and
-    m = 86 at limit 2000, ``_raise_bound`` divides one entry at a time.
-    On a big-endian host the second phase runs alone.
+    The row is divided in packed lanes, narrow while its counts are
+    small.  From m = limit//2 down, ``_raise_bounds_packed`` keeps it as
+    one integer of 16-bit lanes and divides all of it in a few big-integer
+    shift-adds per m, for as long as its guard proves that no lane can
+    carry; then 32-bit lanes take over from the m where the 16-bit ones
+    handed back, and the 64-bit stage, ``_raise_bounds_split``, from
+    where the 32-bit ones did (at limit 2000: m = 1000, 521, 251; at
+    10,000: 5000, 3193, 1795).  The guards read one lane, the top degree,
+    since the row before each division is nondecreasing on the degrees it
+    reads.  The 64-bit stage runs to m = 2: the top degrees that outgrow
+    its lanes, from limit 408 on, leave them and ``_raise_bound`` divides
+    them one entry at a time.  On a big-endian host ``_raise_bound``
+    divides every entry.
     """
     if limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
     row = [0, 0] + [1] * (limit - 1)  # x^2 + x^3 + ... + x^limit
     m = limit // 2
     if sys.byteorder == "little":
-        m = _raise_bounds_packed(row, m, limit)
-    for m in range(m, 1, -1):
-        _raise_bound(row, m, limit, 2 * m)
+        m = _raise_bounds_packed(row, m, limit, 2)
+        m = _raise_bounds_packed(row, m, limit, 4)
+        _raise_bounds_split(row, m, limit)
+    else:
+        for m in range(m, 1, -1):
+            _raise_bound(row, m, limit, 2 * m)
     return [0] * min(limit + 1, 2) + [s - 1 for s in row[2:]]
 
 

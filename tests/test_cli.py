@@ -745,6 +745,27 @@ def test_memory_exhaustion_exits_2(argv):
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "PYTHONUNBUFFERED=1"])
+def test_a_reader_that_closes_the_pipe_early_leaves_exit_0(unbuffered):
+    """``table ... | head -c 10``: the reader takes 10 bytes of about 187 KB
+    of csv and closes the pipe.  The command still exits 0, with nothing on
+    stderr, whether the interpreter buffers stdout or not."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("NUCLEUS_CACHE", None)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    with subprocess.Popen([sys.executable, "-m", "nucleus", "table", "--limit", "2000", "--format", "csv"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as child:
+        head = child.stdout.read(10)
+        child.stdout.close()
+        stderr = child.stderr.read()
+        code = child.wait(timeout=120)
+    assert head == b"n,gamma,nu"
+    assert (code, stderr) == (0, b"")
+
+
 def test_cache_needs_path(capsys, monkeypatch):
     monkeypatch.delenv("NUCLEUS_CACHE", raising=False)
     with pytest.raises(SystemExit) as exc:

@@ -3,6 +3,7 @@ import sys
 import tracemalloc
 from collections import Counter
 from itertools import accumulate
+from operator import le
 
 import pytest
 
@@ -12,6 +13,7 @@ from nucleus.counting import (
     _extend_p,
     _raise_bound,
     _raise_bounds_packed,
+    _raise_bounds_split,
     _table_from_p,
     bounded_sums,
     build_table,
@@ -402,11 +404,14 @@ def test_bounded_sums_equal_the_scatter_all_reference():
     switches from blocks of m to residue-class prefix sums at limit
     m^2 + 2m: limits 0..80 cross it for m <= 8, and m^2 + 2m - 1..+1 for
     m = 9..12.  The packed divisions start at m = limit // 2 from limit 4
-    (limits 0..3 never pack) and run to m = 2 up to limit 407; the guard
-    hands the row back undivided at m = 2 from limit 408 and at m = 3
-    from 440, where _raise_bound takes over."""
+    (limits 0..3 never pack).  The 16-bit lanes first hand the row over
+    at m = 2 at limit 41, the 32-bit lanes at limit 127.  The 64-bit
+    stage runs to m = 2 with every degree packed up to limit 407.  From
+    408 its top degrees leave the lanes for _raise_bound: at 408 one
+    degree, at m = 2; at 409 two at once, at 415 eight; from 440 the
+    first at m = 3, from 483 at m = 4."""
     switch = (m * m + 2 * m + d for m in range(9, 13) for d in (-1, 0, 1))
-    for limit in (*range(81), *switch, 301, 407, 408, 439, 440, 777):
+    for limit in (*range(81), *switch, 126, 127, 301, 407, 408, 409, 415, 439, 440, 482, 483, 777):
         assert bounded_sums(limit) == scatter_all_bounded_sums(limit), limit
 
 
@@ -423,6 +428,84 @@ def test_packed_division_guard(hand_back_at, last_lane):
         _raise_bound(expected, m, 30, 2 * m)
     assert _raise_bounds_packed(row, 10, 30) == hand_back_at
     assert row == expected
+
+
+@pytest.mark.parametrize("hand_back_at, over", [(9, -1), (10, 0)], ids=["all_below", "top_lane_at"])
+@pytest.mark.parametrize("width", [2, 4, 8])
+def test_packed_division_guard_at_each_width(width, hand_back_at, over):
+    """As test_packed_division_guard, in lanes of ``width`` bytes: at m = 10,
+    top = 30, s = 2, so lane 0 must be below 2^(8 width - 2).  Lanes of
+    2^(8 width - 2) - 1 take the division and hand back at m = 9; a top
+    lane of 2^(8 width - 2) hands back undivided at m = 10.  The guard
+    reads that lane alone: every other lane would pass."""
+    bound = 1 << 8 * width - 2
+    row = [0] * 10 + [bound - 1] * 20 + [bound + over]
+    expected = list(row)
+    for m in range(10, hand_back_at, -1):
+        _raise_bound(expected, m, 30, 2 * m)
+    assert _raise_bounds_packed(row, 10, 30, width) == hand_back_at
+    assert row == expected
+
+
+@pytest.mark.parametrize("failing, top_lane", [(1, 2**62), (1, 2**63 + 2**62), (3, 2**62)],
+                         ids=["one_at_2^62", "one_that_would_carry", "three_at_2^62"])
+def test_64_bit_stage_divides_only_the_failing_top_lanes_per_entry(monkeypatch, failing, top_lane):
+    """At m = 10, top = 30 every lane must be below 2^62.  The top
+    ``failing`` degrees are not, and only they leave the lanes: the first
+    per-entry division, at m = 10, starts at degree 31 - failing.  The
+    lane below them passes, so a guard that read it would keep a top lane
+    of 2^63 + 2^62, whose sum of three carries.  The stage then divides
+    down to m = 2 as _raise_bound does."""
+    row = [0] * 10 + [2**62 - 1] * (21 - failing) + [top_lane] * failing
+    expected = list(row)
+    for m in range(10, 1, -1):
+        _raise_bound(expected, m, 30, 2 * m)
+    lows = []
+
+    def per_entry(row, m, top, low=None):
+        lows.append((m, low))
+        _raise_bound(row, m, top, low)
+
+    monkeypatch.setattr(counting, "_raise_bound", per_entry)
+    _raise_bounds_split(row, 10, 30)
+    assert row == expected
+    assert lows[0] == (10, 31 - failing)
+
+
+def test_rows_the_guard_reads_are_nondecreasing():
+    """The premise of the one-lane guard: before the division at m the row
+    holds x^m plus the partitions into parts >= m + 1 on degrees m..limit,
+    and raising the largest part maps the partitions of d one-to-one into
+    those of d + 1, so the row never falls as the degree rises.  Rolled
+    here one entry at a time, which the packed stages equal
+    (test_bounded_sums_equal_the_scatter_all_reference)."""
+    for limit in (*range(301), 2000):
+        row = [0, 0] + [1] * (limit - 1)
+        for m in range(limit // 2, 1, -1):
+            assert all(map(le, row[m:limit], row[m + 1:limit + 1])), (limit, m)
+            _raise_bound(row, m, limit, 2 * m)
+
+
+def test_bounded_sums_widen_the_lanes_where_each_width_hands_back(monkeypatch):
+    """At limit 2000 the 16-bit lanes divide from m = 1000, the 32-bit lanes
+    from where they hand back, 521, and the 64-bit stage from 251, where
+    the 32-bit lanes do; it divides down to m = 2."""
+    record = []
+    packed, split = counting._raise_bounds_packed, counting._raise_bounds_split
+
+    def narrow(row, m, top, width=8):
+        back = packed(row, m, top, width)
+        record.append((width, m, back))
+        return back
+
+    def wide(row, m, top):
+        record.append((8, m))
+        split(row, m, top)
+
+    monkeypatch.setattr(counting, "_raise_bounds_packed", narrow)
+    monkeypatch.setattr(counting, "_raise_bounds_split", wide)
+    assert bounded_sums(2000) == scatter_all_bounded_sums(2000)
+    assert record == [(2, 1000, 521), (4, 521, 251), (8, 251)]
 
 
 def test_bounded_sums_on_a_big_endian_host_divide_per_entry(monkeypatch):
