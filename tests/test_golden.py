@@ -21,6 +21,10 @@ GOLDEN = {
     "table --rows 1-20,100": (0, "64dbec68182b8815856dd5c8ecb40cae19cdb0cb9aee6ca2b4c3e46a33f045e7"),
     "table --rows 1-20,100 --format csv": (0, "e015bd86a1b86aaf1b1c479bc7b79652c209d70c8d00ac3133dbb727d16c8c40"),
     "table --rows 1-20,100 --format json": (0, "a4777741dc2e6935432ae6161d0feb0cd61a9d34f8081f05efae4a05f27f7dce"),
+    # Csv is written 512 rows at a time: the last slice here is one row,
+    # and the --rows list crosses a slice boundary.
+    "table --limit 1025 --format csv": (0, "932bbf35863b58a641f87ce851f29c7491495fa3e254c901d2005a4175226bf3"),
+    "table --rows 1-600,900-1000 --format csv": (0, "7a0e0119151de3ab30705dd24e24e2888534283f4ea960a74f208ef9376dfae2"),
     "verify": (0, "82d79242a0ebc8dfedc71f6625990bd7dc4db6d109ce68b78394d77d79494a7d"),
     "verify --format csv": (0, "91d698311f225a99e55d2d50312d7f10e5df4dd03b8888761dedd5d538a416ce"),
     "verify --format json": (0, "76266e8221bbf42642fa14a006bae96a7aa54e47630db9d9b90f468ce86bf8c6"),
@@ -62,6 +66,7 @@ GOLDEN = {
     "ratios --limit 100": (0, "ad3f826910cd14a5d35dba5566b551f9675d6f71dc3870a74e4d5b8a6261151e"),
     "ratios --limit 100 --format csv": (0, "9c1141d83185719744a571c0003e34c6d7c5585ef466c3148437f274595b8006"),
     "ratios --limit 100 --format json": (0, "28256700c6428aaad7695b26160573f27c7f5f9bcd11b0e7f9ecfb3a1a867489"),
+    "ratios --limit 1025 --format csv": (0, "be99a2bc5d60a168d774ad2599a896a723cea111831ad0c7da56f6c3afc6b75b"),
     "ratios --estimator p --points 25,100,400": (0, "b04d95dac7b6f2b0749f18da0538c0e6f96a705edca4b5024db5a2550f457e49"),
     "ratios --estimator p --points 25,100,400 --format csv": (0, "b674ed41692731a4306474b6e7219c819663aa600864e94096e7a624984477ea"),
     "ratios --estimator p --points 25,100,400 --format json": (0, "fccf2a2a88bb0d0b1650ea313ba7621684d511fa6f1c88a54aa04e4e5d3a266a"),
