@@ -177,11 +177,13 @@ class RatioRow(NamedTuple):
     linear_weighted_gamma: float | None
 
 
-def ratio_report(limit: int, table: CountTable) -> list[RatioRow]:
-    """Ratio diagnostics for n = 1..limit."""
+def ratio_report(limit: int, table: CountTable, start: int = 1) -> list[RatioRow]:
+    """Ratio diagnostics for n = start..limit; no rows when start > limit."""
     _check_range(limit, table)
+    if start < 1:
+        raise ValueError(f"ratio rows start at n >= 1, got {start}")
     rows = []
-    for n in range(1, limit + 1):
+    for n in range(start, limit + 1):
         nu_over_p = table.nu[n] / table.p[n]
         gamma_over_nu = table.gamma[n] / table.nu[n] if table.nu[n] else None
         if n % 2 == 0:

@@ -190,7 +190,9 @@ def _json_dumps(payload) -> str:
 def _write(text: str) -> None:
     """Write ``text`` to stdout in 64 KB slices.  The text layer encodes
     each str it is given whole, so one write would add a bytes copy of
-    the whole output to the peak.
+    ``text`` to the peak.  Csv from ``table`` and ``ratios`` comes here
+    one slice of rows at a time (``_write_csv``); every other output
+    comes whole.
 
     A reader that closes the pipe early, such as ``head``, ends the output,
     not the command: fd 1 is pointed at os.devnull, so no later write and
@@ -204,6 +206,21 @@ def _write(text: str) -> None:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+
+
+# Rows of ``table`` and ``ratios`` csv rendered and written at a time.
+_CSV_SLICE_ROWS = 512
+
+
+def _write_csv(render, rows) -> None:
+    """Write the csv ``render(part)`` for each slice ``part`` of up to
+    _CSV_SLICE_ROWS items of the sequence ``rows``, keeping the header
+    line that starts each slice's text only in the first.  So the process
+    holds one slice of output, never the whole of it; the bytes are those
+    of ``render(rows)``."""
+    for start in range(0, len(rows), _CSV_SLICE_ROWS):
+        text = render(rows[start:start + _CSV_SLICE_ROWS])
+        _write(text[text.index("\n") + 1:] if start else text)
 
 
 # The %-format of a cell by its type: a str as it is, an int in decimal, a
@@ -222,8 +239,9 @@ def _grid(header, rows, fmt: str) -> str:
     The header and the cells are read into one flat tuple of values.  Csv
     is then one %-format of that tuple: its template holds one line per
     row, shared by every row of the same cell types, so the only
-    output-sized object is the result.  Text formats each cell on its
-    own, since it needs every cell to size the columns."""
+    output-sized object is the result, and ``table`` and ``ratios`` call
+    it on one slice of rows at a time (``_write_csv``).  Text formats each
+    cell on its own, since it needs every cell to size the columns."""
     no, yes = ("false", "true") if fmt == "csv" else ("NO", "yes")
     words = {None: "%.0s", False: no + "%.0s", True: yes + "%.0s"}
     values = tuple(chain(header, chain.from_iterable(rows)))
@@ -488,7 +506,10 @@ def cmd_table(args, parser) -> int:
     elif rows[-1] > limit:
         parser.error(f"--rows selects n={rows[-1]} beyond --limit {limit}")
     table = _table_for(args, limit)
-    _write(render_table(table, rows, args.format))
+    if args.format == "csv":
+        _write_csv(lambda part: render_table(table, part, "csv"), rows)
+    else:
+        _write(render_table(table, rows, args.format))
     return EXIT_OK
 
 
@@ -605,7 +626,10 @@ def cmd_ratios(args, parser) -> int:
     if args.limit < 1:
         parser.error("--limit must be >= 1")
     table = _table_for(args, args.limit)
-    _write(render_ratios(ratio_report(args.limit, table), args.format))
+    if args.format == "csv":
+        _write_csv(lambda ns: render_ratios(ratio_report(ns[-1], table, ns[0]), "csv"), range(1, args.limit + 1))
+    else:
+        _write(render_ratios(ratio_report(args.limit, table), args.format))
     return EXIT_OK
 
 

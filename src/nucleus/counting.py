@@ -105,10 +105,15 @@ class CountTable(NamedTuple):
         return len(self.p) - 1
 
 
-def _table_from_p(p: list[int]) -> CountTable:
-    limit = len(p) - 1
-    nu = [1] + [p[n] - p[n - 1] for n in range(1, limit + 1)]
-    gamma = [0] * min(3, limit + 1) + [nu[n] - nu[n - 1] for n in range(3, limit + 1)]
+def _table_from_p(p: list[int], nu=(), gamma=()) -> CountTable:
+    """The table of ``p``.  Its nu and gamma columns are copies of the
+    prefixes ``nu`` and ``gamma``, which share their ints, continued to the
+    length of ``p``: nu(0) = 1 and nu(n) = p(n) - p(n-1), gamma(n) =
+    nu(n) - nu(n-1) from n = 3 and 0 below.  Only the rows past a prefix
+    are computed."""
+    nu, gamma = list(nu), list(gamma)
+    nu.extend(p[n] - p[n - 1] if n else 1 for n in range(len(nu), len(p)))
+    gamma.extend(nu[n] - nu[n - 1] if n >= 3 else 0 for n in range(len(gamma), len(p)))
     return CountTable(p=p, nu=nu, gamma=gamma)
 
 
@@ -123,11 +128,13 @@ def extend_table(table: CountTable, limit: int) -> CountTable:
     """Return a table reaching ``limit``, reusing the given prefix.
 
     Extending is bit-identical to a fresh build; the recurrence only ever
-    reads values already fixed.
+    reads values already fixed.  Only the new rows are computed; they are
+    appended to copies of the prefix's columns, which share its ints, so
+    the given table is left as it was and its rows are not held twice.
     """
     if limit <= table.limit:
         return table
-    return _table_from_p(_extend_p(list(table.p), limit))
+    return _table_from_p(_extend_p(list(table.p), limit), table.nu, table.gamma)
 
 
 class MethodResult(NamedTuple):

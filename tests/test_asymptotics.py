@@ -156,6 +156,17 @@ def test_ratio_report_field_presence(big_table):
             assert row.gap_estimate is None and row.sqrt_weighted_nu is None
 
 
+@pytest.mark.parametrize("limit", [1, 2, 7, 600])
+def test_ratio_report_from_start_is_a_suffix(big_table, limit):
+    """The rows from n = start are the rows from n = 1 with the first
+    start - 1 dropped; start = limit + 1 gives none."""
+    whole = ratio_report(limit, big_table)
+    for start in sorted({1, 2, limit, limit + 1}):
+        assert ratio_report(limit, big_table, start) == whole[start - 1:], start
+    with pytest.raises(ValueError, match="^ratio rows start at n >= 1, got 0$"):
+        ratio_report(limit, big_table, 0)
+
+
 def test_ratio_report_rejects_overrun(big_table):
     top = big_table.limit
     with pytest.raises(ValueError, match=f"^n={top + 1} exceeds the table limit {top}$"):

@@ -150,15 +150,19 @@ def test_float_cells_are_twelve_significant_digits(x):
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KB and per child on Linux")
 def test_csv_render_holds_little_more_than_its_output(tmp_path):
-    """``table --format csv`` on a 10,000-row cache peaks at most 1.5 times
-    the csv's length above ``cache check`` on the same cache, which loads
-    the same table.  Each command runs in a child of a small launcher,
-    whose ``os.wait4`` reads the child's own peak: a child forked straight
-    from the test process would count this process's memory as its own."""
+    """``table`` and ``ratios`` csv on a 10,000-row cache peak at most 2 MB
+    above ``cache check`` on the same cache, which loads the same table:
+    they hold one slice of output, never the whole (about 4.7 and 1.7 MB
+    of csv here).  So does ``cache build --limit 10000`` resuming a
+    5,000-row cache, above ``cache check`` of the cache it writes.  Each
+    command runs in a child of a small launcher, whose ``os.wait4`` reads
+    the child's own peak: a child forked straight from the test process
+    would count this process's memory as its own."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    cache, out = tmp_path / "counts.csv", tmp_path / "table.csv"
+    cache, resumed, out = tmp_path / "counts.csv", tmp_path / "resumed.csv", tmp_path / "out.csv"
     write_table(build_table(10000), cache)
+    write_table(build_table(5000), resumed)
     launcher = ("import os, sys\n"
                 "pid = os.fork()\n"
                 "if pid == 0:\n"
@@ -166,19 +170,23 @@ def test_csv_render_holds_little_more_than_its_output(tmp_path):
                 "_, status, usage = os.wait4(pid, 0)\n"
                 "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, file=sys.stderr)\n")
 
-    def peak_kb(*argv):
+    def peak_kb(*argv, path=cache):
         with open(out, "wb") as stdout:
-            result = subprocess.run([sys.executable, "-I", "-S", "-c", launcher, *argv, "--cache", str(cache)],
+            result = subprocess.run([sys.executable, "-I", "-S", "-c", launcher, *argv, "--cache", str(path)],
                                     stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=120)
         code, kb = map(int, result.stderr.split())
         assert code == 0
         return kb
 
+    margin_kb = 2 * 1024
     check_kb = peak_kb("cache", "check")
-    table_kb = peak_kb("table", "--limit", "10000", "--format", "csv")
-    csv_bytes = out.stat().st_size
-    assert out.read_bytes().count(b"\n") == 10001
-    assert (table_kb - check_kb) * 1024 <= 1.5 * csv_bytes, (table_kb, check_kb, csv_bytes)
+    for command in ("table", "ratios"):
+        kb = peak_kb(command, "--limit", "10000", "--format", "csv")
+        assert out.read_bytes().count(b"\n") == 10001
+        assert kb - check_kb <= margin_kb, (command, kb, check_kb)
+    resume_kb = peak_kb("cache", "build", "--limit", "10000", path=resumed)
+    assert resumed.read_bytes() == cache.read_bytes()
+    assert resume_kb - peak_kb("cache", "check", path=resumed) <= margin_kb, resume_kb
 
 
 # --- verify ---

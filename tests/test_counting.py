@@ -86,11 +86,22 @@ def test_difference_identities(big_table):
     assert all(t.gamma[n] == t.nu[n] - t.nu[n - 1] for n in range(3, t.limit + 1))
 
 
-def test_extend_equals_fresh():
-    grown = extend_table(build_table(60), 150)
+@pytest.mark.parametrize("prefix", [0, 1, 2, 3, 4, 60])
+def test_extend_equals_fresh(prefix):
+    """Extending from every prefix up to n = 4 puts the first new gamma
+    row below, at and above n = 3, where gamma stops being 0.  Both tables
+    also equal the differences of the coin DP's p, so a wrong rule shared
+    by the build and the extension still fails."""
+    start = build_table(prefix)
+    before = tuple(map(list, start))
+    grown = extend_table(start, 150)
     fresh = build_table(150)
     assert grown.limit == fresh.limit == 150
     assert grown.p == fresh.p and grown.nu == fresh.nu and grown.gamma == fresh.gamma
+    p = partition_counts(150)
+    nu = [1] + [p[n] - p[n - 1] for n in range(1, 151)]
+    assert grown == (p, nu, [0, 0, 0] + [nu[n] - nu[n - 1] for n in range(3, 151)])
+    assert tuple(start) == before  # the prefix table is left as it was
 
 
 @pytest.mark.parametrize("modulus", [None, 2, 11, 10**9 + 7])
