@@ -191,7 +191,7 @@ def _write(text: str) -> None:
     """Write ``text`` to stdout in 64 KB slices.  The text layer encodes
     each str it is given whole, so one write would add a bytes copy of
     ``text`` to the peak.  Csv from ``table`` and ``ratios`` comes here
-    one slice of rows at a time (``_write_csv``); every other output
+    one slice of rows at a time (``_write_rows``); every other output
     comes whole.
 
     A reader that closes the pipe early, such as ``head``, ends the output,
@@ -212,14 +212,16 @@ def _write(text: str) -> None:
 _CSV_SLICE_ROWS = 512
 
 
-def _write_csv(render, rows) -> None:
-    """Write the csv ``render(part)`` for each slice ``part`` of up to
-    _CSV_SLICE_ROWS items of the sequence ``rows``, keeping the header
-    line that starts each slice's text only in the first.  So the process
-    holds one slice of output, never the whole of it; the bytes are those
-    of ``render(rows)``."""
-    for start in range(0, len(rows), _CSV_SLICE_ROWS):
-        text = render(rows[start:start + _CSV_SLICE_ROWS])
+def _write_rows(render, rows, fmt: str) -> None:
+    """Write ``render(rows, fmt)`` for the sequence ``rows``.  Csv goes
+    out one slice of up to _CSV_SLICE_ROWS rows at a time, each rendered
+    on its own with the header line kept from the first slice only, so
+    the process holds one slice of output, never the whole of it.  Json
+    and text are rendered whole: text needs every row to size its
+    columns."""
+    step = _CSV_SLICE_ROWS if fmt == "csv" else len(rows)
+    for start in range(0, len(rows), step):
+        text = render(rows[start:start + step], fmt)
         _write(text[text.index("\n") + 1:] if start else text)
 
 
@@ -240,7 +242,7 @@ def _grid(header, rows, fmt: str) -> str:
     is then one %-format of that tuple: its template holds one line per
     row, shared by every row of the same cell types, so the only
     output-sized object is the result, and ``table`` and ``ratios`` call
-    it on one slice of rows at a time (``_write_csv``).  Text formats each
+    it on one slice of rows at a time (``_write_rows``).  Text formats each
     cell on its own, since it needs every cell to size the columns."""
     no, yes = ("false", "true") if fmt == "csv" else ("NO", "yes")
     words = {None: "%.0s", False: no + "%.0s", True: yes + "%.0s"}
@@ -506,10 +508,7 @@ def cmd_table(args, parser) -> int:
     elif rows[-1] > limit:
         parser.error(f"--rows selects n={rows[-1]} beyond --limit {limit}")
     table = _table_for(args, limit)
-    if args.format == "csv":
-        _write_csv(lambda part: render_table(table, part, "csv"), rows)
-    else:
-        _write(render_table(table, rows, args.format))
+    _write_rows(partial(render_table, table), rows, args.format)
     return EXIT_OK
 
 
@@ -626,10 +625,8 @@ def cmd_ratios(args, parser) -> int:
     if args.limit < 1:
         parser.error("--limit must be >= 1")
     table = _table_for(args, args.limit)
-    if args.format == "csv":
-        _write_csv(lambda ns: render_ratios(ratio_report(ns[-1], table, ns[0]), "csv"), range(1, args.limit + 1))
-    else:
-        _write(render_ratios(ratio_report(args.limit, table), args.format))
+    _write_rows(lambda ns, fmt: render_ratios(ratio_report(ns[-1], table, ns[0]), fmt),
+                range(1, args.limit + 1), args.format)
     return EXIT_OK
 
 
