@@ -152,8 +152,8 @@ def test_float_cells_are_twelve_significant_digits(x):
 def test_csv_render_holds_little_more_than_its_output(tmp_path):
     """``table`` and ``ratios`` csv on a 10,000-row cache peak at most 2 MB
     above ``cache check`` on the same cache, which loads the same table:
-    they hold one slice of output, never the whole (about 4.7 and 1.7 MB
-    of csv here).  So does ``cache build --limit 10000`` resuming a
+    they hold one slice of output, never the whole (2.1 and 0.6 MB of
+    csv here).  So does ``cache build --limit 10000`` resuming a
     5,000-row cache, above ``cache check`` of the cache it writes.  Each
     command runs in a child of a small launcher, whose ``os.wait4`` reads
     the child's own peak: a child forked straight from the test process

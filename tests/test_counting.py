@@ -94,14 +94,11 @@ def test_extend_equals_fresh(prefix):
     by the build and the extension still fails."""
     start = build_table(prefix)
     before = tuple(map(list, start))
-    grown = extend_table(start, 150)
-    fresh = build_table(150)
-    assert grown.limit == fresh.limit == 150
-    assert grown.p == fresh.p and grown.nu == fresh.nu and grown.gamma == fresh.gamma
     p = partition_counts(150)
     nu = [1] + [p[n] - p[n - 1] for n in range(1, 151)]
-    assert grown == (p, nu, [0, 0, 0] + [nu[n] - nu[n - 1] for n in range(3, 151)])
-    assert tuple(start) == before  # the prefix table is left as it was
+    gamma = [0, 0, 0] + [nu[n] - nu[n - 1] for n in range(3, 151)]
+    assert extend_table(start, 150) == build_table(150) == (p, nu, gamma)
+    assert start == before  # the prefix table is left as it was
 
 
 @pytest.mark.parametrize("modulus", [None, 2, 11, 10**9 + 7])
