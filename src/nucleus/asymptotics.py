@@ -178,23 +178,25 @@ class RatioRow(NamedTuple):
 
 
 def ratio_report(limit: int, table: CountTable, start: int = 1) -> list[RatioRow]:
-    """Ratio diagnostics for n = start..limit; no rows when start > limit."""
+    """Ratio diagnostics for n = start..limit; no rows when start > limit.
+    Each column of the table is read once, as the slice start..limit."""
     _check_range(limit, table)
     if start < 1:
         raise ValueError(f"ratio rows start at n >= 1, got {start}")
     rows = []
-    for n in range(start, limit + 1):
-        nu_over_p = table.nu[n] / table.p[n]
-        gamma_over_nu = table.gamma[n] / table.nu[n] if table.nu[n] else None
+    span = slice(start, limit + 1)
+    for n, p, nu, gamma in zip(range(start, limit + 1), table.p[span], table.nu[span], table.gamma[span]):
+        nu_over_p = nu / p
+        gamma_over_nu = gamma / nu if nu else None
         if n % 2 == 0:
             gap = _nu_factor(n, "simplified")
             try:
-                sqn = math.sqrt(n) * table.nu[n] / table.p[n]
+                sqn = math.sqrt(n) * nu / p
             except OverflowError:
                 sqn = math.inf
             if sqn == math.inf:  # sqrt(n) * nu(n) or p(n) passed the float range
                 sqn = math.sqrt(n) * nu_over_p
-            lin = n * table.gamma[n] / table.p[n]
+            lin = n * gamma / p
         else:
             gap = sqn = lin = None
         rows.append(RatioRow(n, nu_over_p, gamma_over_nu, gap, sqn, lin))

@@ -5,7 +5,8 @@ contiguous from 0, values as decimal integers, LF line endings, no
 trailing whitespace.  Loading reads the file one line at a time, as
 bytes, and re-checks the format and the difference identities row by
 row, refusing any file that breaks them, so a cache can only resume from
-verified ground.  The file's text is never held whole.
+verified ground.  The file's text is never held whole, and a loaded table
+holds its p column alone: nu and gamma are computed from p when read.
 """
 
 from __future__ import annotations
@@ -14,10 +15,14 @@ import contextlib
 import os
 from pathlib import Path
 
-from .counting import CountTable, build_table, extend_table
+from .counting import CountTable, _table_from_p, build_table, extend_table
 
 CACHE_HEADER = "n,gamma,nu,p"
 CACHE_ENV_VAR = "NUCLEUS_CACHE"
+
+# Rows written at a time: each slice reads the table's nu and gamma once,
+# and the slice's values stay a small part of the file.
+_WRITE_SLICE_ROWS = 128
 
 
 class CacheError(Exception):
@@ -46,11 +51,13 @@ def write_table(table: CountTable, path: Path | str) -> None:
     temp = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
     try:
         with open(temp, "x", encoding="ascii", newline="\n") as handle:
-            # One row at a time: the text layer writes them out in fixed
-            # 8 KB buffers, so the file's text is never held whole.
+            # One slice of rows at a time, so the file's text is never held
+            # whole.
             handle.write(CACHE_HEADER + "\n")
-            handle.writelines(f"{n},{table.gamma[n]},{table.nu[n]},{table.p[n]}\n"
-                              for n in range(table.limit + 1))
+            for lo in range(0, table.limit + 1, _WRITE_SLICE_ROWS):
+                hi = lo + _WRITE_SLICE_ROWS
+                handle.write("".join([f"{n},{g},{v},{q}\n" for n, g, v, q in zip(
+                    range(lo, hi), table.gamma[lo:hi], table.nu[lo:hi], table.p[lo:hi])]))
         os.replace(temp, target)
     except OSError as exc:
         raise CacheError(f"cannot write {path}: {exc.strerror}") from None
@@ -81,7 +88,11 @@ def _ascii_lines(handle):
 
 def read_table(path: Path | str) -> CountTable:
     """Load and validate a cache file; raises CacheError naming the bad row,
-    or saying why the file cannot be read."""
+    or saying why the file cannot be read.
+
+    Every row's nu and gamma are parsed and checked against p, but only p
+    and the previous row's nu are kept: the table's nu and gamma are views
+    of p (``counting._table_from_p``)."""
     try:
         # Read as bytes, so a CR stays in its field and a CR or CRLF file
         # fails the row checks instead of being read as LF.
@@ -106,8 +117,7 @@ def _parse_rows(lines) -> CountTable:
         raise CacheError(f"expected header {CACHE_HEADER!r}, got {header[:40].decode()!r}" if header is not None
                          else "empty cache file")
     p: list[int] = []
-    nu: list[int] = []
-    gamma: list[int] = []
+    nu = 0  # nu(n-1)
     for line_no, line in enumerate(lines, start=2):
         fields = line.split(b",")
         if len(fields) != 4:
@@ -128,14 +138,13 @@ def _parse_rows(lines) -> CountTable:
             if n < 3:
                 if g != 0:
                     raise CacheError(f"row n={n}: gamma must be 0 below n=3, got {g}")
-            elif g != v - nu[n - 1]:
-                raise CacheError(f"row n={n}: gamma must equal nu(n) - nu(n-1) = {v - nu[n - 1]}, got {g}")
-        gamma.append(g)
-        nu.append(v)
+            elif g != v - nu:
+                raise CacheError(f"row n={n}: gamma must equal nu(n) - nu(n-1) = {v - nu}, got {g}")
+        nu = v
         p.append(q)
     if not p:
         raise CacheError("cache has a header but no rows (row for n=0 is required)")
-    return CountTable(p=p, nu=nu, gamma=gamma)
+    return _table_from_p(p)
 
 
 def load_table(limit: int, path: Path | str | None) -> CountTable:

@@ -21,8 +21,8 @@ import os
 import sys
 import time
 from functools import cache, partial
-from itertools import accumulate, chain, repeat, tee
-from operator import add, and_, attrgetter, eq, mod, sub
+from itertools import accumulate, chain, compress, count, repeat, tee
+from operator import add, and_, attrgetter, eq, mod, ne, sub
 from typing import NamedTuple
 
 from . import __version__
@@ -187,7 +187,7 @@ def _json_dumps(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _write(text: str) -> None:
+def _write(text: str) -> bool:
     """Write ``text`` to stdout in 64 KB slices.  The text layer encodes
     each str it is given whole, so one write would add a bytes copy of
     ``text`` to the peak.  Csv from ``table`` and ``ratios`` comes here
@@ -196,7 +196,8 @@ def _write(text: str) -> None:
 
     A reader that closes the pipe early, such as ``head``, ends the output,
     not the command: fd 1 is pointed at os.devnull, so no later write and
-    not the interpreter's last flush of what is still buffered can raise.
+    not the interpreter's last flush of what is still buffered can raise,
+    and False is returned, so a caller with more to write can stop.
     """
     try:
         for start in range(0, len(text), 1 << 16):
@@ -206,6 +207,8 @@ def _write(text: str) -> None:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+        return False
+    return True
 
 
 # Rows of ``table`` and ``ratios`` csv rendered and written at a time.
@@ -216,13 +219,14 @@ def _write_rows(render, rows, fmt: str) -> None:
     """Write ``render(rows, fmt)`` for the sequence ``rows``.  Csv goes
     out one slice of up to _CSV_SLICE_ROWS rows at a time, each rendered
     on its own with the header line kept from the first slice only, so
-    the process holds one slice of output, never the whole of it.  Json
-    and text are rendered whole: text needs every row to size its
-    columns."""
+    the process holds one slice of output, never the whole of it, and no
+    slice is rendered once the reader has closed the pipe.  Json and text
+    are rendered whole: text needs every row to size its columns."""
     step = _CSV_SLICE_ROWS if fmt == "csv" else len(rows)
     for start in range(0, len(rows), step):
         text = render(rows[start:start + step], fmt)
-        _write(text[text.index("\n") + 1:] if start else text)
+        if not _write(text[text.index("\n") + 1:] if start else text):
+            return
 
 
 # The %-format of a cell by its type: a str as it is, an int in decimal, a
@@ -278,10 +282,15 @@ def _records(kind: str, header, rows, fmt: str) -> str:
 
 
 def render_table(table: CountTable, rows, fmt: str) -> str:
-    """The n, gamma, nu, p rows of ``table`` at each n in the iterable ``rows``."""
-    n, *index = tee(rows, 4)
-    columns = (table.gamma.__getitem__, table.nu.__getitem__, table.p.__getitem__)
-    return _records("count_table", ("n", "gamma", "nu", "p"), zip(n, *map(map, columns, index)), fmt)
+    """The n, gamma, nu, p rows of ``table`` at each n in the iterable ``rows``.
+    Each run of consecutive n is read from each column as one slice; a
+    row the table does not have is a ValueError."""
+    rows = list(rows)
+    # A run ends after each n that the next n does not follow by one.
+    ends = [*compress(count(1), map(ne, map(sub, rows[1:], rows), repeat(1))), len(rows)]
+    runs = [slice(rows[start], rows[end - 1] + 1) for start, end in zip([0, *ends], ends) if end]
+    columns = [chain.from_iterable(map(column.__getitem__, runs)) for column in (table.gamma, table.nu, table.p)]
+    return _records("count_table", ("n", "gamma", "nu", "p"), zip(rows, *columns, strict=True), fmt)
 
 
 def render_summary(summary: VerificationSummary, fmt: str, errata_demo=None) -> str:

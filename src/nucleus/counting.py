@@ -31,7 +31,7 @@ from array import array
 from collections import Counter
 from itertools import accumulate, islice
 from operator import add, itemgetter, mul, sub
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from .partitions import NUCLEAR, _capacity, iter_parts
 
@@ -88,33 +88,72 @@ def _gather(indices: list[int]):
     return lambda values: [values[i] for i in indices]
 
 
+class _Difference:
+    """A read-only view of the first difference of ``base``, a list or
+    another view: row n < len(head) is head[n], and row n from there on is
+    base[n] - base[n-1].  An int index reads two rows of ``base``; a slice
+    (any step), iteration and == compute the rows from the slice's least to
+    its greatest at C speed, from one slice of ``base``."""
+
+    __slots__ = ("_base", "_head")
+
+    def __init__(self, base, head: tuple[int, ...]):
+        self._base, self._head = base, head
+
+    def __len__(self) -> int:
+        return len(self._base)
+
+    def __getitem__(self, index):
+        rows = range(len(self._base))[index]
+        if isinstance(rows, int):
+            return self._head[rows] if rows < len(self._head) else self._base[rows] - self._base[rows - 1]
+        if not rows:
+            return []
+        # The span lo..top of the slice, then read in its order and step.
+        lo, top = sorted((rows[0], rows[-1]))
+        start = max(lo, min(len(self._head), top + 1))
+        base = self._base[start - 1:top + 1]
+        values = [*self._head[lo:start], *map(sub, base[1:], base)]
+        return values if rows.step == 1 else values[::rows.step]
+
+    def __iter__(self):
+        return iter(self[:])
+
+    def __eq__(self, other):
+        if isinstance(other, _Difference):
+            other = other[:]
+        return self[:] == other if isinstance(other, list) else NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(self[:])
+
+
 class CountTable(NamedTuple):
     """Exact values p(n), nu(n), gamma(n) for 0 <= n <= limit.
 
     Satisfies p[0] = nu[0] = 1, nu[n] = p[n] - p[n-1] for n >= 1,
-    gamma[n] = nu[n] - nu[n-1] for n >= 3 and gamma[0..3] = 0.
-    Treat a built table as immutable; concurrent reads are safe.
+    gamma[n] = nu[n] - nu[n-1] for n >= 3 and gamma[0..3] = 0.  A built
+    table holds the list p alone: nu and gamma are read-only views that
+    compute those differences from p when read, so read them a slice at a
+    time, not one index per row.  They compare equal to the lists of their
+    values.  Treat a built table as immutable; concurrent reads are safe.
     """
 
     p: list[int]
-    nu: list[int]
-    gamma: list[int]
+    nu: Sequence[int]
+    gamma: Sequence[int]
 
     @property
     def limit(self) -> int:
         return len(self.p) - 1
 
 
-def _table_from_p(p: list[int], nu=(), gamma=()) -> CountTable:
-    """The table of ``p``.  Its nu and gamma columns are copies of the
-    prefixes ``nu`` and ``gamma``, which share their ints, continued to the
-    length of ``p``: nu(0) = 1 and nu(n) = p(n) - p(n-1), gamma(n) =
-    nu(n) - nu(n-1) from n = 3 and 0 below.  Only the rows past a prefix
-    are computed."""
-    nu, gamma = list(nu), list(gamma)
-    nu.extend(p[n] - p[n - 1] if n else 1 for n in range(len(nu), len(p)))
-    gamma.extend(nu[n] - nu[n - 1] if n >= 3 else 0 for n in range(len(gamma), len(p)))
-    return CountTable(p=p, nu=nu, gamma=gamma)
+def _table_from_p(p: list[int]) -> CountTable:
+    """The table of ``p``, which it holds as it is: nu is the view of p's
+    first difference with nu(0) = 1, gamma the view of nu's difference
+    with gamma(0..2) = 0."""
+    nu = _Difference(p, (1,))
+    return CountTable(p=p, nu=nu, gamma=_Difference(nu, (0, 0, 0)))
 
 
 def build_table(limit: int) -> CountTable:
@@ -128,13 +167,13 @@ def extend_table(table: CountTable, limit: int) -> CountTable:
     """Return a table reaching ``limit``, reusing the given prefix.
 
     Extending is bit-identical to a fresh build; the recurrence only ever
-    reads values already fixed.  Only the new rows are computed; they are
-    appended to copies of the prefix's columns, which share its ints, so
-    the given table is left as it was and its rows are not held twice.
+    reads values already fixed.  Only the new rows of p are computed; they
+    are appended to a copy of the prefix's p, which shares its ints, so the
+    given table is left as it was and its rows are not held twice.
     """
     if limit <= table.limit:
         return table
-    return _table_from_p(_extend_p(list(table.p), limit), table.nu, table.gamma)
+    return _table_from_p(_extend_p(list(table.p), limit))
 
 
 class MethodResult(NamedTuple):

@@ -301,6 +301,29 @@ def test_read_streams_the_rows(tmp_path):
     assert peak < 1.25 * size
 
 
+def test_read_holds_p_alone(tmp_path):
+    """The table read from 3,000 rows traces under half the size of its
+    three columns as lists of ints, which is what the loader returned
+    when it kept every field: nu and gamma are views of p."""
+    path = tmp_path / "counts.csv"
+    write_table(build_table(3000), path)
+    rows = [line.split(b",") for line in path.read_bytes().splitlines()[1:]]
+    tracemalloc.start()
+    try:
+        columns = [[int(row[i]) for row in rows] for i in (1, 2, 3)]
+        three, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    tracemalloc.start()
+    try:
+        table = read_table(path)
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [table.gamma, table.nu, table.p] == columns
+    assert size < three / 2
+
+
 def test_non_ascii_byte_far_after_a_bad_row_is_reported_first(tmp_path):
     """The first non-ASCII byte is reported ahead of a row error, at its
     offset in the file, also when it lies far past the bad row."""

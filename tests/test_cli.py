@@ -117,6 +117,21 @@ def test_render_table_takes_any_iterable_of_rows(fmt):
     assert cli.render_table(table, range(0, 31, 23), fmt) == cli.render_table(table, [0, 23], fmt)
 
 
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+@pytest.mark.parametrize("rows", [[], [4], [0, 1, 2, 9, 10, 30], [30, 29, 3, 3, 4, 0], [7, 5, 6]])
+def test_render_table_reads_rows_in_any_order(fmt, rows):
+    """Rows in any order, repeated or not, render as the rows read one
+    index at a time from plain lists; a row past the table, or below 0,
+    is an error, not a row left out."""
+    table = build_table(30)
+    p, nu, gamma = table.p, list(table.nu), list(table.gamma)
+    expected = cli._records("count_table", ("n", "gamma", "nu", "p"), [(n, gamma[n], nu[n], p[n]) for n in rows], fmt)
+    assert cli.render_table(table, rows, fmt) == expected
+    for bad in ([29, 30, 31], [-1, 0]):
+        with pytest.raises(ValueError):
+            cli.render_table(table, bad, fmt)
+
+
 def test_table_json_writes_exact_counts_as_strings():
     """The renderers hand over exact counts as ints; json writes each as a
     decimal string, and the row index n as a number.  p(300) is above 2**53,
@@ -772,6 +787,31 @@ def test_a_reader_that_closes_the_pipe_early_leaves_exit_0(unbuffered):
         code = child.wait(timeout=120)
     assert head == b"n,gamma,nu"
     assert (code, stderr) == (0, b"")
+
+
+@pytest.mark.parametrize("command, renderer", [("table", "render_table"), ("ratios", "render_ratios")])
+def test_no_csv_slice_is_rendered_after_the_reader_has_gone(command, renderer):
+    """The reader closes the pipe before the command writes: the first
+    slice of 5,000 csv rows meets the closed pipe, the nine after it are
+    never rendered, and the command still exits 0 with nothing on stderr
+    but the count the child reports."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("NUCLEUS_CACHE", None)
+    child = ("import sys\n"
+             "from nucleus import cli\n"
+             f"render, calls = cli.{renderer}, []\n"
+             f"cli.{renderer} = lambda *args: calls.append(args) or render(*args)\n"
+             "code = cli.main(sys.argv[1:])\n"
+             "print(code, len(calls), file=sys.stderr)\n")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run([sys.executable, "-c", child, command, "--limit", "5000", "--format", "csv"],
+                                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (0, b"0 1\n")
 
 
 def test_cache_needs_path(capsys, monkeypatch):

@@ -6,6 +6,8 @@ from itertools import accumulate
 from operator import le
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nucleus import counting
 from nucleus.counting import (
@@ -84,6 +86,34 @@ def test_difference_identities(big_table):
     assert t.gamma[:4] == [0, 0, 0, 0]
     assert all(t.nu[n] == t.p[n] - t.p[n - 1] for n in range(1, t.limit + 1))
     assert all(t.gamma[n] == t.nu[n] - t.nu[n - 1] for n in range(3, t.limit + 1))
+
+
+_BOUND = st.none() | st.integers(-15, 15)
+
+
+@given(st.lists(st.integers(-10**30, 10**30), max_size=12), _BOUND, _BOUND, st.none() | st.integers(-4, 4).filter(bool))
+def test_difference_views_match_plain_lists(p, start, stop, step):
+    """nu and gamma of a table hold p alone; read as a slice (any bounds
+    and step), by index, by iteration or by ==, they equal the lists of
+    the differences the table defines, whatever the list p."""
+    nu = [p[n] - p[n - 1] if n else 1 for n in range(len(p))]
+    gamma = [nu[n] - nu[n - 1] if n >= 3 else 0 for n in range(len(p))]
+    t = counting._table_from_p(p)
+    rows = slice(start, stop, step)
+    assert type(t.nu[rows]) is list and t.nu[rows] == nu[rows]
+    assert type(t.gamma[rows]) is list and t.gamma[rows] == gamma[rows]
+    assert len(t.nu) == len(t.gamma) == len(p)
+    assert list(t.nu) == nu and list(t.gamma) == gamma
+    assert t.nu == nu and nu == t.nu and t.gamma == gamma and gamma == t.gamma
+    assert t.nu != nu + [0] and t.gamma != [0] + gamma and t.nu != tuple(nu)
+    assert t.nu == counting._table_from_p(list(p)).nu
+    assert [t.nu[n] for n in range(-len(p), len(p))] == nu + nu
+    assert [t.gamma[n] for n in range(-len(p), len(p))] == gamma + gamma
+    for n in (len(p), -len(p) - 1):
+        with pytest.raises(IndexError):
+            t.nu[n]
+        with pytest.raises(IndexError):
+            t.gamma[n]
 
 
 @pytest.mark.parametrize("prefix", [0, 1, 2, 3, 4, 60])
