@@ -28,7 +28,8 @@ n = 1, the Ramanujan families themselves at n = 0.
 from __future__ import annotations
 
 import sys
-from typing import NamedTuple
+from array import array
+from typing import NamedTuple, Sequence
 
 from .counting import (
     _LANE_CODES,
@@ -78,9 +79,19 @@ def _lane_plan(offsets: list[tuple[int, int]], modulus: int) -> tuple[int, int |
     return bias, _lane_bytes(peak), _lane_bytes(_BLOCK * (modulus - 1) ** 2)
 
 
-def p_mod_m_table(limit: int, modulus: int) -> list[int]:
+def _residue_code(modulus: int) -> str | None:
+    """The narrowest unsigned array typecode that holds ``modulus`` - 1, or
+    None where 8 bytes are too few."""
+    return next((code for code in "BHIQ" if (modulus - 1) >> 8 * array(code).itemsize == 0), None)
+
+
+def p_mod_m_table(limit: int, modulus: int) -> array | list[int]:
     """Residues p(n) mod ``modulus`` for n = 0..limit, exactly, in O(limit)
     bytes and with the standard library alone.
+
+    The residues come back as an ``array.array`` of the narrowest unsigned
+    type that holds ``modulus`` - 1 (``_residue_code``): one byte per residue
+    up to modulus 256, then 2, 4 and 8.  A modulus above 2^64 gets a list.
 
     The pentagonal recurrence, run a block of B = _BLOCK residues at a
     time.  Given p(0..s-1), the block b = p(s..s+B-1) solves E*b = R
@@ -104,29 +115,37 @@ def p_mod_m_table(limit: int, modulus: int) -> list[int]:
     once, so it stays within [0, bias + (m-1) * len(offsets)], the width
     that ``_lane_plan`` sizes: no lane ever borrows or carries.  R is
     reduced mod m, and one big-integer product with P[:B], in lanes wide
-    enough for B * (m-1)^2, gives the block, reduced lane by lane.
+    enough for B * (m-1)^2, gives the block, reduced lane by lane.  The
+    returned array is allocated whole at the start and each block is
+    copied into its slice; the next block is packed from the plain list
+    of the one before.
 
     Where 8-byte lanes are too narrow (moduli above about 9.5e7), or on a
     big-endian host, ``_extend_p`` runs the whole recurrence instead, one
     n at a time, each a sum of the terms that n reaches, gathered by one
-    ``itemgetter`` per stretch between pentagonal numbers.
+    ``itemgetter`` per stretch between pentagonal numbers, into a list
+    that is copied into an array once at the end.
     """
     if modulus < 2:
         raise ValueError(f"modulus must be >= 2, got {modulus}")
     if limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
-    residues = [1 % modulus]
+    kind = _residue_code(modulus)
     offsets = pentagonal_offsets(limit)
     bias, width, wide = _lane_plan(offsets, modulus)
     if wide is None or sys.byteorder != "little":
-        return _extend_p(residues, limit, modulus)
+        values = _extend_p([1 % modulus], limit, modulus)
+        return values if kind is None else array(kind, values)
     code, wide_code = _LANE_CODES[width], _LANE_CODES[wide]
     block, wrap = _BLOCK, 8 * width * _BLOCK
-    series = _pack(_extend_p(residues, min(limit, block - 1), modulus), wide_code)
+    values = _extend_p([1 % modulus], min(limit, block - 1), modulus)
+    series = _pack(values, wide_code)
+    residues = array(kind, [0]) * (limit + 1)
+    residues[:block] = array(kind, values)
     pending = [_pack([bias] * 2 * block, code)] * (limit // block + 1)
     reach = [(g // block, 8 * width * (g % block), sign) for g, sign in offsets]
     for j, s in enumerate(range(block, limit + 1, block)):
-        done = _pack(residues[-block:], code)
+        done = _pack(values, code)
         for k, shift, sign in reach:
             if (k := k + j) >= len(pending):
                 break
@@ -138,7 +157,8 @@ def p_mod_m_table(limit: int, modulus: int) -> list[int]:
         size = min(block, limit + 1 - s)
         low, high = _unpack(pending[j + 1], code, size), _unpack(pending[j] >> wrap, code, size)
         reduced = _pack([(x + y) % modulus for x, y in zip(low, high)], wide_code)
-        residues += [v % modulus for v in _unpack(reduced * series, wide_code, size)]
+        values = [v % modulus for v in _unpack(reduced * series, wide_code, size)]
+        residues[s:s + size] = array(kind, values)
         pending[j] = None
     return residues
 
@@ -153,7 +173,7 @@ _VALUES = {
 }
 
 
-def _check(family: CongruenceFamily, limit_n: int, residues: list[int] | None) -> CongruenceReport:
+def _check(family: CongruenceFamily, limit_n: int, residues: Sequence[int] | None) -> CongruenceReport:
     """Scan the family on p mod m, computed up to its last argument or checked
     for length: the nonzero residues of its value at a*n + b, for n from the
     family's start to ``limit_n``, are the violations."""
@@ -174,7 +194,7 @@ def _check(family: CongruenceFamily, limit_n: int, residues: list[int] | None) -
 
 
 def check_progression(a: int, b: int, modulus: int, limit_n: int, *,
-                      residues: list[int] | None = None) -> CongruenceReport:
+                      residues: Sequence[int] | None = None) -> CongruenceReport:
     """Check p(a*n + b) = 0 (mod modulus) for n = 0..limit_n."""
     if a < 1 or b < 0:
         raise ValueError(f"progression must have a >= 1 and b >= 0, got ({a}, {b})")
@@ -189,22 +209,22 @@ def _known(family_id: str, modulus: int, start_n: int) -> CongruenceFamily:
     return CongruenceFamily(family_id, modulus, RAMANUJAN_PROGRESSIONS[modulus], start_n)
 
 
-def check_ramanujan(modulus: int, limit_n: int, *, residues: list[int] | None = None) -> CongruenceReport:
+def check_ramanujan(modulus: int, limit_n: int, *, residues: Sequence[int] | None = None) -> CongruenceReport:
     """Check the Ramanujan progression for modulus 5, 7 or 11 up to n = limit_n."""
     return _check(_known("ramanujan", modulus, 0), limit_n, residues)
 
 
-def check_nu_window(modulus: int, limit_n: int, *, residues: list[int] | None = None) -> CongruenceReport:
+def check_nu_window(modulus: int, limit_n: int, *, residues: Sequence[int] | None = None) -> CongruenceReport:
     """Check the m-term nu window ending at e = m*n+b, p(e) - p(e-m), for n = 1..limit_n."""
     return _check(_known("nu_window", modulus, 1), limit_n, residues)
 
 
-def check_nu_k_progression(modulus: int, limit_n: int, *, residues: list[int] | None = None) -> CongruenceReport:
+def check_nu_k_progression(modulus: int, limit_n: int, *, residues: Sequence[int] | None = None) -> CongruenceReport:
     """Check nu_m(e) = p(e) - p(e-m) = 0 (mod m), e = m*n+b, for n = 1..limit_n."""
     return _check(_known("nu_k_progression", modulus, 1), limit_n, residues)
 
 
-def check_gamma_weighted(modulus: int, limit_n: int, *, residues: list[int] | None = None) -> CongruenceReport:
+def check_gamma_weighted(modulus: int, limit_n: int, *, residues: Sequence[int] | None = None) -> CongruenceReport:
     """Check sum_{t=1..m-1} t * gamma(e-m+1+t) = m*(p(e) - p(e-1)) - (p(e) - p(e-m)) = 0 (mod m), n >= 1."""
     return _check(_known("gamma_weighted", modulus, 1), limit_n, residues)
 

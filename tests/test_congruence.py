@@ -1,6 +1,7 @@
 import random
 import sys
 import tracemalloc
+from array import array
 
 import pytest
 
@@ -33,7 +34,7 @@ def table():
 @pytest.mark.parametrize("modulus", [2, 5, 7, 11, 385])
 def test_modular_table_matches_exact(table, modulus):
     residues = p_mod_m_table(500, modulus)
-    assert residues == [p % modulus for p in table.p[:501]]
+    assert residues.tolist() == [p % modulus for p in table.p[:501]]
 
 
 def test_modular_table_examples():
@@ -65,7 +66,7 @@ def block_p():
 
 def test_modular_table_every_modulus_over_three_blocks(block_p):
     for modulus in range(2, 401):
-        assert p_mod_m_table(REACH, modulus) == [p % modulus for p in block_p], modulus
+        assert p_mod_m_table(REACH, modulus).tolist() == [p % modulus for p in block_p], modulus
 
 
 # The edges of the first three blocks, and those at 2048 and 4096: block edges
@@ -77,7 +78,7 @@ EDGES = sorted({BLOCK - 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1
 @pytest.mark.parametrize("modulus", [2, 11, 385])
 @pytest.mark.parametrize("limit", EDGES)
 def test_modular_table_at_block_edges(block_p, modulus, limit):
-    assert p_mod_m_table(limit, modulus) == [p % modulus for p in block_p[: limit + 1]]
+    assert p_mod_m_table(limit, modulus).tolist() == [p % modulus for p in block_p[: limit + 1]]
 
 
 def _first_wider(offsets, index, width):
@@ -100,13 +101,28 @@ def test_modular_table_either_side_of_a_lane_switch(block_p, index, width, wider
     first = _first_wider(offsets, index, width)
     for modulus, lanes in ((first - 1, width), (first, wider)):
         assert congruence._lane_plan(offsets, modulus)[index] == lanes
-        assert p_mod_m_table(REACH, modulus) == [p % modulus for p in block_p], modulus
+        assert p_mod_m_table(REACH, modulus).tolist() == [p % modulus for p in block_p], modulus
 
 
 def test_modular_table_huge_modulus_runs_the_recurrence(block_p):
     modulus = 10**9 + 7
     assert congruence._lane_plan(pentagonal_offsets(REACH), modulus)[2] is None
-    assert p_mod_m_table(REACH, modulus) == [p % modulus for p in block_p]
+    assert p_mod_m_table(REACH, modulus).tolist() == [p % modulus for p in block_p]
+
+
+# Each side of each residue width: 1, 2, 4 and 8 bytes, and a list past 64 bits.
+@pytest.mark.parametrize("modulus, typecode", [
+    (256, "B"), (257, "H"), (65536, "H"), (65537, "I"),
+    (2**32, "I"), (2**32 + 1, "Q"), (10**9 + 7, "I"), (2**64, "Q"), (2**64 + 1, None)])
+def test_modular_table_holds_each_residue_in_the_narrowest_type(block_p, modulus, typecode):
+    residues = p_mod_m_table(REACH, modulus)
+    if typecode is None:
+        assert type(residues) is list
+    else:
+        assert isinstance(residues, array) and residues.typecode == typecode
+    if modulus == 10**9 + 7:
+        assert congruence._lane_plan(pentagonal_offsets(REACH), modulus)[2] is None
+    assert list(residues) == [p % modulus for p in block_p]
 
 
 def test_modular_table_on_a_big_endian_host_runs_the_recurrence(monkeypatch):
@@ -121,15 +137,16 @@ def test_modular_table_on_a_big_endian_host_runs_the_recurrence(monkeypatch):
 
 
 def test_modular_table_memory_is_linear():
-    # The returned list alone is about 0.9 MB and the whole call peaks at about
-    # 1.06 MB on CPython 3.11; an FFT or dense design would not fit.
+    # The returned array holds one byte per residue (0.11 MB), and the call
+    # peaks at about 0.70 MB on CPython 3.11 with the pending accumulators;
+    # a list of residues (8 bytes each), an FFT or a dense design would not fit.
     tracemalloc.start()
     try:
         p_mod_m_table(110006, 11)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2.2e6
+    assert peak < 0.8e6
 
 
 # --- a large-n oracle that shares no code with the package ---
@@ -154,7 +171,7 @@ def test_modular_table_matches_hrr_at_large_n(limit):
         expected = int(numbers.partition(n)) % HRR_MODULUS
         assert residues[n] == expected, n
     # mod 11 the kernel runs on narrower lanes, so this checks those too
-    assert [r % 11 for r in residues] == p_mod_m_table(limit, 11)
+    assert [r % 11 for r in residues] == p_mod_m_table(limit, 11).tolist()
 
 
 def test_huge_modulus_fallback_matches_hrr():
