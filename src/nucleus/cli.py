@@ -21,7 +21,7 @@ import os
 import sys
 import time
 from functools import cache, partial
-from itertools import accumulate, chain, compress, count, repeat, tee
+from itertools import accumulate, chain, compress, count, islice, repeat, tee
 from operator import add, and_, attrgetter, eq, mod, ne, sub
 from typing import NamedTuple
 
@@ -107,6 +107,11 @@ def _sweep(name, low, high, column, expected_fail):
     return IdentityOutcome(name, len(truths), failures, first, expected_fail)
 
 
+def _bounded_agreement(t, last):
+    """Entry n is true where the truncated bounded sum is nu(n) - 1."""
+    return list(map(eq, map(add, bounded_sums(last), repeat(1)), islice(t.nu, last + 1)))
+
+
 def _k_nuclear_agreement(t, last):
     """Entry n is true where the k-skip sum gives p(n) for every k in
     K_VALUES; one k column is held at a time."""
@@ -116,44 +121,48 @@ def _k_nuclear_agreement(t, last):
     return agree
 
 
-# Whole-range routes over the exact table: name -> (table, last) -> a
-# column indexed by n = 0..last.  run_verification computes each one at
-# most once, when the first selected identity that reads it needs it.
+# Routes: name -> (table, last) -> a column indexed by n = 0..last.
+# "enumerated" holds the (nu, gap-sum value, gamma) columns of
+# enumerated_sweep to the enumeration limit; the others run over the
+# exact table to the exact limit.
 _ROUTES = {
     "nu_chain": nu_chain_sweep,
     "gamma_chain": gamma_chain_sweep,
     "gamma_weights": gamma_weights_sweep,
     "n_nu_minus_gamma": n_nu_minus_gamma_sweep,
-    "bounded": lambda t, last: bounded_sums(last),
+    "bounded": _bounded_agreement,
     "k_nuclear": _k_nuclear_agreement,
+    "enumerated": lambda t, last: list(zip(*enumerated_sweep(last))),
 }
 
 
-# name: (first n, last n, column, expected_fail).  The last n is the
-# exact limit, the enumeration limit or a fixed value capped at the exact
-# limit.  The column takes (table, route, enumerated, span), where span is
-# the slice first n..last n, and yields one truth per n in it: true where
-# the identity holds at n.  route(name) is the _ROUTES column up to the
-# exact limit and enumerated() the (nu, gap-sum value, gamma) columns of
-# enumerated_sweep at the enumeration limit; each is evaluated once and
-# shared by every identity that reads it.  Every row but the fixed one
-# compares whole slices.
+# name: (first n, last n, route, column, expected_fail).  The last n is
+# the exact limit, the enumeration limit or a fixed value capped at the
+# exact limit.  The route names the _ROUTES column the identity reads, or
+# is None.  The column takes (table, the route's column, span), where span
+# is the slice first n..last n, and yields one truth per n in it: true
+# where the identity holds at n.  A route's column is shared by every
+# identity that reads it.  p is a list, sliced; nu and gamma are views,
+# read through islice, which computes their rows as it goes and holds
+# none.  Every row but the fixed one compares whole spans.
 _EXACT, _ENUM = "exact", "enum"
 _IDENTITIES = {
-    "nu_chain": (0, _EXACT, lambda t, r, e, s: map(eq, r("nu_chain")[s], t.p[s]), False),
-    "gamma_chain": (2, _EXACT, lambda t, r, e, s: map(eq, r("gamma_chain")[s], t.nu[s]), False),
-    "gamma_weights": (2, _EXACT, lambda t, r, e, s: map(eq, r("gamma_weights")[s], t.p[s]), False),
-    "n_nu_minus_gamma": (2, _EXACT, lambda t, r, e, s: map(eq, r("n_nu_minus_gamma")[s], t.p[s]), False),
-    "bounded_sum": (4, _EXACT, lambda t, r, e, s:
-                    map(eq, map(add, r("bounded")[s], repeat(1)), t.nu[s]), False),
-    "k_nuclear": (0, _EXACT, lambda t, r, e, s: r("k_nuclear")[s], False),
-    "gap_sum": (2, _ENUM, lambda t, r, e, s: map(eq, e()[1][s], t.p[s]), False),
-    "nuclear_count": (0, _ENUM, lambda t, r, e, s: map(eq, e()[0][s], t.nu[s]), False),
-    "ground_state_count": (0, _ENUM, lambda t, r, e, s: map(eq, e()[2][s], t.gamma[s]), False),
-    # The truncated variant must come out exactly one short, everywhere.
-    "bounded_sum_truncated": (4, _EXACT, lambda t, r, e, s:
-                              map(eq, r("bounded")[s], map(sub, t.nu[s], repeat(1))), True),
-    "k_nuclear_shifted": (6, 6, lambda t, r, e, s:
+    "nu_chain": (0, _EXACT, "nu_chain", lambda t, c, s: map(eq, c[s], t.p[s]), False),
+    "gamma_chain": (2, _EXACT, "gamma_chain", lambda t, c, s:
+                    map(eq, c[s], islice(t.nu, s.start, s.stop)), False),
+    "gamma_weights": (2, _EXACT, "gamma_weights", lambda t, c, s: map(eq, c[s], t.p[s]), False),
+    "n_nu_minus_gamma": (2, _EXACT, "n_nu_minus_gamma", lambda t, c, s: map(eq, c[s], t.p[s]), False),
+    "bounded_sum": (4, _EXACT, "bounded", lambda t, c, s: c[s], False),
+    "k_nuclear": (0, _EXACT, "k_nuclear", lambda t, c, s: c[s], False),
+    "gap_sum": (2, _ENUM, "enumerated", lambda t, c, s: map(eq, c[1][s], t.p[s]), False),
+    "nuclear_count": (0, _ENUM, "enumerated", lambda t, c, s:
+                      map(eq, c[0][s], islice(t.nu, s.start, s.stop)), False),
+    "ground_state_count": (0, _ENUM, "enumerated", lambda t, c, s:
+                           map(eq, c[2][s], islice(t.gamma, s.start, s.stop)), False),
+    # The truncated variant must come out exactly one short, everywhere:
+    # the same truths as the full sum, which adds the 1 of (n) itself.
+    "bounded_sum_truncated": (4, _EXACT, "bounded", lambda t, c, s: c[s], True),
+    "k_nuclear_shifted": (6, 6, None, lambda t, c, s:
                           (p_via_k_nuclear(n, 2, t)[0] != t.p[n] for n in range(s.start, s.stop)), True),
 }
 IDENTITY_NAMES = tuple(_IDENTITIES)
@@ -163,19 +172,29 @@ def run_verification(table: CountTable, exact_limit: int, enum_limit: int,
                      names=IDENTITY_NAMES) -> tuple[VerificationSummary, dict[str, float]]:
     """Run the selected identity sweeps; returns the summary and timings.
 
-    A route shared by several identities is timed under the first of them.
+    Each route's column is computed once, when the first selected identity
+    that reads it needs it, and timed under that identity.  Which selected
+    identity reads each route last is known from ``names`` before the
+    loop, and the column is dropped once that identity is done.  So in the
+    default order one route column of counts is held at a time beside the
+    table; the bounded route, whose two readers lie apart, holds one truth
+    per n.
     """
-    route = cache(lambda name: _ROUTES[name](table, exact_limit))
-    enumerated = cache(lambda: list(zip(*enumerated_sweep(enum_limit))))
     limits = {_EXACT: exact_limit, _ENUM: enum_limit}
+    last_reader = {_IDENTITIES[name][2]: name for name in names}
+    columns = {}
     outcomes = []
     timings = {}
     for name in names:
-        low, high, column, expected_fail = _IDENTITIES[name]
+        low, high, route, column, expected_fail = _IDENTITIES[name]
         last = limits[high] if high in limits else min(high, exact_limit)
         start = time.perf_counter()
-        outcomes.append(_sweep(name, low, last, partial(column, table, route, enumerated), expected_fail))
+        if route not in columns:
+            columns[route] = route and _ROUTES[route](table, last)
+        outcomes.append(_sweep(name, low, last, partial(column, table, columns[route]), expected_fail))
         timings[name] = time.perf_counter() - start
+        if last_reader[route] == name:
+            del columns[route]
     return VerificationSummary(exact_limit, enum_limit, outcomes), timings
 
 
@@ -190,9 +209,9 @@ def _json_dumps(payload) -> str:
 def _write(text: str) -> bool:
     """Write ``text`` to stdout in 64 KB slices.  The text layer encodes
     each str it is given whole, so one write would add a bytes copy of
-    ``text`` to the peak.  Csv from ``table`` and ``ratios`` comes here
-    one slice of rows at a time (``_write_rows``); every other output
-    comes whole.
+    ``text`` to the peak.  Csv from ``table``, ``ratios`` and ``parity``
+    comes here one slice of rows at a time (``_write_rows``); every other
+    output comes whole.
 
     A reader that closes the pipe early, such as ``head``, ends the output,
     not the command: fd 1 is pointed at os.devnull, so no later write and
@@ -211,7 +230,7 @@ def _write(text: str) -> bool:
     return True
 
 
-# Rows of ``table`` and ``ratios`` csv rendered and written at a time.
+# Rows of ``table``, ``ratios`` and ``parity`` csv rendered and written at a time.
 _CSV_SLICE_ROWS = 512
 
 
@@ -245,9 +264,10 @@ def _grid(header, rows, fmt: str) -> str:
     The header and the cells are read into one flat tuple of values.  Csv
     is then one %-format of that tuple: its template holds one line per
     row, shared by every row of the same cell types, so the only
-    output-sized object is the result, and ``table`` and ``ratios`` call
-    it on one slice of rows at a time (``_write_rows``).  Text formats each
-    cell on its own, since it needs every cell to size the columns."""
+    output-sized object is the result, and ``table``, ``ratios`` and
+    ``parity`` call it on one slice of rows at a time (``_write_rows``).
+    Text formats each cell on its own, since it needs every cell to size
+    the columns."""
     no, yes = ("false", "true") if fmt == "csv" else ("NO", "yes")
     words = {None: "%.0s", False: no + "%.0s", True: yes + "%.0s"}
     values = tuple(chain(header, chain.from_iterable(rows)))
@@ -610,10 +630,21 @@ def cmd_parity(args, parser) -> int:
     table = _table_for(args, args.limit)
     residues = p_mod_m_table(args.limit, 2)
     evens = range(4, args.limit + 1, 2)
-    rows = [(n, total, total % 2, total % 2 == residues[n])
-            for n, total in zip(evens, accumulate(table.gamma[4::2]))]
-    _write(render_parity(rows, args.format))
-    return EXIT_OK if all(agrees for *_rest, agrees in rows) else EXIT_CHECK_FAILED
+    # One pass over the rows: each slice takes the next len(ns) of them, so
+    # the gamma sum runs on from slice to slice, and the rows a closed pipe
+    # leaves unrendered are still checked.
+    rows = ((n, total, total % 2, total % 2 == residues[n])
+            for n, total in zip(evens, accumulate(islice(table.gamma, 4, None, 2))))
+    agreed = []
+
+    def render(ns, fmt):
+        taken = list(islice(rows, len(ns)))
+        agreed.append(all(agrees for *_rest, agrees in taken))
+        return render_parity(taken, fmt)
+
+    _write_rows(render, evens, args.format)
+    passed = all(agreed) and all(agrees for *_rest, agrees in rows)
+    return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
 def cmd_ratios(args, parser) -> int:

@@ -29,7 +29,7 @@ from __future__ import annotations
 import sys
 from array import array
 from collections import Counter
-from itertools import accumulate, islice
+from itertools import accumulate, chain, count, islice, tee
 from operator import add, itemgetter, mul, sub
 from typing import Iterator, NamedTuple, Sequence
 
@@ -92,8 +92,10 @@ class _Difference:
     """A read-only view of the first difference of ``base``, a list or
     another view: row n < len(head) is head[n], and row n from there on is
     base[n] - base[n-1].  An int index reads two rows of ``base``; a slice
-    (any step), iteration and == compute the rows from the slice's least to
-    its greatest at C speed, from one slice of ``base``."""
+    (any step) and == compute the rows from the slice's least to its
+    greatest at C speed, from one slice of ``base``.  Iteration computes
+    each row as it is read, from an iterator over ``base``, and holds
+    none: ``islice`` of a view reads its rows without a list of them."""
 
     __slots__ = ("_base", "_head")
 
@@ -117,7 +119,12 @@ class _Difference:
         return values if rows.step == 1 else values[::rows.step]
 
     def __iter__(self):
-        return iter(self[:])
+        # Row n >= len(head) pairs base[n] from one iterator with
+        # base[n-1] from another, one row behind it.
+        ahead, behind = tee(self._base)
+        skip = len(self._head)
+        return chain(islice(self._head, len(self._base)),
+                     map(sub, islice(ahead, skip, None), islice(behind, skip - 1, None)))
 
     def __eq__(self, other):
         if isinstance(other, _Difference):
@@ -395,7 +402,7 @@ def nu_bounded(n: int, m: int) -> int:
 def nu_chain_sweep(table: CountTable, last: int) -> list[int]:
     """nu(0) + ... + nu(n) for n = 0..last; each entry is p(n)."""
     _check_range(last, table)
-    return list(accumulate(table.nu[: last + 1]))
+    return list(accumulate(islice(table.nu, last + 1)))
 
 
 def p_via_nu_chain(n: int, table: CountTable) -> MethodResult:
@@ -498,12 +505,17 @@ def p_via_gap_sum(n: int) -> MethodResult:
     return MethodResult("gap_sum", n, enumerated_counts(n)[1])
 
 
-def _gamma_moments(table: CountTable, last: int) -> tuple[list[int], list[int]]:
-    """Running sums S1(n) = sum_{k=3..n} gamma(k) and
-    S2(n) = sum_{k=3..n} k * gamma(k) for n = 0..last."""
+def _gamma_moments(table: CountTable, last: int) -> tuple[Iterator[int], Iterator[int]]:
+    """Iterators over the running sums S1(n) = sum_{k=3..n} gamma(k) and
+    S2(n) = sum_{k=3..n} k * gamma(k) for n = 0..last.
+
+    Both read one pass over gamma, computed from p as it is read, through
+    ``tee``: taken in step, as ``zip`` takes them, they hold one row of
+    gamma between them and no list.  ``tee`` keeps every row that one has
+    read and the other not yet, so drop, never hold, one left unread."""
     _check_range(last, table)
-    gamma = table.gamma[: last + 1]
-    return list(accumulate(gamma)), list(accumulate(map(mul, range(last + 1), gamma)))
+    gamma, weighted = tee(islice(table.gamma, last + 1))
+    return accumulate(gamma), accumulate(map(mul, count(), weighted))
 
 
 def gamma_chain_sweep(table: CountTable, last: int) -> list[int]:
@@ -602,7 +614,10 @@ def bounded_sums(limit: int) -> list[int]:
     else:
         for m in range(m, 1, -1):
             _raise_bound(row, m, limit, 2 * m)
-    return [0] * min(limit + 1, 2) + [s - 1 for s in row[2:]]
+    for n in range(2, limit + 1):  # in place, so each S[n] is freed as it goes
+        row[n] -= 1
+    del row[limit + 1:]
+    return row
 
 
 def _k_skip_chain(table: CountTable, k: int, rest: int, last: int) -> list[int]:

@@ -401,6 +401,24 @@ def test_verify_bounded_rows_run_in_linear_memory():
     assert peak < 2 * 2**20
 
 
+def test_verify_holds_one_route_column_at_a_time():
+    """Every identity at 3000: each route's column goes as soon as the last
+    identity that reads it is done, and the gamma sweeps read their running
+    sums in step, so the traced peak, counted from before the table is
+    built, stays a small multiple of the p list.  Holding every column
+    until the sweeps end reads about 6.7 times."""
+    tracemalloc.start()
+    try:
+        table = build_table(3000)
+        size = tracemalloc.get_traced_memory()[0]
+        summary, _ = cli.run_verification(table, 3000, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert summary.passed
+    assert peak < 4.5 * size
+
+
 def test_verify_times_every_identity():
     _, timings = cli.run_verification(build_table(30), 30, 8)
     assert list(timings) == list(cli.IDENTITY_NAMES)
@@ -627,6 +645,38 @@ def test_parity_json_round_trip(capsys):
             for row in payload["rows"]]
     assert rows[0] == (4, 1, 1, True)
     assert (20, 95, 1, True) in rows
+
+
+def test_parity_csv_in_several_slices_matches_json(capsys):
+    """1,049 even n: the csv goes out in three slices of rows, and the gamma
+    sums run on across them."""
+    code, out, _ = run(capsys, "parity", "--limit", "2100", "--format", "csv")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "n,gamma_sum,parity,agrees"
+    json_code, json_out, _ = run(capsys, "parity", "--limit", "2100", "--format", "json")
+    assert json_code == 0
+    rows = json.loads(json_out)["rows"]
+    assert len(rows) == 1049 > 2 * cli._CSV_SLICE_ROWS
+    assert lines[1:] == [f"{row['n']},{row['gamma_sum']},{row['parity']},{str(row['agrees']).lower()}"
+                         for row in rows]
+
+
+def test_parity_checks_the_rows_a_closed_pipe_left_unwritten(monkeypatch):
+    """The reader goes after the first slice: the second meets the closed
+    pipe, the third is never rendered, and its disagreement with the
+    residues still exits 1."""
+    residues = cli.p_mod_m_table(2100, 2)
+    residues[2100] ^= 1
+    monkeypatch.setattr(cli, "p_mod_m_table", lambda limit, modulus: residues)
+    writes = []
+    monkeypatch.setattr(cli, "_write", lambda text: writes.append(text) or len(writes) == 1)
+    rendered = []
+    render = cli.render_parity
+    monkeypatch.setattr(cli, "render_parity", lambda rows, fmt: rendered.append(rows) or render(rows, fmt))
+    assert cli.main(["parity", "--limit", "2100", "--format", "csv"]) == cli.EXIT_CHECK_FAILED
+    assert len(writes) == len(rendered) == 2
+    assert all(line.endswith(",true") for line in writes[0].splitlines()[1:])
 
 
 # --- ratios ---
