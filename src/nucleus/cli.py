@@ -40,11 +40,11 @@ from .congruence import (
 )
 from .counting import (
     CountTable,
+    _k_skip_chain,
     bounded_sums,
     enumerated_sweep,
     gamma_chain_sweep,
     gamma_weights_sweep,
-    k_nuclear_sweep,
     n_nu_minus_gamma_sweep,
     nu_chain_sweep,
     p_via_k_nuclear,
@@ -114,10 +114,13 @@ def _bounded_agreement(t, last):
 
 def _k_nuclear_agreement(t, last):
     """Entry n is true where the k-skip sum gives p(n) for every k in
-    K_VALUES; one k column is held at a time."""
+    K_VALUES.  Each residue chain's running sums are compared with p as
+    they are produced, so no sum column is held."""
     agree = [True] * (last + 1)
     for k in K_VALUES:
-        agree = list(map(and_, agree, map(eq, k_nuclear_sweep(t, k, last), t.p)))
+        for rest in range(min(k, last + 1)):
+            holds = map(eq, _k_skip_chain(t, k, rest, last), t.p[rest:last + 1:k])
+            agree[rest::k] = map(and_, agree[rest::k], holds)
     return agree
 
 

@@ -275,73 +275,58 @@ def _prefix_sums(lanes: int, m: int, span: int, bits: int) -> int:
     return lanes
 
 
-def _raise_bounds_packed(row: list[int], m: int, top: int, width: int = 8) -> int:
+def _raise_bounds_lanes(row: list[int], m: int, top: int) -> None:
     """Divide ``row`` in place by 1 - x^b from degree 2b, for b = m, m - 1,
-    ... down to 2 while no lane of ``width`` bytes can carry, as
-    ``_raise_bound(row, b, top, 2 * b)`` would; return the first b left
-    undivided (1 when none is).  The entries must be nonnegative, fit a
-    lane, and be nondecreasing on degrees m..top.
+    ... down to 2, as ``_raise_bound(row, b, top, 2 * b)`` would.  The
+    entries must be nonnegative and below 2^64, nondecreasing on degrees
+    m..top and at most 1 on degrees 2..2m + 1; ``bounded_sums`` holds 1 on
+    every degree from 2 to top.
 
-    The entries of degrees m + 1..top are packed into one integer of
-    unsigned lanes in reversed order, lane i holding degree top - i, so
-    the degrees b..top that a division reads are the lowest top - b + 1
-    lanes and each big-integer operation costs O(top - b).  Degree b joins
-    as the next lane when its division comes: every division so far
-    started above it, so the row still holds its entry.
+    The degrees b + 1..s, with s = top at first, are packed into one
+    integer of unsigned lanes in reversed order, lane i holding degree
+    s - i, so the degrees b..s that a division reads are the lowest
+    s - b + 1 lanes and each big-integer operation costs O(s - b).  Degree
+    b joins as the next lane when its division comes: every division so
+    far started above it, so the row still holds its entry.  The lanes
+    start as wide as the top entry needs, 16 bits in ``bounded_sums``.
 
     The guard, ``_headroom``, reads lane 0 alone.  In ``bounded_sums`` the
     row before the division at b holds, on degrees b..top, x^b plus the
     partitions into parts >= b + 1.  Raising the largest part by one maps
     the partitions of d one-to-one into those of d + 1, so the counts
     never fall as the degree rises and lane 0 is the largest lane.  When
-    it fails, the row is unpacked and handed back undivided at b, to wider
-    lanes or to the 64-bit stage, ``_raise_bounds_split``.
+    it fails below 64 bits, the lanes are repacked at twice the width and
+    the guard reads again.  At 64 bits the lanes that fail are a prefix,
+    the top degrees: only they leave the integer for ``row``, and s falls
+    below them.  Each division then runs packed on degrees b..s and one
+    entry at a time on s + 1..top, through ``_raise_bound(row, b, top,
+    max(2b, s + 1))``, once the b lanes just below s + 1, which it reads,
+    are unpacked into ``row``.  The entries of degrees b..2b + 1 are at
+    most 1 and never leave, so s > 2b + 1 and those b lanes are all above
+    degree b.  At limit 2000 the 64-bit lanes still hold every degree up
+    to 407 at b = 2.
     """
+    width, s = _lane_bytes(row[top]), top
     code, bits = _LANE_CODES[width], 8 * width
-    lane = (1 << bits) - 1
     lanes = _pack(reversed(row[m + 1:top + 1]), code)
     while m > 1:
-        lanes += row[m] << bits * (top - m)
-        if lanes & lane >= _headroom(m, top - m, bits):
-            break
-        lanes = _prefix_sums(lanes, m, top - m, bits)
-        m -= 1
-    row[m + 1:top + 1] = reversed(_unpack(lanes, code, top - m))
-    return m
-
-
-def _raise_bounds_split(row: list[int], m: int, top: int) -> None:
-    """The 64-bit stage: divide ``row`` in place by 1 - x^b from degree 2b,
-    for b = m, m - 1, ... down to 2, as ``_raise_bound(row, b, top, 2 * b)``
-    would, on entries as ``_raise_bounds_packed`` takes them.
-
-    The degrees b..s are 64-bit lanes as there, with s = top at first.  A
-    lane 0 that fails the guard before the division at b does not hand
-    the row back.  The row is nondecreasing on b..s, so the lanes that
-    fail are a prefix, the top degrees: only they leave the integer for
-    ``row``, and s falls below them.  Each division then runs packed on
-    degrees b..s and one entry at a time on s + 1..top, through
-    ``_raise_bound(row, b, top, max(2b, s + 1))``, once the b lanes just
-    below s + 1, which it reads, are unpacked into ``row``.  In
-    ``bounded_sums`` the entries of degrees b..2b + 1 are 1 and never
-    leave, so s > 2b and those b lanes are all above degree b.  At limit
-    2000 the lanes still hold every degree up to 407 at b = 2.
-    """
-    code, lane = _LANE_CODES[8], (1 << 64) - 1
-    lanes = _pack(reversed(row[m + 1:top + 1]), code)
-    s = top
-    while m > 1:
-        lanes += row[m] << 64 * (s - m)
-        bound = _headroom(m, s - m, 64)
-        if lanes & lane >= bound:
-            count = 2
-            while (head := _unpack(lanes, code, count))[-1] >= bound:
-                count *= 2
-            out = sum(entry >= bound for entry in head)
-            row[s - out + 1:s + 1] = reversed(head[:out])
-            lanes >>= 64 * out
-            s -= out
-        lanes = _prefix_sums(lanes, m, s - m, 64)
+        lanes += row[m] << bits * (s - m)
+        bound = _headroom(m, s - m, bits)
+        while lanes & (1 << bits) - 1 >= bound:
+            if bits < 64:  # repack at twice the width; the guard reads again
+                wide = _LANE_CODES[bits // 4]
+                lanes, code = _pack(_unpack(lanes, code, s - m + 1), wide), wide
+                bits *= 2
+                bound = _headroom(m, s - m, bits)
+            else:  # the top lanes that fail leave; the next one passes
+                count = 2
+                while (head := _unpack(lanes, code, count))[-1] >= bound:
+                    count *= 2
+                out = sum(entry >= bound for entry in head)
+                row[s - out + 1:s + 1] = reversed(head[:out])
+                lanes >>= 64 * out
+                s -= out
+        lanes = _prefix_sums(lanes, m, s - m, bits)
         if s < top:
             row[s - m + 1:s + 1] = reversed(_unpack(lanes, code, m))
             _raise_bound(row, m, top, max(2 * m, s + 1))
@@ -590,29 +575,25 @@ def bounded_sums(limit: int) -> list[int]:
     stored integers.
 
     The row is divided in packed lanes, narrow while its counts are
-    small.  From m = limit//2 down, ``_raise_bounds_packed`` keeps it as
-    one integer of 16-bit lanes and divides all of it in a few big-integer
-    shift-adds per m, for as long as its guard proves that no lane can
-    carry; then 32-bit lanes take over from the m where the 16-bit ones
-    handed back, and the 64-bit stage, ``_raise_bounds_split``, from
-    where the 32-bit ones did (at limit 2000: m = 1000, 521, 251; at
-    10,000: 5000, 3193, 1795).  The guards read one lane, the top degree,
-    since the row before each division is nondecreasing on the degrees it
-    reads.  The 64-bit stage runs to m = 2: the top degrees that outgrow
-    its lanes, from limit 408 on, leave them and ``_raise_bound`` divides
-    them one entry at a time.  On a big-endian host ``_raise_bound``
-    divides every entry.
+    small.  From m = limit//2 down, ``_raise_bounds_lanes`` keeps it as
+    one integer of lanes that start 16 bits wide and divides all of it in
+    a few big-integer shift-adds per m, for as long as its guard proves
+    that no lane can carry; where the guard fails, the lanes widen in
+    place to 32 and then 64 bits (at limit 2000: from m = 1000, 521 and
+    251; at 10,000: 5000, 3193, 1795).  The guard reads one lane, the top
+    degree, since the row before each division is nondecreasing on the
+    degrees it reads.  The 64-bit lanes run to m = 2: the top degrees
+    that outgrow them, from limit 408 on, leave them and ``_raise_bound``
+    divides them one entry at a time.  On a big-endian host
+    ``_raise_bound`` divides every entry.
     """
     if limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
     row = [0, 0] + [1] * (limit - 1)  # x^2 + x^3 + ... + x^limit
-    m = limit // 2
     if sys.byteorder == "little":
-        m = _raise_bounds_packed(row, m, limit, 2)
-        m = _raise_bounds_packed(row, m, limit, 4)
-        _raise_bounds_split(row, m, limit)
+        _raise_bounds_lanes(row, limit // 2, limit)
     else:
-        for m in range(m, 1, -1):
+        for m in range(limit // 2, 1, -1):
             _raise_bound(row, m, limit, 2 * m)
     for n in range(2, limit + 1):  # in place, so each S[n] is freed as it goes
         row[n] -= 1
@@ -620,14 +601,15 @@ def bounded_sums(limit: int) -> list[int]:
     return row
 
 
-def _k_skip_chain(table: CountTable, k: int, rest: int, last: int) -> list[int]:
+def _k_skip_chain(table: CountTable, k: int, rest: int, last: int) -> Iterator[int]:
     """The k-skip sums V(n) for n = rest, rest + k, ... <= last, where
     rest < k: V(rest) = nu_k(rest) = p(rest) and V(n) = V(n - k) + nu_k(n),
     with nu_k(n) = p(n) - p(n - k) for n >= k.  One running sum over the
     differences of consecutive p values along the chain (``map`` stops at
-    the shorter slice, so the second may run one entry past)."""
+    the shorter slice, so the second may run one entry past), yielded as
+    it goes."""
     p = table.p
-    return list(accumulate(map(sub, p[rest + k:last + 1:k], p[rest:last + 1:k]), initial=p[rest]))
+    return accumulate(map(sub, p[rest + k:last + 1:k], p[rest:last + 1:k]), initial=p[rest])
 
 
 def k_nuclear_sweep(table: CountTable, k: int, last: int) -> list[int]:
@@ -658,7 +640,7 @@ def p_via_k_nuclear(n: int, k: int, table: CountTable) -> tuple[int, MethodResul
         raise ValueError(f"k must be >= 1, got {k}")
     _check_range(n, table)
     rest = n % k
-    value = _k_skip_chain(table, k, rest, n)[-1]
+    *_, value = _k_skip_chain(table, k, rest, n)
     # The displaced range drops the j = 0 term nu_k(n) and adds the
     # j = floor(n/k) term nu_k(r), which is p(r) because r < k.
     shifted = value - nu_k(n, k, table) + table.p[rest]

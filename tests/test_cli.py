@@ -401,6 +401,22 @@ def test_verify_bounded_rows_run_in_linear_memory():
     assert peak < 2 * 2**20
 
 
+def test_k_nuclear_rows_compare_each_residue_chain_as_it_goes():
+    """The k-skip sums of each residue chain are compared with p as they
+    are produced, so no whole sum column is held: the traced peak at 3000
+    is the agreement list and a few slices of pointers, not the 3001 big
+    integers of a k_nuclear_sweep column (261 KB when one was held)."""
+    table = build_table(3000)
+    tracemalloc.start()
+    try:
+        agree = cli._k_nuclear_agreement(table, 3000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert agree == [True] * 3001
+    assert peak < 200 * 2**10
+
+
 def test_verify_holds_one_route_column_at_a_time():
     """Every identity at 3000: each route's column goes as soon as the last
     identity that reads it is done, and the gamma sweeps read their running

@@ -6,7 +6,7 @@ from itertools import accumulate
 from operator import le
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nucleus import counting
@@ -14,8 +14,7 @@ from nucleus.counting import (
     RestrictedCounts,
     _extend_p,
     _raise_bound,
-    _raise_bounds_packed,
-    _raise_bounds_split,
+    _raise_bounds_lanes,
     _table_from_p,
     bounded_sums,
     build_table,
@@ -453,51 +452,38 @@ def test_bounded_sums_equal_the_scatter_all_reference():
         assert bounded_sums(limit) == scatter_all_bounded_sums(limit), limit
 
 
-@pytest.mark.parametrize("hand_back_at, last_lane", [(9, 2**62 - 1), (10, 2**62)],
-                         ids=["all_below_2^62", "one_at_2^62"])
-def test_packed_division_guard(hand_back_at, last_lane):
-    """At m = 10, top = 30 a prefix sum adds up to t = 3 lanes, so s = 2 and
-    every lane must be below 2^62: lanes of 2^62 - 1 take the packed
-    division, whose sums of three (just below 2^64) then fail the guard at
-    m = 9; one lane of 2^62 hands the row back undivided at m = 10."""
-    row = [0] * 10 + [2**62 - 1] * 20 + [last_lane]
+def _per_entry_division(row, m, top):
+    """``row`` divided as ``_raise_bounds_lanes(row, m, top)`` must divide
+    it: by 1 - x^b from degree 2b, for b = m..2, one entry at a time."""
     expected = list(row)
-    for m in range(10, hand_back_at, -1):
-        _raise_bound(expected, m, 30, 2 * m)
-    assert _raise_bounds_packed(row, 10, 30) == hand_back_at
-    assert row == expected
+    for b in range(m, 1, -1):
+        _raise_bound(expected, b, top, 2 * b)
+    return expected
 
 
-@pytest.mark.parametrize("hand_back_at, over", [(9, -1), (10, 0)], ids=["all_below", "top_lane_at"])
-@pytest.mark.parametrize("width", [2, 4, 8])
-def test_packed_division_guard_at_each_width(width, hand_back_at, over):
-    """As test_packed_division_guard, in lanes of ``width`` bytes: at m = 10,
-    top = 30, s = 2, so lane 0 must be below 2^(8 width - 2).  Lanes of
-    2^(8 width - 2) - 1 take the division and hand back at m = 9; a top
-    lane of 2^(8 width - 2) hands back undivided at m = 10.  The guard
-    reads that lane alone: every other lane would pass."""
-    bound = 1 << 8 * width - 2
-    row = [0] * 10 + [bound - 1] * 20 + [bound + over]
-    expected = list(row)
-    for m in range(10, hand_back_at, -1):
-        _raise_bound(expected, m, 30, 2 * m)
-    assert _raise_bounds_packed(row, 10, 30, width) == hand_back_at
-    assert row == expected
+def _guard_row(top_lane, bound):
+    """A row the lane stage takes at m = 10, top = 30: 1 on degrees
+    2..21, ``bound`` - 1 on 22..29 and ``top_lane`` on 30.  A residue
+    class mod 10 holds t = 3 of the degrees 10..30, so s = 2 and lane 0
+    must be below 2^(bits - 2)."""
+    return [0, 0] + [1] * 20 + [bound - 1] * 8 + [top_lane]
 
 
-@pytest.mark.parametrize("failing, top_lane", [(1, 2**62), (1, 2**63 + 2**62), (3, 2**62)],
-                         ids=["one_at_2^62", "one_that_would_carry", "three_at_2^62"])
-def test_64_bit_stage_divides_only_the_failing_top_lanes_per_entry(monkeypatch, failing, top_lane):
-    """At m = 10, top = 30 every lane must be below 2^62.  The top
-    ``failing`` degrees are not, and only they leave the lanes: the first
-    per-entry division, at m = 10, starts at degree 31 - failing.  The
-    lane below them passes, so a guard that read it would keep a top lane
-    of 2^63 + 2^62, whose sum of three carries.  The stage then divides
-    down to m = 2 as _raise_bound does."""
-    row = [0] * 10 + [2**62 - 1] * (21 - failing) + [top_lane] * failing
-    expected = list(row)
-    for m in range(10, 1, -1):
-        _raise_bound(expected, m, 30, 2 * m)
+def _record_widths(monkeypatch):
+    """(m, bits) of every packed division, read from ``_prefix_sums``."""
+    widths = []
+    prefix_sums = counting._prefix_sums
+
+    def record(lanes, m, span, bits):
+        widths.append((m, bits))
+        return prefix_sums(lanes, m, span, bits)
+
+    monkeypatch.setattr(counting, "_prefix_sums", record)
+    return widths
+
+
+def _record_lows(monkeypatch):
+    """(m, low) of every per-entry division, read from ``_raise_bound``."""
     lows = []
 
     def per_entry(row, m, top, low=None):
@@ -505,9 +491,99 @@ def test_64_bit_stage_divides_only_the_failing_top_lanes_per_entry(monkeypatch, 
         _raise_bound(row, m, top, low)
 
     monkeypatch.setattr(counting, "_raise_bound", per_entry)
-    _raise_bounds_split(row, 10, 30)
+    return lows
+
+
+@pytest.mark.parametrize("split_at, over", [((9, 22), -1), ((10, 30), 0)],
+                         ids=["all_below_2^62", "one_at_2^62"])
+def test_packed_division_guard(monkeypatch, split_at, over):
+    """64-bit lanes cannot widen, so a lane 0 that fails the guard splits
+    the row.  A top lane of 2^62 - 1 passes at m = 10 and is divided
+    packed; its sum of three, 2^62 + 1, fails at m = 9, where the nine
+    lanes of degrees 22..30 (all at 2^62 or above) leave for _raise_bound.
+    A top lane of 2^62 fails at once and leaves alone, at m = 10."""
+    row = _guard_row(2**62 + over, 2**62)
+    expected = _per_entry_division(row, 10, 30)
+    lows = _record_lows(monkeypatch)
+    _raise_bounds_lanes(row, 10, 30)
+    assert row == expected
+    assert lows[0] == split_at
+
+
+@pytest.mark.parametrize("over", [-1, 0], ids=["all_below", "top_lane_at"])
+@pytest.mark.parametrize("width", [2, 4, 8])
+def test_packed_division_guard_at_each_width(monkeypatch, width, over):
+    """The lanes start as wide as the top entry needs, ``width`` bytes
+    here.  With lane 0 at 2^(8 width - 2) - 1 the division at m = 10
+    runs at that width and the sum of three fails the guard at m = 9;
+    with lane 0 at 2^(8 width - 2) it fails at m = 10.  Where the guard
+    fails, 16- and 32-bit lanes widen in place to twice the width and
+    divide there; 64-bit lanes stay 64 bits wide and split instead."""
+    bits = 8 * width
+    row = _guard_row((1 << bits - 2) + over, 1 << bits - 2)
+    expected = _per_entry_division(row, 10, 30)
+    record = _record_widths(monkeypatch)
+    _raise_bounds_lanes(row, 10, 30)
+    assert row == expected
+    wider = min(2 * bits, 64)
+    assert record[:2] == [(10, bits if over < 0 else wider), (9, wider)]
+
+
+@pytest.mark.parametrize("failing, top_lane", [(1, 2**62), (1, 2**64 - 1), (3, 2**62)],
+                         ids=["one_at_2^62", "one_that_would_carry", "three_at_2^62"])
+def test_64_bit_stage_divides_only_the_failing_top_lanes_per_entry(monkeypatch, failing, top_lane):
+    """At m = 10, top = 30 every 64-bit lane must be below 2^62.  The top
+    ``failing`` degrees are not, and only they leave the lanes: the first
+    per-entry division, at m = 10, starts at degree 31 - failing.  The
+    lane below them passes, so a guard that read it would keep a top lane
+    of 2^64 - 1, whose sum of three carries.  The stage then divides down
+    to m = 2 as _raise_bound does."""
+    row = _guard_row(top_lane, 2**62)
+    row[31 - failing:] = [top_lane] * failing
+    expected = _per_entry_division(row, 10, 30)
+    lows = _record_lows(monkeypatch)
+    _raise_bounds_lanes(row, 10, 30)
     assert row == expected
     assert lows[0] == (10, 31 - failing)
+
+
+@st.composite
+def _lane_rows(draw):
+    """(row, m, top) that meet the lane stage's contract: entries
+    nonnegative and below 2^64, at most 1 on degrees 2..2m + 1 and
+    nondecreasing on m..top.  Degrees 0 and 1 are never read.  The
+    degrees above 2m + 1 are drawn anywhere below 2^64 or within 3 of a
+    guard bound 2^(bits - s) of 16-, 32- or 64-bit lanes."""
+    m = draw(st.integers(2, 12))
+    top = draw(st.integers(2 * m + 1, 6 * m + 10))
+    low = draw(st.lists(st.integers(0, 1), min_size=2 * m, max_size=2 * m))
+    low[m - 2:] = sorted(low[m - 2:])
+    near = st.builds(lambda bits, s, d: (1 << bits - s) + d,
+                     st.sampled_from([16, 32, 64]), st.integers(1, 6), st.integers(-3, 3))
+    high = draw(st.lists(near | st.integers(0, 2**64 - 1),
+                         min_size=top - 2 * m - 1, max_size=top - 2 * m - 1))
+    high = [min(max(value, low[-1]), 2**64 - 1) for value in sorted(high)]
+    return draw(st.lists(st.integers(0, 9), min_size=2, max_size=2)) + low + high, m, top
+
+
+def _check_lane_stage(case):
+    row, m, top = case
+    expected = _per_entry_division(row, m, top)
+    _raise_bounds_lanes(row, m, top)
+    assert row == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lane_rows())
+def test_lane_stage_divides_as_raise_bound(case):
+    _check_lane_stage(case)
+
+
+@pytest.mark.slow
+@settings(max_examples=5000, deadline=None)
+@given(_lane_rows())
+def test_lane_stage_divides_as_raise_bound_at_length(case):
+    _check_lane_stage(case)
 
 
 def test_rows_the_guard_reads_are_nondecreasing():
@@ -515,7 +591,7 @@ def test_rows_the_guard_reads_are_nondecreasing():
     holds x^m plus the partitions into parts >= m + 1 on degrees m..limit,
     and raising the largest part maps the partitions of d one-to-one into
     those of d + 1, so the row never falls as the degree rises.  Rolled
-    here one entry at a time, which the packed stages equal
+    here one entry at a time, which the lane stage equals
     (test_bounded_sums_equal_the_scatter_all_reference)."""
     for limit in (*range(301), 2000):
         row = [0, 0] + [1] * (limit - 1)
@@ -525,25 +601,25 @@ def test_rows_the_guard_reads_are_nondecreasing():
 
 
 def test_bounded_sums_widen_the_lanes_where_each_width_hands_back(monkeypatch):
-    """At limit 2000 the 16-bit lanes divide from m = 1000, the 32-bit lanes
-    from where they hand back, 521, and the 64-bit stage from 251, where
-    the 32-bit lanes do; it divides down to m = 2."""
-    record = []
-    packed, split = counting._raise_bounds_packed, counting._raise_bounds_split
+    """bounded_sums calls the lane stage once.  At limit 2000 its lanes
+    divide at 16 bits from m = 1000, widen in place to 32 bits at 521 and
+    to 64 bits at 251, and divide down to m = 2."""
+    calls = []
+    lanes = counting._raise_bounds_lanes
 
-    def narrow(row, m, top, width=8):
-        back = packed(row, m, top, width)
-        record.append((width, m, back))
-        return back
+    def once(row, m, top):
+        calls.append((m, top))
+        lanes(row, m, top)
 
-    def wide(row, m, top):
-        record.append((8, m))
-        split(row, m, top)
-
-    monkeypatch.setattr(counting, "_raise_bounds_packed", narrow)
-    monkeypatch.setattr(counting, "_raise_bounds_split", wide)
+    monkeypatch.setattr(counting, "_raise_bounds_lanes", once)
+    record = _record_widths(monkeypatch)
     assert bounded_sums(2000) == scatter_all_bounded_sums(2000)
-    assert record == [(2, 1000, 521), (4, 521, 251), (8, 251)]
+    assert calls == [(1000, 2000)]
+    first = {}
+    for m, bits in record:
+        first.setdefault(bits, m)
+    assert first == {16: 1000, 32: 521, 64: 251}
+    assert record[-1] == (2, 64)
 
 
 def test_bounded_sums_on_a_big_endian_host_divide_per_entry(monkeypatch):
@@ -553,7 +629,7 @@ def test_bounded_sums_on_a_big_endian_host_divide_per_entry(monkeypatch):
     def no_lanes(*args):
         raise AssertionError("packed lanes on a big-endian host")
 
-    monkeypatch.setattr(counting, "_raise_bounds_packed", no_lanes)
+    monkeypatch.setattr(counting, "_raise_bounds_lanes", no_lanes)
     assert bounded_sums(2001) == expected
 
 
