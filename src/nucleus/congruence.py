@@ -44,7 +44,8 @@ from .counting import (
 
 RAMANUJAN_PROGRESSIONS: dict[int, tuple[int, int]] = {5: (5, 4), 7: (7, 5), 11: (11, 6)}
 
-# Residues per block of p_mod_m_table; of 512, 768, 1024 and 2048, 512 was the fastest.
+# Residues per block of p_mod_m_table.  Of 512, 768 and 1024, 512 is the fastest with one-byte
+# lanes: 768 and 1024 take 1.32x and 1.42x at m = 11, where their product lanes are 4 bytes wide.
 _BLOCK = 512
 
 
@@ -70,13 +71,51 @@ class CongruenceReport(NamedTuple):
 
 
 def _lane_plan(offsets: list[tuple[int, int]], modulus: int) -> tuple[int, int | None, int | None]:
-    """For ``p_mod_m_table``: the bias every accumulator lane starts at, and
-    the lane widths in bytes of the accumulators and of the block product
-    (None where 8 bytes are too few)."""
-    minus = sum(sign < 0 for _, sign in offsets)
-    bias = -(-minus * (modulus - 1) // modulus) * modulus
-    peak = bias + len(offsets) * (modulus - 1)
-    return bias, _lane_bytes(peak), _lane_bytes(_BLOCK * (modulus - 1) ** 2)
+    """For ``p_mod_m_table``: how many terms an accumulator takes between two
+    reductions mod m, and the lane widths in bytes of the accumulators and of
+    the block product (None where 8 bytes are too few).
+
+    A lane holds at most m - 1 after a reduction, and each term adds at most
+    m, so one-byte lanes take room = (256 - m) // m terms, the most with
+    (m - 1) + room * m <= 255.  They are used where room >= 11, m <= 21.
+    Wider lanes are never reduced: a lane takes at most one term per offset,
+    so they are sized for len(offsets) * m, and their room exceeds that."""
+    room, wide = (256 - modulus) // modulus, _lane_bytes(_BLOCK * (modulus - 1) ** 2)
+    if room >= 11:
+        return room, 1, wide
+    return len(offsets) + 1, _lane_bytes(len(offsets) * modulus), wide
+
+
+def _reach(offsets: list[tuple[int, int]], room: int, width: int) -> list[tuple[int, int, bool, bool]]:
+    """For each offset g of ``p_mod_m_table``: the blocks it reaches ahead,
+    its shift in bits within an accumulator, whether it is a minus offset,
+    and whether the accumulator is reduced before it adds its term.  An
+    accumulator takes its terms farthest block first, by g within a block,
+    and one near the start takes a suffix of that order, so reducing before
+    every room-th term of the order leaves at most room after each."""
+    due = set(sorted(range(len(offsets)), key=lambda i: offsets[i][0] // _BLOCK, reverse=True)[room::room])
+    return [(g // _BLOCK, 8 * width * (g % _BLOCK), sign < 0, i in due) for i, (g, sign) in enumerate(offsets)]
+
+
+def _spread(residues: bytes, width: int) -> int:
+    """One-byte ``residues`` as the low bytes of lanes ``width`` bytes wide."""
+    lanes = bytearray(len(residues) * width)
+    lanes[::width] = residues
+    return int.from_bytes(lanes, "little")
+
+
+def _fold(packed: tuple[int, ...], count: int, width: int, tables: list[bytes]) -> bytes:
+    """The lane-by-lane sum mod m of the lowest ``count`` lanes, ``width``
+    bytes each, of the integers in ``packed``, one byte a lane.  Byte plane i maps through
+    ``tables[i]``, b -> (b << 8i) mod m, and joins the sum as one-byte
+    lanes; each sum is at most 2(m - 1) < 256, and is reduced again."""
+    size, total = count * width, bytes(count)
+    for value in packed:
+        raw = (value & (1 << 8 * size) - 1).to_bytes(size, "little")
+        for i in range(width):
+            plane = int.from_bytes(raw[i::width].translate(tables[i]), "little")
+            total = (int.from_bytes(total, "little") + plane).to_bytes(count, "little").translate(tables[0])
+    return total
 
 
 def _residue_code(modulus: int) -> str | None:
@@ -103,22 +142,32 @@ def p_mod_m_table(limit: int, modulus: int) -> array | list[int]:
 
     R is scattered, not gathered.  Block j's accumulator holds the lanes
     jB..jB+2B-1 of one integer, and R for block j is its low half plus the
-    high half of block j-1's, added after unpacking.  A finished block
-    p(s..s+B-1) is packed into one integer once, and for each pentagonal
-    offset g it is added, with g's sign and shifted by g mod B lanes, into
-    the accumulator of the block that lane s+g falls in.  Where g < B, the
-    lanes that land inside the block itself are its own P[:B] * R product,
-    so only their spill into the next block is kept.  Every lane starts at a
-    bias: a multiple of the modulus, so counting it twice changes nothing
-    mod m, and no smaller than (m-1) times the number of minus offsets.  A
-    lane receives each of its plus and minus terms, all in [0, m-1], at most
-    once, so it stays within [0, bias + (m-1) * len(offsets)], the width
-    that ``_lane_plan`` sizes: no lane ever borrows or carries.  R is
-    reduced mod m, and one big-integer product with P[:B], in lanes wide
-    enough for B * (m-1)^2, gives the block, reduced lane by lane.  The
-    returned array is allocated whole at the start and each block is
-    copied into its slice; the next block is packed from the plain list
-    of the one before.
+    high half of block j-1's.  A finished block p(s..s+B-1) is packed into
+    one integer once, and its complement, m - p(n) in every lane, once more
+    as ``full`` (m in every lane) minus it.  For each pentagonal offset g
+    the block, or for a minus offset its complement, is added, shifted by
+    g mod B lanes, into the accumulator of the block that lane s+g falls
+    in; nothing is ever subtracted.  Where g < B, the lanes that land inside
+    the block itself are its own P[:B] * R product, so only their spill
+    into the next block is kept.  A term adds at most m to a lane, and a
+    lane takes at most one term per offset.
+
+    For m <= 21 the lanes are one byte (``_lane_plan``), and an accumulator
+    is reduced mod m, one ``bytes.translate`` through b -> b mod m, before
+    every room-th term it takes, room = (256 - m) // m, so no lane passes
+    255.  Every accumulator takes its terms in one order, farthest block
+    first and by g within a block, and one near the start takes a suffix
+    of it, so which terms come after a reduction is fixed per offset.
+    Wider lanes, sized for len(offsets) * m, are never reduced.  No lane
+    ever carries.
+
+    Up to m = 128 the block is solved at C speed (``_fold``): the lanes of
+    the two halves are reduced to one byte each and summed mod m, which is
+    R mod m, and one big-integer product with P[:B], in lanes wide enough
+    for B * (m-1)^2, gives the block, whose lanes are reduced the same way.
+    The residue bytes are copied into the block's slice of the returned
+    array, allocated whole at the start, and spread into the next block's
+    lanes.  Above m = 128, R and the block are reduced one lane at a time.
 
     Where 8-byte lanes are too narrow (moduli above about 9.5e7), or on a
     big-endian host, ``_extend_p`` runs the whole recurrence instead, one
@@ -132,32 +181,37 @@ def p_mod_m_table(limit: int, modulus: int) -> array | list[int]:
         raise ValueError(f"limit must be >= 0, got {limit}")
     kind = _residue_code(modulus)
     offsets = pentagonal_offsets(limit)
-    bias, width, wide = _lane_plan(offsets, modulus)
+    room, width, wide = _lane_plan(offsets, modulus)
     if wide is None or sys.byteorder != "little":
         values = _extend_p([1 % modulus], limit, modulus)
         return values if kind is None else array(kind, values)
     code, wide_code = _LANE_CODES[width], _LANE_CODES[wide]
     block, wrap = _BLOCK, 8 * width * _BLOCK
+    # b -> (b << 8i) mod m for each byte plane i; none above m = 128, where two residues outgrow a byte.
+    tables = [bytes((b << 8 * i) % modulus for b in range(256)) for i in range(max(width, wide)) if modulus <= 128]
     values = _extend_p([1 % modulus], min(limit, block - 1), modulus)
-    series = _pack(values, wide_code)
+    series, done, full = _pack(values, wide_code), _pack(values, code), _pack([modulus] * block, code)
     residues = array(kind, [0]) * (limit + 1)
     residues[:block] = array(kind, values)
-    pending = [_pack([bias] * 2 * block, code)] * (limit // block + 1)
-    reach = [(g // block, 8 * width * (g % block), sign) for g, sign in offsets]
+    pending = [0] * (limit // block + 1)
+    reach = _reach(offsets, room, width)
     for j, s in enumerate(range(block, limit + 1, block)):
-        done = _pack(values, code)
-        for k, shift, sign in reach:
+        terms = done, full - done
+        for k, shift, minus, reduce in reach:
             if (k := k + j) >= len(pending):
                 break
-            term = done << shift if k > j else done >> wrap - shift << wrap
-            if sign > 0:
-                pending[k] += term
-            else:
-                pending[k] -= term
-        size = min(block, limit + 1 - s)
-        low, high = _unpack(pending[j + 1], code, size), _unpack(pending[j] >> wrap, code, size)
-        reduced = _pack([(x + y) % modulus for x, y in zip(low, high)], wide_code)
-        values = [v % modulus for v in _unpack(reduced * series, wide_code, size)]
+            if reduce:
+                pending[k] = int.from_bytes(pending[k].to_bytes(2 * block, "little").translate(tables[0]), "little")
+            pending[k] += terms[minus] << shift if k > j else terms[minus] >> wrap - shift << wrap
+        size, high = min(block, limit + 1 - s), pending[j] >> wrap
+        if tables:
+            values = _fold((pending[j + 1], high), size, width, tables)
+            values = _fold((_spread(values, wide) * series,), size, wide, tables)
+            done = _spread(values, width)
+        else:
+            reduced = _pack([x % modulus for x in _unpack(pending[j + 1] + high, code, size)], wide_code)
+            values = [v % modulus for v in _unpack(reduced * series, wide_code, size)]
+            done = _pack(values, code)
         residues[s:s + size] = array(kind, values)
         pending[j] = None
     return residues

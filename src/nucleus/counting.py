@@ -36,7 +36,7 @@ from typing import Iterator, NamedTuple, Sequence
 from .partitions import NUCLEAR, _capacity, iter_parts
 
 # Lane width in bytes -> an unsigned array typecode of that item size.
-_LANE_CODES = {array(code).itemsize: code for code in "LQHI"}
+_LANE_CODES = {array(code).itemsize: code for code in "LQHIB"}
 
 
 def pentagonal_offsets(limit: int) -> list[tuple[int, int]]:
@@ -257,10 +257,11 @@ def _headroom(m: int, span: int, bits: int) -> int:
     """The bound on lane 0 under which lanes of ``bits`` bits that hold a
     row nondecreasing on degrees m..m + span, lane 0 the top one, divide by
     1 - x^m without a carry.  A residue class mod m holds at most t = span
-    // m + 1 of those degrees, and with s = t.bit_length(), t < 2^s.  Lane 0
-    is the largest, so when it is below 2^(bits - s) every prefix sum,
-    partial or final, is below 2^bits."""
-    return 1 << bits - (span // m + 1).bit_length()
+    // m + 1 of those degrees, and with s = (t - 1).bit_length(), t <= 2^s.
+    Lane 0 is the largest, so when it is below 2^(bits - s) each of the t
+    lanes is too, and every prefix sum, partial or final, is a sum of at
+    most t of them: below t * 2^(bits - s) <= 2^bits."""
+    return 1 << bits - (span // m).bit_length()
 
 
 def _prefix_sums(lanes: int, m: int, span: int, bits: int) -> int:

@@ -69,9 +69,10 @@ def test_modular_table_every_modulus_over_three_blocks(block_p):
         assert p_mod_m_table(REACH, modulus).tolist() == [p % modulus for p in block_p], modulus
 
 
-# The edges of the first three blocks, and those at 2048 and 4096: block edges
-# for every B that divides 2048, they keep the check reaching past 4,096.
-EDGES = sorted({BLOCK - 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1,
+# The smallest limits, with no pentagonal offset and one; the edges of the first
+# three blocks, and those at 2048 and 4096: block edges for every B that divides
+# 2048, they keep the check reaching past 4,096.
+EDGES = sorted({0, 1, BLOCK - 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1,
                 3 * BLOCK - 1, 3 * BLOCK, 3 * BLOCK + 1, 2046, 2047, 2048, 2049, 4096, 4097})
 
 
@@ -95,13 +96,74 @@ def _first_wider(offsets, index, width):
     return low
 
 
-@pytest.mark.parametrize("index, width, wider", [(1, 2, 4), (2, 4, 8), (1, 4, 8), (2, 8, None)])
+@pytest.mark.parametrize("index, width, wider", [(1, 1, 2), (1, 2, 4), (2, 4, 8), (1, 4, 8), (2, 8, None)])
 def test_modular_table_either_side_of_a_lane_switch(block_p, index, width, wider):
     offsets = pentagonal_offsets(REACH)
     first = _first_wider(offsets, index, width)
     for modulus, lanes in ((first - 1, width), (first, wider)):
         assert congruence._lane_plan(offsets, modulus)[index] == lanes
         assert p_mod_m_table(REACH, modulus).tolist() == [p % modulus for p in block_p], modulus
+
+
+# The moduli whose accumulators have one-byte lanes.
+ONE_BYTE = [m for m in range(2, 401) if congruence._lane_plan([], m)[1] == 1]
+
+
+def test_one_byte_lanes_take_room_terms_between_reductions():
+    """A one-byte lane holds at most m - 1 after a reduction and each term
+    adds at most m, so ``room`` terms fit in 255 and one more need not."""
+    assert ONE_BYTE == list(range(2, 22))
+    for modulus in ONE_BYTE:
+        room = congruence._lane_plan([], modulus)[0]
+        assert room >= 11
+        assert (modulus - 1) + room * modulus <= 255 < (modulus - 1) + (room + 1) * modulus, modulus
+
+
+def _reduced_twice(modulus):
+    """The smallest limit, a whole number of blocks, at which some
+    accumulator, block k's, takes 2 * room + 1 terms and so is reduced at
+    least twice: one term per offset g < (k + 1) * B, as the loop reaches
+    every block up to k from limit (k + 1) * B."""
+    room = congruence._lane_plan([], modulus)[0]
+    limit = BLOCK
+    while len(pentagonal_offsets(limit - 1)) <= 2 * room:
+        limit += BLOCK
+    return limit
+
+
+@pytest.mark.parametrize("modulus", ONE_BYTE)
+def test_one_byte_accumulators_take_at_most_room_terms_between_reductions(modulus):
+    """The reductions ``_reach`` schedules, replayed in the kernel's order
+    (block j = 0, 1, ..., each offset in turn), for every accumulator of a
+    30,000-residue table: no lane takes more than ``room`` terms after a
+    reduction, nor from the start."""
+    offsets = pentagonal_offsets(30000)
+    room, width, _ = congruence._lane_plan(offsets, modulus)
+    reach = congruence._reach(offsets, room, width)
+    ahead = {}
+    for d, _, _, reduce in reach:
+        ahead.setdefault(d, []).append(reduce)
+    most = 0
+    for k in range(30000 // BLOCK + 1):
+        taken = 0
+        for j in range(k + 1):
+            for reduce in ahead.get(k - j, ()):
+                taken = 1 if reduce else taken + 1
+                assert taken <= room, (k, j)
+                most = max(most, taken)
+    assert most == room
+
+
+@pytest.fixture(scope="module")
+def reduced_p():
+    """Exact p(n) up to the largest limit ``_reduced_twice`` gives (m = 2)."""
+    return build_table(max(map(_reduced_twice, ONE_BYTE))).p
+
+
+@pytest.mark.parametrize("modulus", ONE_BYTE)
+def test_one_byte_lanes_reduced_twice_match_exact(reduced_p, modulus):
+    limit = _reduced_twice(modulus)
+    assert p_mod_m_table(limit, modulus).tolist() == [p % modulus for p in reduced_p[: limit + 1]]
 
 
 def test_modular_table_huge_modulus_runs_the_recurrence(block_p):
@@ -138,15 +200,16 @@ def test_modular_table_on_a_big_endian_host_runs_the_recurrence(monkeypatch):
 
 def test_modular_table_memory_is_linear():
     # The returned array holds one byte per residue (0.11 MB), and the call
-    # peaks at about 0.70 MB on CPython 3.11 with the pending accumulators;
-    # a list of residues (8 bytes each), an FFT or a dense design would not fit.
+    # peaks at about 0.45 MB on CPython 3.11 with the pending accumulators,
+    # one byte a lane; 2-byte lanes (0.70 MB), a list of residues (8 bytes
+    # each), an FFT or a dense design would not fit.
     tracemalloc.start()
     try:
         p_mod_m_table(110006, 11)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 0.8e6
+    assert peak < 0.5e6
 
 
 # --- a large-n oracle that shares no code with the package ---
@@ -170,8 +233,9 @@ def test_modular_table_matches_hrr_at_large_n(limit):
     for n in _sampled_n(limit):
         expected = int(numbers.partition(n)) % HRR_MODULUS
         assert residues[n] == expected, n
-    # mod 11 the kernel runs on narrower lanes, so this checks those too
-    assert [r % 11 for r in residues] == p_mod_m_table(limit, 11).tolist()
+    # mod each factor the kernel runs on narrower lanes, one byte wide up to 19
+    for modulus in (5, 7, 11, 13, 17, 19, 23):
+        assert [r % modulus for r in residues] == p_mod_m_table(limit, modulus).tolist(), modulus
 
 
 def test_huge_modulus_fallback_matches_hrr():

@@ -622,6 +622,28 @@ def test_bounded_sums_widen_the_lanes_where_each_width_hands_back(monkeypatch):
     assert record[-1] == (2, 64)
 
 
+def test_bounded_sums_widen_to_32_bits_where_the_headroom_first_fails():
+    """At limit 127 the 16-bit lanes divide from m = 63.  At m = 15 the
+    span is 112, so a residue class holds t = 8 degrees, s = 3, and lane 0,
+    7,312, is below 2^13; a bound from t.bit_length() = 4, 2^12, would widen
+    there.  At m = 14, t = 9 and s = 4, lane 0, 10,796, is not below 2^12,
+    and the lanes widen to 32 bits."""
+    record = []
+    prefix_sums = counting._prefix_sums
+
+    def widths(lanes, m, span, bits):
+        record.append((m, bits))
+        return prefix_sums(lanes, m, span, bits)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(counting, "_prefix_sums", widths)
+        assert bounded_sums(127) == scatter_all_bounded_sums(127)
+    first = {}
+    for m, bits in record:
+        first.setdefault(bits, m)
+    assert first == {16: 63, 32: 14, 64: 2}
+
+
 def test_bounded_sums_on_a_big_endian_host_divide_per_entry(monkeypatch):
     expected = bounded_sums(2001)
     monkeypatch.setattr(sys, "byteorder", "big")
