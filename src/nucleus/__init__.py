@@ -27,6 +27,7 @@ from .congruence import (
     RAMANUJAN_PROGRESSIONS,
     CongruenceFamily,
     CongruenceReport,
+    check_family,
     check_gamma_weighted,
     check_nu_k_progression,
     check_nu_window,

@@ -29,12 +29,10 @@ from . import __version__
 from .asymptotics import ESTIMATE_LOW, FORMS, AsymptoticRow, RatioRow, estimate_rows, ratio_report
 from .cache import CacheError, load_table, read_table, resolve_cache_path
 from .congruence import (
+    FAMILIES,
     RAMANUJAN_PROGRESSIONS,
     CongruenceReport,
-    check_gamma_weighted,
-    check_nu_k_progression,
-    check_nu_window,
-    check_progression,
+    check_family,
     check_ramanujan,
     p_mod_m_table,
 )
@@ -477,11 +475,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=partial(cmd_verify, parser=p_verify))
 
     p_cong = sub.add_parser("congruence", help="scan a congruence family")
-    p_cong.add_argument("family",
-                        choices=("ramanujan", "nu_window", "nu_k_progression",
-                                 "gamma_weighted", "custom"))
+    p_cong.add_argument("family", choices=tuple(FAMILIES))
     p_cong.add_argument("params", nargs="*", type=int,
-                        help="modulus (5, 7 or 11), or A B M for custom p(A*n+B) mod M")
+                        help="M (5, 7 or 11) for its Ramanujan progression, or A B M for the arguments "
+                             "A*n+B mod M (custom: A B M only; gamma_weighted: M must divide A)")
     p_cong.add_argument("--limit", "-N", type=int, default=200,
                         help="largest progression index n (default 200)")
     _add_format(p_cong)
@@ -580,24 +577,20 @@ def cmd_verify(args, parser) -> int:
 
 
 def cmd_congruence(args, parser) -> int:
-    family = args.family
+    family, params = args.family, args.params
     if args.limit < 0:
         parser.error("--limit must be >= 0")
-    if family == "custom":
-        if len(args.params) != 3:
-            parser.error("custom family needs three integers: A B M")
-        report = check_progression(*args.params, args.limit)
-    else:
-        if len(args.params) != 1:
-            parser.error(f"family {family} needs exactly one integer: the modulus (5, 7 or 11)")
-        modulus = args.params[0]
-        if modulus not in RAMANUJAN_PROGRESSIONS:
-            parser.error(f"modulus must be 5, 7 or 11, got {modulus}")
-        # Each family reads p mod m only, never the exact table or the cache.  The
-        # names resolve per call, so a wrapper put on them (perfbench's tracer) runs.
-        checks = {"ramanujan": check_ramanujan, "nu_window": check_nu_window,
-                  "nu_k_progression": check_nu_k_progression, "gamma_weighted": check_gamma_weighted}
-        report = checks[family](modulus, args.limit)
+    if len(params) == 1 and family != "custom":
+        if params[0] not in RAMANUJAN_PROGRESSIONS:
+            parser.error(f"modulus must be 5, 7 or 11, got {params[0]}")
+        params = (*RAMANUJAN_PROGRESSIONS[params[0]], params[0])
+    elif len(params) != 3:
+        forms = "three integers: A B M" if family == "custom" else "M (5, 7 or 11) or three integers: A B M"
+        parser.error(f"family {family} needs {forms}")
+    # Every family reads p mod M only, never the exact table or the cache.  check_ramanujan
+    # resolves per call, so a wrapper put on it (perfbench's tracer) runs.
+    ramanujan = family == "ramanujan" and len(args.params) == 1
+    report = check_ramanujan(params[2], args.limit) if ramanujan else check_family(family, *params, args.limit)
     _write(render_report(report, args.format))
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 

@@ -4,25 +4,35 @@ The classical Ramanujan congruences
 
     p(5n+4) = 0 (mod 5),  p(7n+5) = 0 (mod 7),  p(11n+6) = 0 (mod 11)
 
-propagate to the restricted counts.  Writing (m, b) for the modulus and
-progression offset, e = mn+b, and using that p is the running sum of nu:
+and any other p(An+B) = 0 (mod M), such as Atkin's p(17303n+237) = 0
+(mod 13), propagate to the restricted counts.  Writing e = An+B and using
+that p is the running sum of nu, the derived families are differences of
+p over the step A, not over the modulus M:
 
-  * nu window: the m consecutive values nu(e-m+1) .. nu(e) sum to
-    p(e) - p(e-m), so the window sum is 0 mod m for n >= 1.
-    For m = 5 this window is exactly nu(5n) .. nu(5n+4); shorter windows
+  * nu window: the A consecutive values nu(e-A+1) .. nu(e) sum to
+    p(e) - p(e-A), so the window sum is 0 mod M for n >= 1.
+    For 5n+4 this window is exactly nu(5n) .. nu(5n+4); shorter windows
     quoted for 7 and 11 fail numerically (for example nu(7)+...+nu(12) =
-    66, not divisible by 7) and are not used here.
-  * no-part-m progression: nu_m(e) = p(e) - p(e-m) = 0 mod m for n >= 1.
+    66, not divisible by 7) and are not used here.  On Atkin's
+    progression the window of 17303 terms holds at n = 1..19, and the
+    one of 13 terms fails at 18 of them.
+  * no-part-A progression: nu_A(e) = p(e) - p(e-A) = 0 mod M for n >= 1.
   * weighted gamma: expanding each nu in the window through the gamma
-    recursion nu(j) = nu(j-1) + gamma(j) (j >= 3) gives, with s = e-m+1,
-        sum_{t=1..m-1} t * gamma(s+t) = m * (p(e) - p(e-1)) - (p(e) - p(e-m)),
-    which is 0 (mod m) for n >= 1.  For m = 5 the sum reads gamma(5n+1)
-    + 2 gamma(5n+2) + 3 gamma(5n+3) + 4 gamma(5n+4).  At n = 0 the mod-5
-    sum is 4, so the family starts at n = 1.
+    recursion nu(j) = nu(j-1) + gamma(j) (j >= 3) gives, with s = e-A+1,
+        sum_{t=1..A-1} t * gamma(s+t) = A * (p(e) - p(e-1)) - (p(e) - p(e-A)),
+    which is 0 (mod M) for n >= 1 when M divides A, and only then is the
+    family checked.  For 5n+4 the sum reads gamma(5n+1) + 2 gamma(5n+2)
+    + 3 gamma(5n+3) + 4 gamma(5n+4).  At n = 0 the mod-5 sum is 4, so the
+    family starts at n = 1.  Where the window starts at nu(1) (B = 0,
+    n = 1), the step nu(1) -> nu(2) is 1 but gamma(2) is 0, so the sum is
+    one less than the difference, and the family's value subtracts it.
 
-So every family is a difference of p, and every check reads only p(n) mod m
-(``p_mod_m_table``), never the exact table.  The derived families start at
-n = 1, the Ramanujan families themselves at n = 0.
+So every family is a difference of p, and every check reads only p(n) mod M
+(``p_mod_m_table``), never the exact table.  ``FAMILIES`` holds each
+family's first n and its value at e; ``check_family`` scans any of them on
+any progression.  The derived families start at n = 1, so e - A >= 0;
+the Ramanujan family, and ``custom``, the same value under its own name,
+start at n = 0.
 """
 
 from __future__ import annotations
@@ -217,70 +227,73 @@ def p_mod_m_table(limit: int, modulus: int) -> array | list[int]:
     return residues
 
 
-# Each family's value at e = a*n + b, read from p, or p mod m, and m.
-_VALUES = {
-    "custom": lambda p, m, e: p[e],
-    "ramanujan": lambda p, m, e: p[e],
-    "nu_window": lambda p, m, e: p[e] - p[e - m],
-    "nu_k_progression": lambda p, m, e: p[e] - p[e - m],
-    "gamma_weighted": lambda p, m, e: m * (p[e] - p[e - 1]) - (p[e] - p[e - m]),
+# Each family's first n and its value at e = a*n + b, read from p, or p mod m, and the step a.
+# gamma_weighted's (e == a) is the step nu(1) -> nu(2) that gamma(2) = 0 leaves out (module docstring).
+FAMILIES = {
+    "ramanujan": (0, lambda p, a, e: p[e]),
+    "nu_window": (1, lambda p, a, e: p[e] - p[e - a]),
+    "nu_k_progression": (1, lambda p, a, e: p[e] - p[e - a]),
+    "gamma_weighted": (1, lambda p, a, e: a * (p[e] - p[e - 1]) - (p[e] - p[e - a]) - (e == a)),
+    "custom": (0, lambda p, a, e: p[e]),
 }
 
 
-def _check(family: CongruenceFamily, limit_n: int, residues: Sequence[int] | None) -> CongruenceReport:
-    """Scan the family on p mod m, computed up to its last argument or checked
-    for length: the nonzero residues of its value at a*n + b, for n from the
-    family's start to ``limit_n``, are the violations."""
-    a, b = family.progression
-    m = family.modulus
+def check_family(family_id: str, a: int, b: int, modulus: int, limit_n: int, *,
+                 residues: Sequence[int] | None = None) -> CongruenceReport:
+    """Scan the family ``family_id`` of ``FAMILIES`` on the progression
+    a*n + b mod ``modulus``: the violations are the nonzero residues of its
+    value at a*n + b, for n from the family's first to ``limit_n``.  p mod
+    the modulus is computed up to the last argument, or read from
+    ``residues``, checked for length.  gamma_weighted needs the modulus to
+    divide the step a; an unknown family or a bad argument raises ValueError."""
+    if family_id not in FAMILIES:
+        raise ValueError(f"unknown congruence family {family_id!r}")
+    if a < 1 or b < 0:
+        raise ValueError(f"progression must have a >= 1 and b >= 0, got ({a}, {b})")
+    if modulus < 2:
+        raise ValueError(f"modulus must be >= 2, got {modulus}")
+    if family_id == "gamma_weighted" and a % modulus:
+        raise ValueError(f"gamma_weighted needs the modulus to divide the step, got ({a}, {b}) mod {modulus}")
+    start_n, value = FAMILIES[family_id]
     top = a * limit_n + b
     if residues is None:
-        residues = p_mod_m_table(top, m)
+        residues = p_mod_m_table(top, modulus)
     elif len(residues) <= top:
         raise ValueError(f"residue table too short: need index {top}, have {len(residues) - 1}")
-    value = _VALUES[family.family_id]
-    violations = []
-    for n in range(family.start_n, limit_n + 1):
-        r = value(residues, m, a * n + b) % m
-        if r:
-            violations.append((n, r))
-    return CongruenceReport(family, (family.start_n, limit_n), violations)
+    violations = [(n, r) for n in range(start_n, limit_n + 1) if (r := value(residues, a, a * n + b) % modulus)]
+    return CongruenceReport(CongruenceFamily(family_id, modulus, (a, b), start_n), (start_n, limit_n), violations)
 
 
 def check_progression(a: int, b: int, modulus: int, limit_n: int, *,
                       residues: Sequence[int] | None = None) -> CongruenceReport:
     """Check p(a*n + b) = 0 (mod modulus) for n = 0..limit_n."""
-    if a < 1 or b < 0:
-        raise ValueError(f"progression must have a >= 1 and b >= 0, got ({a}, {b})")
-    if modulus < 2:
-        raise ValueError(f"modulus must be >= 2, got {modulus}")
-    return _check(CongruenceFamily("custom", modulus, (a, b), 0), limit_n, residues)
+    return check_family("custom", a, b, modulus, limit_n, residues=residues)
 
 
-def _known(family_id: str, modulus: int, start_n: int) -> CongruenceFamily:
+def _known(modulus: int) -> tuple[int, int]:
     if modulus not in RAMANUJAN_PROGRESSIONS:
         raise ValueError(f"modulus must be one of {sorted(RAMANUJAN_PROGRESSIONS)}, got {modulus}")
-    return CongruenceFamily(family_id, modulus, RAMANUJAN_PROGRESSIONS[modulus], start_n)
+    return RAMANUJAN_PROGRESSIONS[modulus]
 
 
 def check_ramanujan(modulus: int, limit_n: int, *, residues: Sequence[int] | None = None) -> CongruenceReport:
     """Check the Ramanujan progression for modulus 5, 7 or 11 up to n = limit_n."""
-    return _check(_known("ramanujan", modulus, 0), limit_n, residues)
+    return check_family("ramanujan", *_known(modulus), modulus, limit_n, residues=residues)
 
 
 def check_nu_window(modulus: int, limit_n: int, *, residues: Sequence[int] | None = None) -> CongruenceReport:
     """Check the m-term nu window ending at e = m*n+b, p(e) - p(e-m), for n = 1..limit_n."""
-    return _check(_known("nu_window", modulus, 1), limit_n, residues)
+    return check_family("nu_window", *_known(modulus), modulus, limit_n, residues=residues)
 
 
 def check_nu_k_progression(modulus: int, limit_n: int, *, residues: Sequence[int] | None = None) -> CongruenceReport:
     """Check nu_m(e) = p(e) - p(e-m) = 0 (mod m), e = m*n+b, for n = 1..limit_n."""
-    return _check(_known("nu_k_progression", modulus, 1), limit_n, residues)
+    return check_family("nu_k_progression", *_known(modulus), modulus, limit_n, residues=residues)
 
 
 def check_gamma_weighted(modulus: int, limit_n: int, *, residues: Sequence[int] | None = None) -> CongruenceReport:
     """Check sum_{t=1..m-1} t * gamma(e-m+1+t) = m*(p(e) - p(e-1)) - (p(e) - p(e-m)) = 0 (mod m), n >= 1."""
-    return _check(_known("gamma_weighted", modulus, 1), limit_n, residues)
+    return check_family("gamma_weighted", *_known(modulus), modulus, limit_n, residues=residues)
 
 
 def parity_via_gamma(n: int, table: CountTable) -> int:

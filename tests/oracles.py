@@ -79,17 +79,19 @@ def bounded_sums(limit):
 
 
 # The derived congruence families as sums over an exact count table (with
-# .p, .nu and .gamma columns), at the progression's end e = m*n + b.
+# .p, .nu and .gamma columns), at the progression's end e = a*n + b, over
+# its step a: a window of a nu values, and a weighted sum of a - 1 gammas.
 DERIVED_FAMILIES = {
-    "nu_window": lambda t, m, e: sum(t.nu[e - m + 1 : e + 1]),
-    "nu_k_progression": lambda t, m, e: t.p[e] - t.p[e - m],
-    "gamma_weighted": lambda t, m, e: sum(k * t.gamma[e - m + 1 + k] for k in range(1, m)),
+    "nu_window": lambda t, a, e: sum(t.nu[e - a + 1 : e + 1]),
+    "nu_k_progression": lambda t, a, e: t.p[e] - t.p[e - a],
+    "gamma_weighted": lambda t, a, e: sum(k * t.gamma[e - a + 1 + k] for k in range(1, a)),
 }
 
 
-def derived_violations(family, table, modulus, offset, limit_n):
-    """(n, r) for n = 1..limit_n where the family's value at modulus*n + offset
-    leaves the residue r != 0 mod modulus."""
+def derived_violations(family, table, progression, modulus, limit_n):
+    """(n, r) for n = 1..limit_n where the family's value at a*n + b, with
+    (a, b) = progression, leaves the residue r != 0 mod modulus."""
+    a, b = progression
     value = DERIVED_FAMILIES[family]
-    residues = ((n, value(table, modulus, modulus * n + offset) % modulus) for n in range(1, limit_n + 1))
+    residues = ((n, value(table, a, a * n + b) % modulus) for n in range(1, limit_n + 1))
     return [(n, r) for n, r in residues if r]

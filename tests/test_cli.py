@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from nucleus import cli, counting
 from nucleus.asymptotics import AsymptoticRow, RatioRow, estimate_rows, hr_p, log_hr_p, ratio_report
 from nucleus.cache import write_table
-from nucleus.congruence import CongruenceFamily, CongruenceReport
+from nucleus.congruence import RAMANUJAN_PROGRESSIONS, CongruenceFamily, CongruenceReport
 from nucleus.counting import CountTable, MethodResult, build_table
 from nucleus.partitions import EnumerationConstraint
 
@@ -539,12 +539,45 @@ def test_congruence_custom_violations_exit_1(capsys):
     ["congruence", "ramanujan", "4"],
     ["congruence", "ramanujan"],
     ["congruence", "custom", "2", "0"],
+    ["congruence", "custom", "5"],
+    ["congruence", "nu_window", "5", "4"],
     ["congruence", "weird", "5"],
 ])
 def test_congruence_bad_specs_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gamma_weighted", "7", "5", "5"], "gamma_weighted needs the modulus to divide the step, got (7, 5) mod 5"),
+    (["custom", "2", "0", "1"], "modulus must be >= 2, got 1"),
+    (["gamma_weighted", "7", "5", "0"], "modulus must be >= 2, got 0"),
+    (["nu_window", "0", "4", "5"], "progression must have a >= 1 and b >= 0, got (0, 4)"),
+])
+def test_congruence_progression_errors_exit_2_on_one_line(capsys, argv, message):
+    code, out, err = run(capsys, "congruence", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("family", ["ramanujan", "nu_window", "nu_k_progression", "gamma_weighted"])
+@pytest.mark.parametrize("modulus", [5, 7, 11])
+def test_congruence_modulus_is_its_ramanujan_progression(capsys, family, modulus):
+    a, b = RAMANUJAN_PROGRESSIONS[modulus]
+    for fmt in cli.FORMATS:
+        short = run(capsys, "congruence", family, str(modulus), "--limit", "30", "--format", fmt)
+        full = run(capsys, "congruence", family, str(a), str(b), str(modulus), "--limit", "30", "--format", fmt)
+        assert short == full and short[0] == 0
+
+
+def test_congruence_ramanujan_calls_check_ramanujan_by_name(capsys, monkeypatch):
+    """perfbench traces ``check_ramanujan`` by swapping the module attributes
+    that hold it, so ``ramanujan M`` must call it through ``cli``'s, at call time."""
+    calls = []
+    original = cli.check_ramanujan
+    monkeypatch.setattr(cli, "check_ramanujan", lambda *args: calls.append(args) or original(*args))
+    assert run(capsys, "congruence", "ramanujan", "5", "--limit", "20")[0] == 0
+    assert calls == [(5, 20)]
 
 
 @pytest.mark.parametrize("family", ["nu_window", "nu_k_progression", "gamma_weighted"])
@@ -560,6 +593,7 @@ def test_congruence_exact_families_pass(capsys, family):
     ["nu_k_progression", "11"],
     ["gamma_weighted", "5"],
     ["custom", "5", "4", "5"],
+    ["nu_window", "7", "5", "7"],
 ])
 def test_congruence_ignores_the_cache(capsys, tmp_path, monkeypatch, argv):
     """Every family reads p mod m only: an invalid $NUCLEUS_CACHE is neither

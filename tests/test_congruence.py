@@ -7,7 +7,10 @@ import pytest
 
 from nucleus import congruence
 from nucleus.congruence import (
+    FAMILIES,
     RAMANUJAN_PROGRESSIONS,
+    CongruenceFamily,
+    check_family,
     check_gamma_weighted,
     check_nu_k_progression,
     check_nu_window,
@@ -369,11 +372,14 @@ def test_gamma_weighted_detects_injected_corruption(table):
 
 # --- residue checkers against the exact-table sums ---
 
-DERIVED_CHECKS = {
-    "nu_window": check_nu_window,
-    "nu_k_progression": check_nu_k_progression,
-    "gamma_weighted": check_gamma_weighted,
-}
+# (family, (a, b), modulus): the Ramanujan progressions, where a = m, and
+# steps a != m, where only sums over the step a agree; gamma_weighted needs
+# m | a.
+DERIVED_CASES = [
+    *((family, RAMANUJAN_PROGRESSIONS[m], m) for family in DERIVED_FAMILIES for m in MODULI),
+    *((family, (7, 3), 5) for family in ("nu_window", "nu_k_progression")),
+    *((family, (a, b), m) for family in DERIVED_FAMILIES for a, b, m in ((10, 1, 5), (12, 7, 4))),
+]
 
 
 @pytest.fixture(scope="module")
@@ -383,22 +389,116 @@ def exact_p():
 
 @pytest.mark.parametrize("bump", [None, *range(61)])
 def test_derived_families_agree_with_exact_sums(exact_p, bump):
-    """The p-difference forms give the violations (n, r) that the sums over
-    the exact nu and gamma columns give, on clean p and with one p bumped."""
+    """The p-difference forms in ``FAMILIES`` give the violations (n, r)
+    that the sums over the exact nu and gamma columns give, on clean p and
+    with one p bumped, to the last n the table reaches."""
     p = list(exact_p)
     if bump is not None:
         p[bump] += 1
     table = _table_from_p(p)
-    for family, check in DERIVED_CHECKS.items():
-        for modulus in MODULI:
-            offset = RAMANUJAN_PROGRESSIONS[modulus][1]
-            expected = derived_violations(family, table, modulus, offset, 200)
-            assert check(modulus, 200, residues=p).violations == expected, (family, modulus)
-            if bump is None:
-                assert expected == []
-                # mod m the gamma form drops its m*(p(e) - p(e-1)) term, so pin the exact values too
-                for e in range(modulus + offset, 200 * modulus + offset + 1, modulus):
-                    assert congruence._VALUES[family](p, modulus, e) == DERIVED_FAMILIES[family](table, modulus, e)
+    for family, (a, b), modulus in DERIVED_CASES:
+        limit_n = (len(p) - 1 - b) // a
+        expected = derived_violations(family, table, (a, b), modulus, limit_n)
+        assert check_family(family, a, b, modulus, limit_n, residues=p).violations == expected, (family, a, b)
+        if bump is None:
+            # only the Ramanujan progressions hold; elsewhere the violations are what is compared
+            assert (expected == []) == ((a, b) == RAMANUJAN_PROGRESSIONS.get(modulus))
+            # mod m the gamma form drops its a*(p(e) - p(e-1)) term, so pin the exact values too
+            for e in range(a + b, a * limit_n + b + 1, a):
+                assert FAMILIES[family][1](p, a, e) == DERIVED_FAMILIES[family](table, a, e), (family, a, b, e)
+
+
+@pytest.mark.parametrize("a", [2, 3, 6, 10])
+def test_gamma_weighted_from_nu_1_is_the_exact_sum(table, a):
+    """With b = 0 the first window starts at nu(1), and nu(2) - nu(1) = 1
+    while gamma(2) = 0: the family's value is still the weighted sum."""
+    for e in range(a, 40 * a + 1, a):
+        assert FAMILIES["gamma_weighted"][1](table.p, a, e) == DERIVED_FAMILIES["gamma_weighted"](table, a, e), e
+
+
+def test_family_table_order():
+    # the order of the congruence subcommand's choices, its usage and --help
+    assert list(FAMILIES) == ["ramanujan", "nu_window", "nu_k_progression", "gamma_weighted", "custom"]
+
+
+def test_check_family_rejects_bad_arguments():
+    with pytest.raises(ValueError, match="unknown congruence family 'weird'"):
+        check_family("weird", 5, 4, 5, 10)
+    with pytest.raises(ValueError, match="a >= 1 and b >= 0"):
+        check_family("nu_window", 0, 4, 5, 10)
+    with pytest.raises(ValueError, match="a >= 1 and b >= 0"):
+        check_family("nu_window", 5, -1, 5, 10)
+    # the modulus is checked before gamma_weighted divides the step by it
+    for modulus in (1, 0, -5):
+        with pytest.raises(ValueError, match=f"modulus must be >= 2, got {modulus}"):
+            check_family("gamma_weighted", 7, 5, modulus, 10)
+
+
+@pytest.mark.parametrize("a, b, modulus", [(7, 5, 5), (10, 1, 4), (17303, 237, 7)])
+def test_gamma_weighted_needs_the_modulus_to_divide_the_step(a, b, modulus):
+    with pytest.raises(ValueError, match="gamma_weighted needs the modulus to divide the step"):
+        check_family("gamma_weighted", a, b, modulus, 10)
+
+
+# --- Atkin's congruence: the derived families run over the step, not the modulus ---
+
+# Atkin (1968): p(17303n + 237) = 0 (mod 13); 17303 = 13 * 11**3.
+ATKIN = (17303, 237, 13)
+
+
+@pytest.fixture(scope="module")
+def atkin_residues():
+    a, b, modulus = ATKIN
+    return p_mod_m_table(19 * a + b, modulus)
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_atkin_progression_holds_in_every_family(atkin_residues, family):
+    a, b, modulus = ATKIN
+    report = check_family(family, a, b, modulus, 19, residues=atkin_residues)
+    assert report.passed
+    assert report.family == CongruenceFamily(family, modulus, (a, b), FAMILIES[family][0])
+
+
+def test_atkin_window_of_the_modulus_fails(atkin_residues):
+    """The window of A = 17303 nu values holds at n = 1..19; the window of
+    M = 13, the rule while every family had A = M, fails at 18 of them, and
+    the control window ending at e - 1 at 17."""
+    a, b, modulus = ATKIN
+    r = atkin_residues
+    assert sum((r[a * n + b] - r[a * n + b - modulus]) % modulus != 0 for n in range(1, 20)) == 18
+    assert len(check_family("nu_window", a, b - 1, modulus, 19, residues=r).violations) == 17
+
+
+# --- a scan whose answer is a theorem ---
+
+def _primes(limit):
+    """The primes below ``limit``, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * limit
+    sieve[:2] = bytes(2)
+    for i in range(2, int(limit**0.5) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, limit, i)))
+    return [i for i, prime in enumerate(sieve) if prime]
+
+
+@pytest.mark.parametrize("limit", [10000, pytest.param(100000, marks=pytest.mark.slow)])
+def test_prime_step_scan_finds_only_ramanujans_progressions(limit):
+    """Ahlgren and Boylan (Invent. Math. 153, 2003): for a prime l,
+    p(l*n + beta) = 0 (mod l) for every n only at (l, beta) = (5, 4),
+    (7, 5) and (11, 6).  A finite scan cannot prove that a progression
+    holds, but a false hit needs all its residues to p(limit) to be 0, and
+    a missed one a wrong residue: either is a fault of the kernel or of
+    the checker.  Every prime below 100, every beta < l."""
+    primes = _primes(100)
+    assert len(primes) == 25 and primes[-1] == 97
+    held = []
+    for ell in primes:
+        residues = p_mod_m_table(limit, ell)
+        for beta in range(ell):
+            if check_progression(ell, beta, ell, (limit - beta) // ell, residues=residues).passed:
+                held.append((ell, beta))
+    assert held == [(5, 4), (7, 5), (11, 6)]
 
 
 # --- parity ---

@@ -60,6 +60,15 @@ GOLDEN = {
     # Atkin (1968): p(17303n + 237) = 0 (mod 13); 17303 = 13 * 11**3.
     "congruence custom 17303 237 13 --limit 19": (0, "758580ee399179c5df86cbfb901120ccc14be1609fd3cddecf9228c949bedce6"),
     "congruence custom 17303 237 13 --limit 19 --format json": (0, "cb8c7398e20da83588d5dab197a6ac3c72f60029faec3996dc6368ee0142a9c0"),
+    # Its derived families run over the step 17303, not the modulus 13; the
+    # control window ends one before.  Recorded on the family table: the
+    # parent took one integer, the modulus, for these families.
+    "congruence nu_window 17303 237 13 --limit 19": (0, "154a8c61d68bdd71d79b79118a20258d3a2aef66a3baa071ce67bfb31eabaa36"),
+    "congruence nu_window 17303 237 13 --limit 19 --format json": (0, "e136315bea0e7023792b2bc9de91e171346b9ec83e979df4c9c3d2f002aab5de"),
+    "congruence nu_window 17303 236 13 --limit 19": (1, "a2898df68a33902c09858b7739e4353b3f4b28efe4d3d6b81cf9ee59ac58f2c6"),
+    "congruence nu_window 17303 236 13 --limit 19 --format json": (1, "c92e8dde160800cd192f0ce95b477e6bf35fb1213f0a7d24f0663dea1ecc3046"),
+    "congruence gamma_weighted 17303 237 13 --limit 19": (0, "a16c970607cff18792f8ab96e9732089ea2758f6dd0bbc3da3fe366154b70c5d"),
+    "congruence gamma_weighted 17303 237 13 --limit 19 --format json": (0, "0a01c7bbf306af044406b9298c4f4165211b46c9e7825a652ec3b69b1d763fea"),
     "parity --limit 1000": (0, "d87a42621f45bf45fde77c7e3c3194c42fb2817a045c853d3a6a12b9731c3e43"),
     "parity --limit 1000 --format csv": (0, "8d69f16d1d63437eae30844c2c2866aa8d88acde1447ba8e4eff0c27386634a6"),
     "parity --limit 1000 --format json": (0, "0c7e2307864b90028bb8006a06c5a354c9b72c61406e1c387bf0bb668063e241"),
