@@ -95,6 +95,13 @@ GOLDEN = {
     "decay --dot 8": (0, "261d322a486a4aee84254f0a8b5df9b0086c4f476ecfac439c880fa6eb644ec8"),
     # decay --dot walks every nuclear partition of n through iter_parts.
     "decay --dot 30": (0, "d34a226f8a9b847325cd4a7ac6a54125b1032911975597ba886c4fd8983f0f04"),
+    # The other write paths of decay: the empty partition as the digraph's
+    # lone node, a digraph with no nuclear partition, the empty partition
+    # as a target, and a ground state.
+    "decay --dot 0": (0, "9fecbd28ef86450e6d35fb02760450d2895cf89d5ad7f8f90b59134b7f52e0eb"),
+    "decay --dot 1": (0, "d266411e026644a814e30b276da7201bf96185da765776de55966ec062556ee4"),
+    "decay []": (0, "5f4e1b03e8f0032a76aa4bb1cbcfa3c53306a3a7aba2bbed5d1abd32f58d4c53"),
+    "decay 3,3": (0, "57b19c9826fca1a6f7551b9fb05f94dd5f438b1b17f741671338bb5248aee8cd"),
 }
 
 
