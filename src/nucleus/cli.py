@@ -207,46 +207,45 @@ def _json_dumps(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _write(text: str) -> bool:
-    """Write ``text`` to stdout in 64 KB slices.  The text layer encodes
-    each str it is given whole, so one write would add a bytes copy of
-    ``text`` to the peak.  Csv from ``table``, ``ratios`` and ``parity``
-    comes here one slice of rows at a time (``_write_rows``); every other
-    output comes whole.
+def _write(texts) -> None:
+    """Write each str of the iterable ``texts`` to stdout in 64 KB slices.
+    The text layer encodes each str it is given whole, so one write would
+    add a bytes copy of the text to the peak.  Every command hands its
+    output over as such an iterable: one item, or a generator that renders
+    the next text only when it is asked for (``_rendered_rows``,
+    ``decay_digraph``), so the process holds one text of output at a time.
 
     A reader that closes the pipe early, such as ``head``, ends the output,
     not the command: fd 1 is pointed at os.devnull, so no later write and
     not the interpreter's last flush of what is still buffered can raise,
-    and False is returned, so a caller with more to write can stop.
+    and ``texts`` is read no further, so nothing more is rendered.
     """
     try:
-        for start in range(0, len(text), 1 << 16):
-            sys.stdout.write(text[start:start + (1 << 16)])
+        for text in texts:
+            for start in range(0, len(text), 1 << 16):
+                sys.stdout.write(text[start:start + (1 << 16)])
+            del text  # not held while the next one is rendered
         sys.stdout.flush()
     except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        return False
-    return True
 
 
 # Rows of ``table``, ``ratios`` and ``parity`` csv rendered and written at a time.
 _CSV_SLICE_ROWS = 512
 
 
-def _write_rows(render, rows, fmt: str) -> None:
-    """Write ``render(rows, fmt)`` for the sequence ``rows``.  Csv goes
-    out one slice of up to _CSV_SLICE_ROWS rows at a time, each rendered
-    on its own with the header line kept from the first slice only, so
-    the process holds one slice of output, never the whole of it, and no
-    slice is rendered once the reader has closed the pipe.  Json and text
-    are rendered whole: text needs every row to size its columns."""
-    step = _CSV_SLICE_ROWS if fmt == "csv" else len(rows)
-    for start in range(0, len(rows), step):
-        text = render(rows[start:start + step], fmt)
-        if not _write(text[text.index("\n") + 1:] if start else text):
-            return
+def _rendered_rows(render, rows, fmt: str):
+    """Yield ``render(rows, fmt)`` for the iterable ``rows``.  Csv comes
+    one slice of up to _CSV_SLICE_ROWS rows at a time, each rendered on
+    its own with the header line kept from the first slice only, so the
+    process holds one slice of output, never the whole of it.  Json and
+    text are rendered whole: text needs every row to size its columns."""
+    rows, step = iter(rows), _CSV_SLICE_ROWS if fmt == "csv" else None
+    yield render(list(islice(rows, step)), fmt)
+    while taken := list(islice(rows, step)):
+        yield render(taken, fmt).partition("\n")[2]
 
 
 # The %-format of a cell by its type: a str as it is, an int in decimal, a
@@ -266,7 +265,7 @@ def _grid(header, rows, fmt: str) -> str:
     is then one %-format of that tuple: its template holds one line per
     row, shared by every row of the same cell types, so the only
     output-sized object is the result, and ``table``, ``ratios`` and
-    ``parity`` call it on one slice of rows at a time (``_write_rows``).
+    ``parity`` call it on one slice of rows at a time (``_rendered_rows``).
     Text formats each cell on its own, since it needs every cell to size
     the columns."""
     no, yes = ("false", "true") if fmt == "csv" else ("NO", "yes")
@@ -382,17 +381,15 @@ def render_estimates(rows, fmt: str) -> str:
     return _records("estimate_report", AsymptoticRow._fields, rows, fmt)
 
 
-def decay_digraph(n: int) -> str:
-    """DOT digraph of every nuclear partition of n and its decay products."""
-    lines = [f"digraph decay_{n} {{"]
+def decay_digraph(n: int):
+    """DOT digraph of every nuclear partition of n and its decay products,
+    yielded as one str per nuclear partition, its edges or its lone node,
+    between the header line and the closing brace."""
+    yield f"digraph decay_{n} {{\n"
     for mu in enumerate_partitions(n, NUCLEAR):
         products = decay_chain(mu) if mu else []
-        if not products:
-            lines.append(f'  "{mu}";')
-        for product in products:
-            lines.append(f'  "{mu}" -> "{product}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield "".join(f'  "{mu}" -> "{product}";\n' for product in products) or f'  "{mu}";\n'
+    yield "}\n"
 
 
 # --------------------------------------------------------------------------
@@ -537,7 +534,7 @@ def cmd_table(args, parser) -> int:
     elif rows[-1] > limit:
         parser.error(f"--rows selects n={rows[-1]} beyond --limit {limit}")
     table = _table_for(args, limit)
-    _write_rows(partial(render_table, table), rows, args.format)
+    _write(_rendered_rows(partial(render_table, table), rows, args.format))
     return EXIT_OK
 
 
@@ -572,7 +569,7 @@ def cmd_verify(args, parser) -> int:
             errata_demo.append(f"k-skip shifted: n=6,k=2 -> {shifted} vs p(6)={table.p[6]}")
     for name, seconds in timings.items():
         print(f"timing: {name} {seconds:.3f}s", file=sys.stderr)
-    _write(render_summary(summary, args.format, errata_demo))
+    _write([render_summary(summary, args.format, errata_demo)])
     return EXIT_OK if summary.passed else EXIT_CHECK_FAILED
 
 
@@ -591,7 +588,7 @@ def cmd_congruence(args, parser) -> int:
     # resolves per call, so a wrapper put on it (perfbench's tracer) runs.
     ramanujan = family == "ramanujan" and len(args.params) == 1
     report = check_ramanujan(params[2], args.limit) if ramanujan else check_family(family, *params, args.limit)
-    _write(render_report(report, args.format))
+    _write([render_report(report, args.format)])
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
@@ -612,11 +609,11 @@ def cmd_decay(args, parser) -> int:
     if not is_nuclear(mu):
         raise ValueError(f"{mu} is not nuclear: {multiplicity(mu, 1)} part(s) equal 1")
     if len(mu) == 0:
-        _write("() is the empty partition: nothing to decay\n")
+        _write(["() is the empty partition: nothing to decay\n"])
     elif not (products := decay_chain(mu)):
-        _write(f"{mu}\n{mu} is a ground state (top two parts equal): no decay products\n")
+        _write([f"{mu}\n{mu} is a ground state (top two parts equal): no decay products\n"])
     else:
-        _write("".join(f"{partition}\n" for partition in (mu, *products)))
+        _write(f"{partition}\n" for partition in (mu, *products))
     return EXIT_OK
 
 
@@ -625,22 +622,22 @@ def cmd_parity(args, parser) -> int:
         parser.error("--limit must be >= 4")
     table = _table_for(args, args.limit)
     residues = p_mod_m_table(args.limit, 2)
-    evens = range(4, args.limit + 1, 2)
-    # One pass over the rows: each slice takes the next len(ns) of them, so
-    # the gamma sum runs on from slice to slice, and the rows a closed pipe
-    # leaves unrendered are still checked.
-    rows = ((n, total, total % 2, total % 2 == residues[n])
-            for n, total in zip(evens, accumulate(islice(table.gamma, 4, None, 2))))
-    agreed = []
+    failed = []
 
-    def render(ns, fmt):
-        taken = list(islice(rows, len(ns)))
-        agreed.append(all(agrees for *_rest, agrees in taken))
-        return render_parity(taken, fmt)
+    def row(n, total):
+        # One row of the listing; a sum whose parity is not p(n)'s is recorded.
+        agrees = total % 2 == residues[n]
+        if not agrees:
+            failed.append(n)
+        return n, total, total % 2, agrees
 
-    _write_rows(render, evens, args.format)
-    passed = all(agreed) and all(agrees for *_rest, agrees in rows)
-    return EXIT_OK if passed else EXIT_CHECK_FAILED
+    # The gamma sum runs on from slice to slice.  The rows a closed pipe
+    # left unrendered are drained after the write, so every even n is checked.
+    rows = map(row, count(4, 2), accumulate(islice(table.gamma, 4, None, 2)))
+    _write(_rendered_rows(render_parity, rows, args.format))
+    for _ in rows:
+        pass
+    return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
 def cmd_ratios(args, parser) -> int:
@@ -654,15 +651,15 @@ def cmd_ratios(args, parser) -> int:
                          f"got {min(points)}")
         table = _table_for(args, max(points))
         rows = estimate_rows(points, table, args.estimator, args.form or FORMS[0])
-        _write(render_estimates(rows, args.format))
+        _write([render_estimates(rows, args.format)])
         return EXIT_OK
     if args.points is not None or args.form is not None:
         parser.error("--points and --form need --estimator")
     if args.limit < 1:
         parser.error("--limit must be >= 1")
     table = _table_for(args, args.limit)
-    _write_rows(lambda ns, fmt: render_ratios(ratio_report(ns[-1], table, ns[0]), fmt),
-                range(1, args.limit + 1), args.format)
+    _write(_rendered_rows(lambda ns, fmt: render_ratios(ratio_report(ns[-1], table, ns[0]), fmt),
+                          range(1, args.limit + 1), args.format))
     return EXIT_OK
 
 
@@ -674,10 +671,10 @@ def cmd_cache(args, parser) -> int:
         if args.limit < 0:
             parser.error("--limit must be >= 0")
         table = load_table(args.limit, path)
-        _write(f"cache {path}: rows 0..{table.limit}\n")
+        _write([f"cache {path}: rows 0..{table.limit}\n"])
         return EXIT_OK
     table = read_table(path)
-    _write(f"cache {path}: ok, rows 0..{table.limit}\n")
+    _write([f"cache {path}: ok, rows 0..{table.limit}\n"])
     return EXIT_OK
 
 

@@ -245,7 +245,9 @@ def check_family(family_id: str, a: int, b: int, modulus: int, limit_n: int, *,
     value at a*n + b, for n from the family's first to ``limit_n``.  p mod
     the modulus is computed up to the last argument, or read from
     ``residues``, checked for length.  gamma_weighted needs the modulus to
-    divide the step a; an unknown family or a bad argument raises ValueError."""
+    divide the step a, and ``limit_n`` must reach the family's first n, so
+    that a scan checks at least one n; an unknown family or a bad argument
+    raises ValueError."""
     if family_id not in FAMILIES:
         raise ValueError(f"unknown congruence family {family_id!r}")
     if a < 1 or b < 0:
@@ -255,6 +257,8 @@ def check_family(family_id: str, a: int, b: int, modulus: int, limit_n: int, *,
     if family_id == "gamma_weighted" and a % modulus:
         raise ValueError(f"gamma_weighted needs the modulus to divide the step, got ({a}, {b}) mod {modulus}")
     start_n, value = FAMILIES[family_id]
+    if limit_n < start_n:
+        raise ValueError(f"{family_id} starts at n = {start_n}: the limit must be >= {start_n}, got {limit_n}")
     top = a * limit_n + b
     if residues is None:
         residues = p_mod_m_table(top, modulus)

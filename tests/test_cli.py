@@ -163,35 +163,39 @@ def test_float_cells_are_twelve_significant_digits(x):
     assert cli._grid(("x",), [(x,)], "text").splitlines()[1].lstrip() == expected
 
 
+PEAK_RSS = Path(__file__).resolve().with_name("peak_rss.py")
+
+
+def _peak_kb(*argv, stdout):
+    """Run ``nucleus *argv`` through ``peak_rss.py``, the launcher CI uses,
+    writing its stdout to the file ``stdout``; returns the child's own peak
+    RSS in KB.  A child forked straight from the test process would count
+    this process's memory as its own."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("NUCLEUS_CACHE", None)
+    with open(stdout, "wb") as out:
+        result = subprocess.run([sys.executable, "-I", "-S", str(PEAK_RSS), *argv],
+                                stdout=out, stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    report = result.stderr.splitlines()[-1]
+    assert report.startswith(f"nucleus {' '.join(argv)}: exit 0, "), report
+    return int(report.rpartition("(")[2].removesuffix(" KB)"))
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KB and per child on Linux")
 def test_csv_render_holds_little_more_than_its_output(tmp_path):
     """``table`` and ``ratios`` csv on a 10,000-row cache peak at most 2 MB
     above ``cache check`` on the same cache, which loads the same table:
     they hold one slice of output, never the whole (2.1 and 0.6 MB of
     csv here).  So does ``cache build --limit 10000`` resuming a
-    5,000-row cache, above ``cache check`` of the cache it writes.  Each
-    command runs in a child of a small launcher, whose ``os.wait4`` reads
-    the child's own peak: a child forked straight from the test process
-    would count this process's memory as its own."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    5,000-row cache, above ``cache check`` of the cache it writes."""
     cache, resumed, out = tmp_path / "counts.csv", tmp_path / "resumed.csv", tmp_path / "out.csv"
     write_table(build_table(10000), cache)
     write_table(build_table(5000), resumed)
-    launcher = ("import os, sys\n"
-                "pid = os.fork()\n"
-                "if pid == 0:\n"
-                "    os.execv(sys.executable, [sys.executable, '-m', 'nucleus', *sys.argv[1:]])\n"
-                "_, status, usage = os.wait4(pid, 0)\n"
-                "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, file=sys.stderr)\n")
 
     def peak_kb(*argv, path=cache):
-        with open(out, "wb") as stdout:
-            result = subprocess.run([sys.executable, "-I", "-S", "-c", launcher, *argv, "--cache", str(path)],
-                                    stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=120)
-        code, kb = map(int, result.stderr.split())
-        assert code == 0
-        return kb
+        return _peak_kb(*argv, "--cache", str(path), stdout=out)
 
     margin_kb = 2 * 1024
     check_kb = peak_kb("cache", "check")
@@ -202,6 +206,19 @@ def test_csv_render_holds_little_more_than_its_output(tmp_path):
     resume_kb = peak_kb("cache", "build", "--limit", "10000", path=resumed)
     assert resumed.read_bytes() == cache.read_bytes()
     assert resume_kb - peak_kb("cache", "check", path=resumed) <= margin_kb, resume_kb
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KB and per child on Linux")
+def test_decay_dot_holds_little_more_than_start_up(tmp_path):
+    """``decay --dot 45`` writes 4.5 MB of digraph one nuclear partition at a
+    time, so it peaks within 2 MB of ``nucleus --version``.  Built whole,
+    as one list of lines and their join, it peaked at 33.7 MB."""
+    out = tmp_path / "out.dot"
+    start_kb = _peak_kb("--version", stdout=out)
+    kb = _peak_kb("decay", "--dot", "45", stdout=out)
+    with open(out, "rb") as dot:
+        assert (dot.readline(), dot.read()[-2:]) == (b"digraph decay_45 {\n", b"}\n")
+    assert kb - start_kb <= 2 * 1024, (kb, start_kb)
 
 
 # --- verify ---
@@ -560,6 +577,23 @@ def test_congruence_progression_errors_exit_2_on_one_line(capsys, argv, message)
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("family", ["nu_window", "nu_k_progression", "gamma_weighted"])
+def test_congruence_derived_family_with_limit_0_exits_2(capsys, family):
+    """A derived family starts at n = 1: --limit 0 would check no n."""
+    code, out, err = run(capsys, "congruence", family, "5", "--limit", "0")
+    assert (code, out, err) == (2, "", f"error: {family} starts at n = 1: the limit must be >= 1, got 0\n")
+
+
+@pytest.mark.parametrize("argv, code, last", [
+    (["ramanujan", "5"], 0, "violations: none"),
+    (["custom", "2", "0", "3"], 1, "  n=0: residue 1"),
+])
+def test_congruence_families_from_n_0_check_n_0_at_limit_0(capsys, argv, code, last):
+    result, out, err = run(capsys, "congruence", *argv, "--limit", "0")
+    assert (result, err) == (code, "")
+    assert out.splitlines()[0].endswith(", n = 0..0") and out.splitlines()[-1] == last
+
+
 @pytest.mark.parametrize("family", ["ramanujan", "nu_window", "nu_k_progression", "gamma_weighted"])
 @pytest.mark.parametrize("modulus", [5, 7, 11])
 def test_congruence_modulus_is_its_ramanujan_progression(capsys, family, modulus):
@@ -714,13 +748,20 @@ def test_parity_csv_in_several_slices_matches_json(capsys):
 
 def test_parity_checks_the_rows_a_closed_pipe_left_unwritten(monkeypatch):
     """The reader goes after the first slice: the second meets the closed
-    pipe, the third is never rendered, and its disagreement with the
-    residues still exits 1."""
+    pipe, so ``_write`` reads no further, the third is never rendered, and
+    its disagreement with the residues still exits 1."""
     residues = cli.p_mod_m_table(2100, 2)
     residues[2100] ^= 1
     monkeypatch.setattr(cli, "p_mod_m_table", lambda limit, modulus: residues)
     writes = []
-    monkeypatch.setattr(cli, "_write", lambda text: writes.append(text) or len(writes) == 1)
+
+    def write(texts):
+        for text in texts:
+            writes.append(text)
+            if len(writes) == 2:
+                return
+
+    monkeypatch.setattr(cli, "_write", write)
     rendered = []
     render = cli.render_parity
     monkeypatch.setattr(cli, "render_parity", lambda rows, fmt: rendered.append(rows) or render(rows, fmt))
@@ -871,22 +912,24 @@ def test_memory_exhaustion_exits_2(argv):
 @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "PYTHONUNBUFFERED=1"])
 def test_a_reader_that_closes_the_pipe_early_leaves_exit_0(unbuffered):
     """``table ... | head -c 10``: the reader takes 10 bytes of about 187 KB
-    of csv and closes the pipe.  The command still exits 0, with nothing on
-    stderr, whether the interpreter buffers stdout or not."""
+    of csv, or of 220 KB of ``decay --dot 30`` digraph, and closes the pipe.
+    The command still exits 0, with nothing on stderr, whether the
+    interpreter buffers stdout or not."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     env.pop("NUCLEUS_CACHE", None)
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = unbuffered
-    with subprocess.Popen([sys.executable, "-m", "nucleus", "table", "--limit", "2000", "--format", "csv"],
-                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as child:
-        head = child.stdout.read(10)
-        child.stdout.close()
-        stderr = child.stderr.read()
-        code = child.wait(timeout=120)
-    assert head == b"n,gamma,nu"
-    assert (code, stderr) == (0, b"")
+    for argv, head in [("table --limit 2000 --format csv", b"n,gamma,nu"), ("decay --dot 30", b"digraph de")]:
+        with subprocess.Popen([sys.executable, "-m", "nucleus", *argv.split()],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as child:
+            read = child.stdout.read(10)
+            child.stdout.close()
+            stderr = child.stderr.read()
+            code = child.wait(timeout=120)
+        assert read == head
+        assert (code, stderr) == (0, b""), argv
 
 
 @pytest.mark.parametrize("command, renderer", [("table", "render_table"), ("ratios", "render_ratios")])
@@ -912,6 +955,33 @@ def test_no_csv_slice_is_rendered_after_the_reader_has_gone(command, renderer):
     finally:
         os.close(write_end)
     assert (result.returncode, result.stderr) == (0, b"0 1\n")
+
+
+def test_no_decay_line_is_built_after_the_reader_has_gone():
+    """``decay --dot 40`` with the pipe closed before it writes: the first
+    buffer of lines meets the closed pipe, so the digraph stops there and
+    decays far fewer than the 6,153 nuclear partitions of 40, and the
+    command still exits 0 with nothing on stderr but the count the child
+    reports."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("PYTHONUNBUFFERED", None)
+    child = ("import sys\n"
+             "from nucleus import cli\n"
+             "decay, calls = cli.decay_chain, []\n"
+             "cli.decay_chain = lambda mu: calls.append(mu) or decay(mu)\n"
+             "code = cli.main(['decay', '--dot', '40'])\n"
+             "print(code, len(calls), file=sys.stderr)\n")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run([sys.executable, "-c", child], stdout=write_end, stderr=subprocess.PIPE,
+                                env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    code, calls = map(int, result.stderr.split())
+    assert (result.returncode, code) == (0, 0)
+    assert 0 < calls < 6153 // 10, calls
 
 
 def test_cache_needs_path(capsys, monkeypatch):

@@ -10,6 +10,7 @@ from nucleus.congruence import (
     FAMILIES,
     RAMANUJAN_PROGRESSIONS,
     CongruenceFamily,
+    CongruenceReport,
     check_family,
     check_gamma_weighted,
     check_nu_k_progression,
@@ -432,6 +433,23 @@ def test_check_family_rejects_bad_arguments():
     for modulus in (1, 0, -5):
         with pytest.raises(ValueError, match=f"modulus must be >= 2, got {modulus}"):
             check_family("gamma_weighted", 7, 5, modulus, 10)
+
+
+@pytest.mark.parametrize("family", ["nu_window", "nu_k_progression", "gamma_weighted"])
+def test_a_derived_family_below_its_first_n_is_an_error(family):
+    """The derived families start at n = 1, so a limit of 0 would check
+    nothing; it is refused, not reported as passed."""
+    with pytest.raises(ValueError, match=f"{family} starts at n = 1: the limit must be >= 1, got 0"):
+        check_family(family, 5, 4, 5, 0)
+    assert check_family(family, 5, 4, 5, 1).range_checked == (1, 1)
+
+
+def test_the_families_from_n_0_check_n_0_at_limit_0():
+    assert check_family("ramanujan", 5, 4, 5, 0) == CongruenceReport(
+        CongruenceFamily("ramanujan", 5, (5, 4), 0), (0, 0), [])
+    assert check_family("custom", 2, 0, 3, 0).violations == [(0, 1)]
+    with pytest.raises(ValueError, match="ramanujan starts at n = 0: the limit must be >= 0, got -1"):
+        check_family("ramanujan", 2, 5, 3, -1)
 
 
 @pytest.mark.parametrize("a, b, modulus", [(7, 5, 5), (10, 1, 4), (17303, 237, 7)])
