@@ -633,7 +633,8 @@ def cmd_parity(args, parser) -> int:
 
     # The gamma sum runs on from slice to slice.  The rows a closed pipe
     # left unrendered are drained after the write, so every even n is checked.
-    rows = map(row, count(4, 2), accumulate(islice(table.gamma, 4, None, 2)))
+    # A longer cache is loaded as it is, so the gamma column is cut at --limit.
+    rows = map(row, count(4, 2), accumulate(islice(table.gamma, 4, args.limit + 1, 2)))
     _write(_rendered_rows(render_parity, rows, args.format))
     for _ in rows:
         pass

@@ -746,6 +746,18 @@ def test_parity_csv_in_several_slices_matches_json(capsys):
                          for row in rows]
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_parity_on_a_longer_cache_stops_at_the_limit(capsys, tmp_path, fmt):
+    """A cache built to 50 is loaded as it is; ``parity --limit 10`` on it
+    prints the same bytes and exit code as without a cache."""
+    path = tmp_path / "counts.csv"
+    write_table(build_table(50), path)
+    plain = run(capsys, "parity", "--limit", "10", "--format", fmt)
+    cached = run(capsys, "parity", "--limit", "10", "--format", fmt, "--cache", str(path))
+    assert cached == plain
+    assert plain[0] == 0
+
+
 def test_parity_checks_the_rows_a_closed_pipe_left_unwritten(monkeypatch):
     """The reader goes after the first slice: the second meets the closed
     pipe, so ``_write`` reads no further, the third is never rendered, and
