@@ -7,6 +7,7 @@ bytes, and re-checks the format and the difference identities row by
 row, refusing any file that breaks them, so a cache can only resume from
 verified ground.  The file's text is never held whole, and a loaded table
 holds its p column alone: nu and gamma are computed from p when read.
+``check_p``, which ``cache check`` adds, checks p itself, mod a prime.
 """
 
 from __future__ import annotations
@@ -15,10 +16,16 @@ import contextlib
 import os
 from pathlib import Path
 
+from .congruence import p_mod_m_table
 from .counting import CountTable, _table_from_p, build_table, extend_table
 
 CACHE_HEADER = "n,gamma,nu,p"
 CACHE_ENV_VAR = "NUCLEUS_CACHE"
+
+# The modulus of ``check_p``: the largest prime below 2^26, small enough for
+# the blocked kernel's 8-byte lanes, so p mod it is not computed by the
+# recurrence that built the table (``counting._extend_p``) beyond row 511.
+CHECK_MODULUS = 67_108_859
 
 # Rows written at a time: each slice reads the table's nu and gamma once,
 # and the slice's values stay a small part of the file.
@@ -145,6 +152,16 @@ def _parse_rows(lines) -> CountTable:
     if not p:
         raise CacheError("cache has a header but no rows (row for n=0 is required)")
     return _table_from_p(p)
+
+
+def check_p(table: CountTable) -> None:
+    """Raise CacheError naming the first row whose p differs, mod
+    ``CHECK_MODULUS``, from ``congruence.p_mod_m_table``.  ``read_table``
+    checks nu and gamma against p but cannot tell a wrong p."""
+    residues = p_mod_m_table(table.limit, CHECK_MODULUS)
+    for n, (q, r) in enumerate(zip(table.p, residues)):
+        if q % CHECK_MODULUS != r:
+            raise CacheError(f"row n={n}: p mod {CHECK_MODULUS} must be {r}, got {q % CHECK_MODULUS}")
 
 
 def load_table(limit: int, path: Path | str | None) -> CountTable:

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 from . import __version__
 from .asymptotics import ESTIMATE_LOW, FORMS, AsymptoticRow, RatioRow, estimate_rows, ratio_report
-from .cache import CacheError, load_table, read_table, resolve_cache_path
+from .cache import CacheError, check_p, load_table, read_table, resolve_cache_path
 from .congruence import (
     FAMILIES,
     RAMANUJAN_PROGRESSIONS,
@@ -675,6 +675,7 @@ def cmd_cache(args, parser) -> int:
         _write([f"cache {path}: rows 0..{table.limit}\n"])
         return EXIT_OK
     table = read_table(path)
+    check_p(table)
     _write([f"cache {path}: ok, rows 0..{table.limit}\n"])
     return EXIT_OK
 

@@ -37,7 +37,6 @@ start at n = 0.
 
 from __future__ import annotations
 
-import sys
 from array import array
 from typing import NamedTuple, Sequence
 
@@ -89,11 +88,13 @@ def _lane_plan(offsets: list[tuple[int, int]], modulus: int) -> tuple[int, int |
     m, so one-byte lanes take room = (256 - m) // m terms, the most with
     (m - 1) + room * m <= 255.  They are used where room >= 11, m <= 21.
     Wider lanes are never reduced: a lane takes at most one term per offset,
-    so they are sized for len(offsets) * m, and their room exceeds that."""
+    so they are sized for len(offsets) * m, and their room exceeds that.
+    They hold m at least, the lanes of the complements' ``full``, even at
+    limit 0, where there is no offset."""
     room, wide = (256 - modulus) // modulus, _lane_bytes(_BLOCK * (modulus - 1) ** 2)
     if room >= 11:
         return room, 1, wide
-    return len(offsets) + 1, _lane_bytes(len(offsets) * modulus), wide
+    return len(offsets) + 1, _lane_bytes(max(len(offsets), 1) * modulus), wide
 
 
 def _reach(offsets: list[tuple[int, int]], room: int, width: int) -> list[tuple[int, int, bool, bool]]:
@@ -129,9 +130,10 @@ def _fold(packed: tuple[int, ...], count: int, width: int, tables: list[bytes]) 
 
 
 def _residue_code(modulus: int) -> str | None:
-    """The narrowest unsigned array typecode that holds ``modulus`` - 1, or
-    None where 8 bytes are too few."""
-    return next((code for code in "BHIQ" if (modulus - 1) >> 8 * array(code).itemsize == 0), None)
+    """The code of ``_LANE_CODES`` of the narrowest lane that holds
+    ``modulus`` - 1, or None where 8 bytes are too few; as an array
+    typecode its item is at least that wide."""
+    return next((code for width, code in _LANE_CODES.items() if (modulus - 1) >> 8 * width == 0), None)
 
 
 def p_mod_m_table(limit: int, modulus: int) -> array | list[int]:
@@ -179,11 +181,11 @@ def p_mod_m_table(limit: int, modulus: int) -> array | list[int]:
     array, allocated whole at the start, and spread into the next block's
     lanes.  Above m = 128, R and the block are reduced one lane at a time.
 
-    Where 8-byte lanes are too narrow (moduli above about 9.5e7), or on a
-    big-endian host, ``_extend_p`` runs the whole recurrence instead, one
-    n at a time, each a sum of the terms that n reaches, gathered by one
-    ``itemgetter`` per stretch between pentagonal numbers, into a list
-    that is copied into an array once at the end.
+    Where 8-byte lanes are too narrow (moduli above about 9.5e7),
+    ``_extend_p`` runs the whole recurrence instead, one n at a time, each
+    a sum of the terms that n reaches, gathered by one ``itemgetter`` per
+    stretch between pentagonal numbers, into a list that is copied into
+    an array once at the end.
     """
     if modulus < 2:
         raise ValueError(f"modulus must be >= 2, got {modulus}")
@@ -192,7 +194,7 @@ def p_mod_m_table(limit: int, modulus: int) -> array | list[int]:
     kind = _residue_code(modulus)
     offsets = pentagonal_offsets(limit)
     room, width, wide = _lane_plan(offsets, modulus)
-    if wide is None or sys.byteorder != "little":
+    if wide is None:
         values = _extend_p([1 % modulus], limit, modulus)
         return values if kind is None else array(kind, values)
     code, wide_code = _LANE_CODES[width], _LANE_CODES[wide]

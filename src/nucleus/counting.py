@@ -26,8 +26,7 @@ and keeps going.
 
 from __future__ import annotations
 
-import sys
-from array import array
+import struct
 from collections import Counter
 from itertools import accumulate, chain, count, islice, tee
 from operator import add, itemgetter, mul, sub
@@ -35,8 +34,9 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .partitions import NUCLEAR, _capacity, iter_parts
 
-# Lane width in bytes -> an unsigned array typecode of that item size.
-_LANE_CODES = {array(code).itemsize: code for code in "LQHIB"}
+# Lane width in bytes -> the ``struct`` format code of an unsigned integer that
+# wide in standard size.
+_LANE_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 def pentagonal_offsets(limit: int) -> list[tuple[int, int]]:
@@ -242,15 +242,16 @@ def _lane_bytes(value: int) -> int | None:
     return next((width for width in (2, 4, 8) if value >> 8 * width == 0), None)
 
 
-def _pack(values, code: str) -> int:
-    """``values`` as the little-endian lanes of one integer."""
-    return int.from_bytes(array(code, values), "little")
+def _pack(values: Sequence[int], code: str) -> int:
+    """``values`` as the little-endian lanes of one integer, the first in
+    the lowest lane, each as wide as ``code``, a value of ``_LANE_CODES``."""
+    return int.from_bytes(struct.pack(f"<{len(values)}{code}", *values), "little")
 
 
-def _unpack(value: int, code: str, count: int) -> array:
-    """The lowest ``count`` lanes of ``value``."""
-    size = count * array(code).itemsize
-    return array(code, (value & ((1 << 8 * size) - 1)).to_bytes(size, "little"))
+def _unpack(value: int, code: str, count: int) -> tuple[int, ...]:
+    """The lowest ``count`` lanes of ``value``, lowest first."""
+    lanes = struct.Struct(f"<{count}{code}")
+    return lanes.unpack((value & (1 << 8 * lanes.size) - 1).to_bytes(lanes.size, "little"))
 
 
 def _headroom(m: int, span: int, bits: int) -> int:
@@ -309,7 +310,7 @@ def _raise_bounds_lanes(row: list[int], m: int, top: int) -> None:
     """
     width, s = _lane_bytes(row[top]), top
     code, bits = _LANE_CODES[width], 8 * width
-    lanes = _pack(reversed(row[m + 1:top + 1]), code)
+    lanes = _pack(row[top:m:-1], code)
     while m > 1:
         lanes += row[m] << bits * (s - m)
         bound = _headroom(m, s - m, bits)
@@ -585,17 +586,12 @@ def bounded_sums(limit: int) -> list[int]:
     degree, since the row before each division is nondecreasing on the
     degrees it reads.  The 64-bit lanes run to m = 2: the top degrees
     that outgrow them, from limit 408 on, leave them and ``_raise_bound``
-    divides them one entry at a time.  On a big-endian host
-    ``_raise_bound`` divides every entry.
+    divides them one entry at a time.
     """
     if limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
     row = [0, 0] + [1] * (limit - 1)  # x^2 + x^3 + ... + x^limit
-    if sys.byteorder == "little":
-        _raise_bounds_lanes(row, limit // 2, limit)
-    else:
-        for m in range(limit // 2, 1, -1):
-            _raise_bound(row, m, limit, 2 * m)
+    _raise_bounds_lanes(row, limit // 2, limit)
     for n in range(2, limit + 1):  # in place, so each S[n] is freed as it goes
         row[n] -= 1
     del row[limit + 1:]

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -18,6 +19,7 @@ from nucleus.asymptotics import (
     log_hr_p,
     ratio_report,
 )
+from nucleus.counting import build_table
 
 CHECKPOINTS = (100, 1000, 10000)
 
@@ -203,6 +205,22 @@ def test_dyadic_block_means_basics():
 
 
 # --- estimator rows ---
+
+@pytest.mark.slow
+def test_gamma_ratio_past_the_float_range_of_gamma():
+    """From n = 81,850 to 83,336, gamma(n) no longer converts to a float
+    while hr_gamma(n) is still finite, so ``_ratio``'s float quotient
+    raises OverflowError and the ratio comes from logs.  It matches the
+    exact quotient of the estimate and the count to 1e-12, as does the
+    float quotient at n = 81,849 below that range."""
+    table = build_table(83336)
+    with pytest.raises(OverflowError):
+        float(table.gamma[81850])
+    float(table.gamma[81849])
+    assert hr_gamma(83336) < math.inf
+    rows = estimate_rows([81849, 81850, 83336], table, "gamma")
+    for row in rows:
+        assert row.ratio == pytest.approx(float(Fraction(row.estimate) / row.exact), rel=1e-12, abs=0), row.n
 
 def test_estimate_rows(big_table):
     rows = estimate_rows([25, 100, 400], big_table, "p")

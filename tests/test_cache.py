@@ -1,4 +1,5 @@
 import errno
+import math
 import os
 import sys
 import threading
@@ -9,16 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nucleus import cache as cache_module
+from nucleus import congruence
 from nucleus.cache import (
     CACHE_ENV_VAR,
     CACHE_HEADER,
+    CHECK_MODULUS,
     CacheError,
+    check_p,
     load_table,
     read_table,
     resolve_cache_path,
     write_table,
 )
-from nucleus.counting import build_table
+from nucleus.counting import _table_from_p, build_table, pentagonal_offsets
 
 
 def tables_equal(a, b):
@@ -90,6 +94,39 @@ def test_hand_edited_p_rejected(tmp_path):
     _edit_row(path, 50, lambda f: f[:3] + [str(int(f[3]) + 1)])
     with pytest.raises(CacheError, match="n=50"):
         read_table(path)
+
+
+def test_check_p_passes_valid_tables_and_names_the_first_wrong_p():
+    table = build_table(2000)
+    for limit in (0, 1, 511, 512, 2000):  # the first block is _extend_p's, then the blocked kernel's
+        check_p(_table_from_p(table.p[:limit + 1]))
+    p = list(table.p)
+    p[1000] += 1
+    p[1500] -= 1
+    with pytest.raises(CacheError, match=f"^row n=1000: p mod {CHECK_MODULUS} must be "):
+        check_p(_table_from_p(p))
+
+
+def test_check_modulus_takes_the_blocked_kernel(monkeypatch):
+    """The check's modulus is the largest prime below 2^26, and its
+    residues come from the blocked kernel in 8-byte lanes, not from
+    ``_extend_p``, the recurrence that builds the table, which computes
+    the first block alone, rows 0..511."""
+    def prime(k):
+        return all(k % d for d in range(2, math.isqrt(k) + 1))
+
+    assert prime(CHECK_MODULUS) and not any(map(prime, range(CHECK_MODULUS + 1, 2**26)))
+    assert congruence._lane_plan(pentagonal_offsets(20000), CHECK_MODULUS) == (231, 8, 8)
+    calls = []
+
+    def recorded(p, limit, modulus=None):
+        calls.append(limit)
+        return extend_p(p, limit, modulus)
+
+    extend_p = congruence._extend_p
+    monkeypatch.setattr(congruence, "_extend_p", recorded)
+    check_p(build_table(20000))
+    assert calls == [congruence._BLOCK - 1]
 
 
 def test_hand_edited_gamma_rejected(tmp_path):

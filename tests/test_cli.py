@@ -874,6 +874,28 @@ def test_cache_check_corrupt_exits_3(capsys, tmp_path):
     assert "cache error" in err
 
 
+def test_cache_check_refuses_a_wrong_p_exits_3(capsys, tmp_path):
+    """p(1000) + 1, with nu and gamma written as its differences, passes
+    every row check of the loader; ``cache check`` compares p mod a prime
+    with the modular kernel and names the row."""
+    p = list(build_table(2000).p)
+    p[1000] += 1
+    path = tmp_path / "counts.csv"
+    write_table(counting._table_from_p(p), path)
+    code, out, err = run(capsys, "cache", "check", "--cache", str(path))
+    m = 67_108_859
+    assert (code, out) == (3, "")
+    assert err == f"cache error: row n=1000: p mod {m} must be {(p[1000] - 1) % m}, got {p[1000] % m}\n"
+
+
+def test_cache_check_refuses_gamma_below_n_3_exits_3(capsys, tmp_path):
+    # Row 2 takes gamma as nu(2) - nu(1) = 1, where the table holds 0.
+    path = tmp_path / "counts.csv"
+    path.write_text("n,gamma,nu,p\n0,0,1,1\n1,0,0,1\n2,1,1,2\n")
+    code, out, err = run(capsys, "cache", "check", "--cache", str(path))
+    assert (code, out, err) == (3, "", "cache error: row n=2: gamma must be 0 below n=3, got 1\n")
+
+
 def test_cache_non_ascii_exits_3(capsys, tmp_path):
     path = tmp_path / "counts.csv"
     path.write_bytes("n,gamma,nu,p\n0,0,1,1\n1,0,0,\u00e9\n".encode("utf-8"))

@@ -1,5 +1,4 @@
 import random
-import sys
 import tracemalloc
 from collections import Counter
 from itertools import accumulate
@@ -181,6 +180,15 @@ def test_nu_bounded_examples():
     assert nu_bounded(4, 2) == 1   # only (2,2)
     assert nu_bounded(3, 2) == 0
     assert nu_bounded(7, 1) == 0
+
+
+def test_bounded_counts_refuse_a_negative_total_or_a_bound_below_1():
+    with pytest.raises(ValueError, match="total must be >= 0, got -1"):
+        RestrictedCounts().count(-1, 3)
+    with pytest.raises(ValueError, match="part bound must be >= 1, got 0"):
+        nu_bounded(5, 0)
+    with pytest.raises(ValueError, match="total must be >= 0, got -1"):
+        nu_bounded(-1, 3)
 
 
 def test_nu_bounded_brute_force():
@@ -644,15 +652,16 @@ def test_bounded_sums_widen_to_32_bits_where_the_headroom_first_fails():
     assert first == {16: 63, 32: 14, 64: 2}
 
 
-def test_bounded_sums_on_a_big_endian_host_divide_per_entry(monkeypatch):
-    expected = bounded_sums(2001)
-    monkeypatch.setattr(sys, "byteorder", "big")
-
-    def no_lanes(*args):
-        raise AssertionError("packed lanes on a big-endian host")
-
-    monkeypatch.setattr(counting, "_raise_bounds_lanes", no_lanes)
-    assert bounded_sums(2001) == expected
+@pytest.mark.parametrize("width", [1, 2, 4, 8])
+def test_lane_codec_is_little_endian_on_every_host(width):
+    """Value i of ``_pack`` lands in bits 8wi..8w(i + 1) - 1 of the integer,
+    whatever the host's byte order, and ``_unpack`` reads the lanes back."""
+    code, top = counting._LANE_CODES[width], (1 << 8 * width) - 1
+    values = [top, 0, 1, top >> 1, 2, top, top - 1]
+    packed = counting._pack(values, code)
+    assert packed == sum(x << 8 * width * i for i, x in enumerate(values))
+    assert counting._unpack(packed, code, len(values)) == tuple(values)
+    assert counting._unpack(packed, code, 3) == tuple(values[:3])
 
 
 def test_bounded_sums_give_nu_to_2000():
