@@ -98,16 +98,27 @@ class VerificationSummary(NamedTuple):
 K_VALUES = (1, 2, 3, 5, 7, 11)
 
 
-def _sweep(name, low, high, column, expected_fail):
-    truths = list(column(slice(low, high + 1)))
-    failures = truths.count(False)
-    first = low + truths.index(False) if failures else None
-    return IdentityOutcome(name, len(truths), failures, first, expected_fail)
+def _agreement(sweep, column, t, last):
+    """Entry n is true where ``sweep``'s value at n equals the table's
+    ``column`` (p, a list, or nu, a view that islice computes as it reads)."""
+    return bytes(map(eq, sweep(t, last), islice(getattr(t, column), last + 1)))
+
+
+def _enumerated_agreement(t, last):
+    """Three columns, entry n true where the enumerated nu, gap-sum value
+    and gamma at n equal the table's nu, p and gamma."""
+    return [bytes(map(eq, counts, islice(view, last + 1)))
+            for counts, view in zip(zip(*enumerated_sweep(last)), (t.nu, t.p, t.gamma))]
+
+
+def _k_nuclear_shifted_disagreement(t, last):
+    """Entry n is true where the shifted 2-skip sum misses p(n)."""
+    return bytes(p_via_k_nuclear(n, 2, t)[0] != t.p[n] for n in range(last + 1))
 
 
 def _bounded_agreement(t, last):
     """Entry n is true where the truncated bounded sum is nu(n) - 1."""
-    return list(map(eq, map(add, bounded_sums(last), repeat(1)), islice(t.nu, last + 1)))
+    return bytes(map(eq, map(add, bounded_sums(last), repeat(1)), islice(t.nu, last + 1)))
 
 
 def _k_nuclear_agreement(t, last):
@@ -122,49 +133,29 @@ def _k_nuclear_agreement(t, last):
     return agree
 
 
-# Routes: name -> (table, last) -> a column indexed by n = 0..last.
-# "enumerated" holds the (nu, gap-sum value, gamma) columns of
-# enumerated_sweep to the enumeration limit; the others run over the
-# exact table to the exact limit.
-_ROUTES = {
-    "nu_chain": nu_chain_sweep,
-    "gamma_chain": gamma_chain_sweep,
-    "gamma_weights": gamma_weights_sweep,
-    "n_nu_minus_gamma": n_nu_minus_gamma_sweep,
-    "bounded": _bounded_agreement,
-    "k_nuclear": _k_nuclear_agreement,
-    "enumerated": lambda t, last: list(zip(*enumerated_sweep(last))),
-}
-
-
-# name: (first n, last n, route, column, expected_fail).  The last n is
-# the exact limit, the enumeration limit or a fixed value capped at the
-# exact limit.  The route names the _ROUTES column the identity reads, or
-# is None.  The column takes (table, the route's column, span), where span
-# is the slice first n..last n, and yields one truth per n in it: true
-# where the identity holds at n.  A route's column is shared by every
-# identity that reads it.  p is a list, sliced; nu and gamma are views,
-# read through islice, which computes their rows as it goes and holds
-# none.  Every row but the fixed one compares whole spans.
+# name: (first n, last n, route, pick, expected_fail).  The last n is the
+# exact limit, the enumeration limit or a fixed value capped at the exact
+# limit.  A route takes (table, last n) and returns one truth per
+# n = 0..last n, true where the identity holds at n: bytes of 0 and 1, one
+# byte per n since every route's truths are held to the end, or for
+# k_nuclear a list of bools.  The enumeration route returns three such
+# columns, and ``pick`` is the index of the one a row reads (None for the
+# other routes).  Every identity that names a route reads the one result.
 _EXACT, _ENUM = "exact", "enum"
 _IDENTITIES = {
-    "nu_chain": (0, _EXACT, "nu_chain", lambda t, c, s: map(eq, c[s], t.p[s]), False),
-    "gamma_chain": (2, _EXACT, "gamma_chain", lambda t, c, s:
-                    map(eq, c[s], islice(t.nu, s.start, s.stop)), False),
-    "gamma_weights": (2, _EXACT, "gamma_weights", lambda t, c, s: map(eq, c[s], t.p[s]), False),
-    "n_nu_minus_gamma": (2, _EXACT, "n_nu_minus_gamma", lambda t, c, s: map(eq, c[s], t.p[s]), False),
-    "bounded_sum": (4, _EXACT, "bounded", lambda t, c, s: c[s], False),
-    "k_nuclear": (0, _EXACT, "k_nuclear", lambda t, c, s: c[s], False),
-    "gap_sum": (2, _ENUM, "enumerated", lambda t, c, s: map(eq, c[1][s], t.p[s]), False),
-    "nuclear_count": (0, _ENUM, "enumerated", lambda t, c, s:
-                      map(eq, c[0][s], islice(t.nu, s.start, s.stop)), False),
-    "ground_state_count": (0, _ENUM, "enumerated", lambda t, c, s:
-                           map(eq, c[2][s], islice(t.gamma, s.start, s.stop)), False),
+    "nu_chain": (0, _EXACT, partial(_agreement, nu_chain_sweep, "p"), None, False),
+    "gamma_chain": (2, _EXACT, partial(_agreement, gamma_chain_sweep, "nu"), None, False),
+    "gamma_weights": (2, _EXACT, partial(_agreement, gamma_weights_sweep, "p"), None, False),
+    "n_nu_minus_gamma": (2, _EXACT, partial(_agreement, n_nu_minus_gamma_sweep, "p"), None, False),
+    "bounded_sum": (4, _EXACT, _bounded_agreement, None, False),
+    "k_nuclear": (0, _EXACT, _k_nuclear_agreement, None, False),
+    "gap_sum": (2, _ENUM, _enumerated_agreement, 1, False),
+    "nuclear_count": (0, _ENUM, _enumerated_agreement, 0, False),
+    "ground_state_count": (0, _ENUM, _enumerated_agreement, 2, False),
     # The truncated variant must come out exactly one short, everywhere:
     # the same truths as the full sum, which adds the 1 of (n) itself.
-    "bounded_sum_truncated": (4, _EXACT, "bounded", lambda t, c, s: c[s], True),
-    "k_nuclear_shifted": (6, 6, None, lambda t, c, s:
-                          (p_via_k_nuclear(n, 2, t)[0] != t.p[n] for n in range(s.start, s.stop)), True),
+    "bounded_sum_truncated": (4, _EXACT, _bounded_agreement, None, True),
+    "k_nuclear_shifted": (6, 6, _k_nuclear_shifted_disagreement, None, True),
 }
 IDENTITY_NAMES = tuple(_IDENTITIES)
 
@@ -173,29 +164,28 @@ def run_verification(table: CountTable, exact_limit: int, enum_limit: int,
                      names=IDENTITY_NAMES) -> tuple[VerificationSummary, dict[str, float]]:
     """Run the selected identity sweeps; returns the summary and timings.
 
-    Each route's column is computed once, when the first selected identity
-    that reads it needs it, and timed under that identity.  Which selected
-    identity reads each route last is known from ``names`` before the
-    loop, and the column is dropped once that identity is done.  So in the
-    default order one route column of counts is held at a time beside the
-    table; the bounded route, whose two readers lie apart, holds one truth
-    per n.
+    Each route runs once, when the first selected identity that reads it
+    needs it, and is timed under that identity.  A route's counts live
+    only inside it: what it returns, and what is held to the end, is one
+    truth per n.  So beside the table at most one column of counts is
+    held at a time.  An identity checks its route's truths from its first
+    n on: a false one is a failure.
     """
     limits = {_EXACT: exact_limit, _ENUM: enum_limit}
-    last_reader = {_IDENTITIES[name][2]: name for name in names}
-    columns = {}
+    truths = {}
     outcomes = []
     timings = {}
     for name in names:
-        low, high, route, column, expected_fail = _IDENTITIES[name]
+        low, high, route, pick, expected_fail = _IDENTITIES[name]
         last = limits[high] if high in limits else min(high, exact_limit)
         start = time.perf_counter()
-        if route not in columns:
-            columns[route] = route and _ROUTES[route](table, last)
-        outcomes.append(_sweep(name, low, last, partial(column, table, columns[route]), expected_fail))
+        if route not in truths:
+            truths[route] = route(table, last)
+        held = (truths[route] if pick is None else truths[route][pick])[low:]
+        failures = held.count(False)
+        first = low + held.index(False) if failures else None
+        outcomes.append(IdentityOutcome(name, len(held), failures, first, expected_fail))
         timings[name] = time.perf_counter() - start
-        if last_reader[route] == name:
-            del columns[route]
     return VerificationSummary(exact_limit, enum_limit, outcomes), timings
 
 

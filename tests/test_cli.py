@@ -866,6 +866,18 @@ def test_cache_build_and_check(capsys, tmp_path):
     assert "ok" in out
 
 
+@pytest.mark.parametrize("limit", [0, 1, 600])
+def test_cache_file_is_the_table_csv(capsys, tmp_path, limit):
+    """The cache file is ``table --rows 0-N --format csv``, byte for byte.
+    At 600 rows the table is written in two 512-row csv slices and the
+    cache in several 128-row slices."""
+    path = tmp_path / "counts.csv"
+    assert run(capsys, "cache", "build", "--limit", str(limit), "--cache", str(path))[0] == 0
+    code, out, _ = run(capsys, "table", "--rows", f"0-{limit}", "--format", "csv")
+    assert code == 0
+    assert out.encode() == path.read_bytes()
+
+
 def test_cache_check_corrupt_exits_3(capsys, tmp_path):
     path = tmp_path / "counts.csv"
     path.write_text("n,gamma,nu,p\n0,0,1,1\n2,0,1,2\n")

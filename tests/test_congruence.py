@@ -507,6 +507,28 @@ def test_prime_step_scan_finds_only_ramanujans_progressions(limit):
     assert held == [(5, 4), (7, 5), (11, 6)]
 
 
+@pytest.mark.parametrize("limit", [5000, pytest.param(100000, marks=pytest.mark.slow)])
+def test_composite_step_scan_finds_only_multiples_of_the_modulus(limit):
+    """Radu (J. reine angew. Math. 672, 2012): for a prime M >= 5, a
+    congruence p(A*n + B) = 0 (mod M) for every n needs M | A.  The scan
+    finds for M = 5, 7 and 11 only the sub-progressions of Ramanujan's:
+    M | A and B = 4, 5, 6 (mod M), A / M of them at each such A.  For
+    M = 13 it finds none; Atkin's step is 17303.  Every step A up to 60
+    (200 under --runslow) and every B < A, through ``check_progression``."""
+    max_step = 60 if limit == 5000 else 200
+    counts = {5000: {5: 78, 7: 36, 11: 15, 13: 0}, 100000: {5: 820, 7: 406, 11: 171, 13: 0}}[limit]
+    for modulus, count in counts.items():
+        residues = p_mod_m_table(limit, modulus)
+        held = [(a, b) for a in range(1, max_step + 1) for b in range(a)
+                if check_progression(a, b, modulus, (limit - b) // a, residues=residues).passed]
+        expected = []
+        if modulus in RAMANUJAN_PROGRESSIONS:
+            beta = RAMANUJAN_PROGRESSIONS[modulus][1]
+            expected = [(a, b) for a in range(modulus, max_step + 1, modulus) for b in range(beta, a, modulus)]
+        assert held == expected, modulus
+        assert len(held) == count, modulus
+
+
 # --- parity ---
 
 def test_parity_examples(table):
