@@ -31,7 +31,6 @@ from .congruence import (
     check_gamma_weighted,
     check_nu_k_progression,
     check_nu_window,
-    check_progression,
     check_ramanujan,
     p_mod_m_table,
     parity_via_gamma,
@@ -45,9 +44,7 @@ from .counting import (
     extend_table,
     gamma_chain_sweep,
     gamma_weights_sweep,
-    k_nuclear_sweep,
     n_nu_minus_gamma_sweep,
-    nu_bounded,
     nu_chain_sweep,
     nu_k,
     nu_via_bounded_sum,

@@ -1,12 +1,14 @@
 """Persistent CSV cache for the exact count table.
 
 Format: a header line ``n,gamma,nu,p`` followed by one row per n,
-contiguous from 0, values as decimal integers, LF line endings, no
-trailing whitespace.  Loading reads the file one line at a time, as
-bytes, and re-checks the format and the difference identities row by
-row, refusing any file that breaks them, so a cache can only resume from
-verified ground.  The file's text is never held whole, and a loaded table
-holds its p column alone: nu and gamma are computed from p when read.
+contiguous from 0, values as decimal integers without leading zeros, an
+LF after every line, the last included, no trailing whitespace.  A cache
+is read only in the form it is written: loading reads the file one line
+at a time, as bytes, and re-checks the format and the difference
+identities row by row, refusing any file that breaks them, so a cache
+can only resume from verified ground.  The file's text is never held
+whole, and a loaded table holds its p column alone: nu and gamma are
+computed from p when read.
 ``check_p``, which ``cache check`` adds, checks p itself, mod a prime.
 """
 
@@ -75,22 +77,37 @@ def write_table(table: CountTable, path: Path | str) -> None:
 
 def _field(raw: bytes, line_no: int, name: str) -> int:
     # bytes.isdigit accepts ASCII 0-9 only, so int() never sees the signs,
-    # spaces and underscores it would otherwise accept.
+    # spaces and underscores it would otherwise accept; and a field is
+    # written without leading zeros (48 is the byte of "0").
     if not raw.isdigit():
         raise CacheError(f"line {line_no}: {name} must be a nonnegative decimal integer, got {raw.decode()!r}")
+    if raw[0] == 48 and len(raw) > 1:
+        raise CacheError(f"line {line_no}: {name} must have no leading zero, got {raw.decode()!r}")
     return int(raw)
+
+
+# What ``_ascii_lines`` yields after a last line that lacks its LF: no line
+# of the file can read so, since each comes without its LF.
+_NO_FINAL_LF = b"\n"
 
 
 def _ascii_lines(handle):
     """The handle's lines one at a time, each checked to be ASCII and
-    without its trailing LF."""
+    without its trailing LF.  A last line without one is followed by
+    ``_NO_FINAL_LF``, unless it is the first line, which the header check
+    reads."""
     offset = 0
     for line in handle:
         if not line.isascii():
             bad = offset + next(i for i, byte in enumerate(line) if byte > 0x7F)
             raise CacheError(f"byte at offset {bad} is not ASCII") from None
         offset += len(line)
-        yield line[:-1] if line.endswith(b"\n") else line
+        if line.endswith(b"\n"):
+            yield line[:-1]
+        else:
+            yield line
+            if offset > len(line):
+                yield _NO_FINAL_LF
 
 
 def read_table(path: Path | str) -> CountTable:
@@ -128,6 +145,8 @@ def _parse_rows(lines) -> CountTable:
     for line_no, line in enumerate(lines, start=2):
         fields = line.split(b",")
         if len(fields) != 4:
+            if line == _NO_FINAL_LF:  # the rows above it all passed
+                raise CacheError(f"line {line_no - 1}: the last row must end in LF")
             raise CacheError(f"line {line_no}: expected 4 comma-separated fields, got {len(fields)}")
         n = _field(fields[0], line_no, "n")
         expected = line_no - 2

@@ -160,6 +160,14 @@ _IDENTITIES = {
 IDENTITY_NAMES = tuple(_IDENTITIES)
 
 
+def _span(name: str, exact_limit: int, enum_limit: int) -> tuple[int, int]:
+    """The first and last n that identity ``name`` checks: none where the
+    last is below the first."""
+    low, high = _IDENTITIES[name][:2]
+    limits = {_EXACT: exact_limit, _ENUM: enum_limit}
+    return low, limits[high] if high in limits else min(high, exact_limit)
+
+
 def run_verification(table: CountTable, exact_limit: int, enum_limit: int,
                      names=IDENTITY_NAMES) -> tuple[VerificationSummary, dict[str, float]]:
     """Run the selected identity sweeps; returns the summary and timings.
@@ -171,13 +179,12 @@ def run_verification(table: CountTable, exact_limit: int, enum_limit: int,
     held at a time.  An identity checks its route's truths from its first
     n on: a false one is a failure.
     """
-    limits = {_EXACT: exact_limit, _ENUM: enum_limit}
     truths = {}
     outcomes = []
     timings = {}
     for name in names:
-        low, high, route, pick, expected_fail = _IDENTITIES[name]
-        last = limits[high] if high in limits else min(high, exact_limit)
+        _, _, route, pick, expected_fail = _IDENTITIES[name]
+        low, last = _span(name, exact_limit, enum_limit)
         start = time.perf_counter()
         if route not in truths:
             truths[route] = route(table, last)
@@ -547,6 +554,12 @@ def cmd_verify(args, parser) -> int:
         repeated = dict.fromkeys(name for name in names if names.count(name) > 1)
         if repeated:
             parser.error(f"repeated identities: {', '.join(repeated)}")
+        # Only a named identity must check some n: the default selection
+        # reports the ones these limits leave empty as checked 0.
+        spans = {name: _span(name, args.limit, enum_limit) for name in names}
+        empty = [f"{name} (n = {low}..{last})" for name, (low, last) in spans.items() if last < low]
+        if empty:
+            raise ValueError(f"--identities: nothing to check at these limits: {', '.join(empty)}")
     table = _table_for(args, args.limit)
     summary, timings = run_verification(table, args.limit, enum_limit, names)
     errata_demo = None

@@ -270,12 +270,6 @@ def check_family(family_id: str, a: int, b: int, modulus: int, limit_n: int, *,
     return CongruenceReport(CongruenceFamily(family_id, modulus, (a, b), start_n), (start_n, limit_n), violations)
 
 
-def check_progression(a: int, b: int, modulus: int, limit_n: int, *,
-                      residues: Sequence[int] | None = None) -> CongruenceReport:
-    """Check p(a*n + b) = 0 (mod modulus) for n = 0..limit_n."""
-    return check_family("custom", a, b, modulus, limit_n, residues=residues)
-
-
 def _known(modulus: int) -> tuple[int, int]:
     if modulus not in RAMANUJAN_PROGRESSIONS:
         raise ValueError(f"modulus must be one of {sorted(RAMANUJAN_PROGRESSIONS)}, got {modulus}")

@@ -18,10 +18,10 @@ independent route so the routes can be checked against each other:
     k-skip sum        p(n) = p(n mod k) + sum_{j=0..floor(n/k)-1} nu_k(n-jk)
 
 Each route over the exact table also has a whole-range sweep
-(``*_sweep``, ``bounded_sums``) that evaluates it for every n up to a
-bound by running sums or one rolled row; the per-n functions read the
-same formula.  All arithmetic is exact; p(n) outgrows 64 bits at n = 417
-and keeps going.
+(``*_sweep``, ``bounded_sums``, one ``_k_skip_chain`` per residue class)
+that evaluates it for every n up to a bound by running sums or one
+rolled row; the per-n functions read the same formula.  All arithmetic
+is exact; p(n) outgrows 64 bits at n = 417 and keeps going.
 """
 
 from __future__ import annotations
@@ -130,9 +130,6 @@ class _Difference:
         if isinstance(other, _Difference):
             other = other[:]
         return self[:] == other if isinstance(other, list) else NotImplemented
-
-    def __repr__(self) -> str:
-        return repr(self[:])
 
 
 class CountTable(NamedTuple):
@@ -340,8 +337,8 @@ class RestrictedCounts:
     """Counts of partitions with every part in [2, m], stored as the
     full table of rows c(., m) for m = 0..size, each size + 1 long.
 
-    O(size^2) integers; ``nu_bounded`` and ``bounded_sums`` roll one row
-    of the same recurrence instead.
+    O(size^2) integers; ``bounded_sums`` rolls one row of the same
+    recurrence instead.
     """
 
     def __init__(self):
@@ -371,19 +368,6 @@ class RestrictedCounts:
             return 0
         self.ensure(total)
         return self._rows[m][total]
-
-
-def nu_bounded(n: int, m: int) -> int:
-    """Count of partitions of n with all parts in [2, m]; one row of
-    n + 1 integers rolls over the part bounds 2..min(m, n)."""
-    if m < 1:
-        raise ValueError(f"part bound must be >= 1, got {m}")
-    if n < 0:
-        raise ValueError(f"total must be >= 0, got {n}")
-    row = [1] + [0] * n  # c(t, 1) = [t == 0]
-    for bound in range(2, min(m, n) + 1):
-        _raise_bound(row, bound, n)
-    return row[n]
 
 
 def nu_chain_sweep(table: CountTable, last: int) -> list[int]:
@@ -607,19 +591,6 @@ def _k_skip_chain(table: CountTable, k: int, rest: int, last: int) -> Iterator[i
     it goes."""
     p = table.p
     return accumulate(map(sub, p[rest + k:last + 1:k], p[rest:last + 1:k]), initial=p[rest])
-
-
-def k_nuclear_sweep(table: CountTable, k: int, last: int) -> list[int]:
-    """The k-skip sum p(n mod k) + sum_{j=0..floor(n/k)-1} nu_k(n - jk)
-    for n = 0..last; each entry is p(n).  One running sum per residue
-    class mod k, O(last) in all."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    _check_range(last, table)
-    values = [0] * (last + 1)
-    for rest in range(min(k, last + 1)):
-        values[rest::k] = _k_skip_chain(table, k, rest, last)
-    return values
 
 
 def p_via_k_nuclear(n: int, k: int, table: CountTable) -> tuple[int, MethodResult]:

@@ -54,14 +54,6 @@ class Partition(tuple):
     def parts(self) -> tuple[int, ...]:
         return tuple(self)
 
-    @property
-    def size(self) -> int:
-        """Sum of the parts; 0 for the empty partition."""
-        return sum(self)
-
-    def __repr__(self) -> str:
-        return f"Partition({list(self)!r})"
-
     def __str__(self) -> str:
         return "(" + ",".join(str(part) for part in self) + ")"
 
@@ -78,50 +70,14 @@ def _as_parts(value) -> Partition:
     return Partition(value)
 
 
-# The fields of EnumerationConstraint.  A NamedTuple body may not define
-# __new__, so the checks live on the subclass.
-class _Bounds(NamedTuple):
-    min_part: int
-    max_part: int | None
-    forbidden_part: int | None
+class EnumerationConstraint(NamedTuple):
+    """The least part allowed in an enumeration: ``min_part=2`` selects
+    the nuclear partitions, the default 1 every partition."""
 
-
-class EnumerationConstraint(_Bounds):
-    """Part bounds for enumeration.
-
-    Covers the three restricted families in one record: ``min_part=2``
-    selects nuclear partitions, ``forbidden_part=k`` the partitions with
-    no part k, and ``max_part=m`` the bounded-part variants.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, min_part: int = 1, max_part: int | None = None, forbidden_part: int | None = None):
-        if min_part < 1:
-            raise ValueError(f"min_part must be >= 1, got {min_part}")
-        if max_part is not None and max_part < min_part:
-            raise ValueError(f"max_part {max_part} is below min_part {min_part}")
-        if forbidden_part is not None and forbidden_part < 1:
-            raise ValueError(f"forbidden_part must be >= 1, got {forbidden_part}")
-        return super().__new__(cls, min_part, max_part, forbidden_part)
-
-    @classmethod
-    def _make(cls, iterable):
-        # _replace builds through _make, so it runs the checks too.
-        return cls(*iterable)
-
-    def satisfies(self, partition) -> bool:
-        """True iff every part obeys the bounds."""
-        for part in _as_parts(partition):
-            if part < self.min_part or part == self.forbidden_part:
-                return False
-            if self.max_part is not None and part > self.max_part:
-                return False
-        return True
+    min_part: int = 1
 
 
 NUCLEAR = EnumerationConstraint(min_part=2)
-UNRESTRICTED = EnumerationConstraint()
 
 
 def iter_parts(n: int, constraint: EnumerationConstraint | None = None) -> Iterator[tuple[int, ...]]:
@@ -138,25 +94,19 @@ def iter_parts(n: int, constraint: EnumerationConstraint | None = None) -> Itera
     """
     if n < 0:
         raise ValueError(f"cannot partition a negative total, got {n}")
-    c = constraint or UNRESTRICTED
-    lo = c.min_part + (c.forbidden_part == c.min_part)
-    cap = n if c.max_part is None else min(n, c.max_part)
-    stream = _walk(n, lo, cap)
-    forbidden = c.forbidden_part
-    if forbidden is None or forbidden < lo:
-        return stream
-    # A forbidden part above lo is dropped from the [lo, cap] stream; the
-    # order of what remains is unchanged.
-    return (parts for parts in stream if forbidden not in parts)
+    lo = constraint.min_part if constraint else 1
+    if lo < 1:
+        raise ValueError(f"min_part must be >= 1, got {lo}")
+    return _walk(n, lo)
 
 
-def _walk(n, lo, cap):
+def _walk(n, lo):
     # Depth-first over (prefix, remainder s, top part).  Children are
     # pushed smallest part first, so the largest is popped first; a part a
     # is pushed only if the d = s - a left after it still splits into parts
     # in [lo, a], which holds iff ceil(d / a) * lo <= d (the feasibility
     # test of Zoghbi & Stojmenovic's ZS1), so no prefix is a dead end.
-    stack = [((), n, cap)]
+    stack = [((), n, n)]
     pop, push = stack.pop, stack.append
     while stack:
         prefix, s, top = pop()

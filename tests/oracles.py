@@ -34,23 +34,19 @@ def reverse_lex_partitions(n, constraint=None):
     order: each part in turn takes every allowed value from the largest down,
     and the rest of n recurses below it.  The reference for iter_parts' order."""
     lo = constraint.min_part if constraint else 1
-    top = constraint.max_part if constraint and constraint.max_part is not None else n
-    forbidden = constraint.forbidden_part if constraint else None
-    return _descend(n, top, lo, forbidden, [])
+    return _descend(n, n, lo, [])
 
 
-def _descend(remaining, cap, lo, forbidden, prefix):
+def _descend(remaining, cap, lo, prefix):
     if remaining == 0:
         yield tuple(prefix)
         return
     for part in range(min(cap, remaining), lo - 1, -1):
-        if part == forbidden:
-            continue
         rest = remaining - part
         if rest and rest < lo:
             continue
         prefix.append(part)
-        yield from _descend(rest, part, lo, forbidden, prefix)
+        yield from _descend(rest, part, lo, prefix)
         prefix.pop()
 
 

@@ -175,6 +175,20 @@ def test_fields_int_would_accept_are_rejected(tmp_path, column, raw):
     assert str(exc.value) == f"line 3: {name} must be a nonnegative decimal integer, got {raw!r}"
 
 
+@pytest.mark.parametrize("column", [0, 1, 2, 3])
+def test_leading_zero_rejected(tmp_path, column):
+    """A field is written without leading zeros, so one is refused, naming
+    its line, though int() reads the same value: row n=3 is 3,0,1,3."""
+    fields = ["3", "0", "1", "3"]
+    fields[column] = "0" + fields[column]
+    path = tmp_path / "counts.csv"
+    path.write_text(f"{CACHE_HEADER}\n0,0,1,1\n1,0,0,1\n2,0,1,2\n{','.join(fields)}\n")
+    name = ("n", "gamma", "nu", "p")[column]
+    with pytest.raises(CacheError) as exc:
+        read_table(path)
+    assert str(exc.value) == f"line 5: {name} must have no leading zero, got '0{fields[column][1:]}'"
+
+
 def test_non_ascii_byte_message(tmp_path):
     path = tmp_path / "counts.csv"
     path.write_bytes(f"{CACHE_HEADER}\n0,0,1,1\n1,0,0,\u00e9\n".encode())
@@ -403,12 +417,61 @@ def test_read_from_a_fifo(tmp_path):
     assert not writer.is_alive()
 
 
-def test_last_row_without_lf_loads(tmp_path):
+def test_last_row_without_lf_is_rejected(tmp_path):
+    """The last row must end in LF, as written; the error names its line.
+    A row error on that line is reported ahead of the missing LF."""
     path = tmp_path / "counts.csv"
-    table = build_table(50)
-    write_table(table, path)
-    path.write_bytes(path.read_bytes().removesuffix(b"\n"))
-    assert tables_equal(read_table(path), table)
+    write_table(build_table(50), path)
+    written = path.read_bytes()
+    path.write_bytes(written.removesuffix(b"\n"))
+    with pytest.raises(CacheError) as exc:
+        read_table(path)
+    assert str(exc.value) == "line 52: the last row must end in LF"
+    path.write_bytes(written.removesuffix(b"\n") + b"0")
+    with pytest.raises(CacheError, match="^row n=50: nu must equal"):
+        read_table(path)
+    path.write_bytes(f"{CACHE_HEADER}".encode())
+    with pytest.raises(CacheError, match="^cache has a header but no rows"):
+        read_table(path)
+
+
+# The bytes a single-byte mutant puts in: the file's own bytes, the bytes
+# int() would skip or take as a sign, a CR and one non-ASCII byte.
+_MUTANT_BYTES = b"0123456789,\n\r +-_a\x80"
+
+
+def _single_byte_mutants(data: bytes):
+    """Every file one byte away from ``data``: each byte of _MUTANT_BYTES
+    substituted for or inserted before each byte, or appended (an extra LF
+    among them), and each byte deleted."""
+    for i in range(len(data) + 1):
+        for byte in _MUTANT_BYTES:
+            yield data[:i] + bytes([byte]) + data[i:]
+            if i < len(data) and byte != data[i]:
+                yield data[:i] + bytes([byte]) + data[i + 1:]
+        yield data[:i] + data[i + 1:]
+
+
+def test_only_the_written_cache_passes_a_single_byte_sweep(tmp_path):
+    """A cache is read only in the form it is written: of every file one
+    byte away from the cache of rows 0..12, read_table plus check_p, as
+    `cache check` runs them, refuses each, and passes the file itself."""
+    path = tmp_path / "counts.csv"
+    write_table(build_table(12), path)
+    written = path.read_bytes()
+    mutants = set(_single_byte_mutants(written)) - {written}
+    assert len(mutants) > 3000
+    passed = []
+    for mutant in mutants:
+        path.write_bytes(mutant)
+        try:
+            check_p(read_table(path))
+        except CacheError:
+            continue
+        passed.append(mutant)
+    assert passed == []
+    path.write_bytes(written)
+    check_p(read_table(path))
 
 
 def test_concurrent_resumes_leave_a_valid_cache(tmp_path):

@@ -315,6 +315,23 @@ def test_verify_below_six_skips_the_fixed_row(capsys, fmt):
         assert "k_nuclear_shifted,0,0,,expected-fail" in out.splitlines()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--limit", "5", "--enum-limit", "0", "--identities", "k_nuclear_shifted"], "k_nuclear_shifted (n = 6..5)"),
+    (["--limit", "3", "--enum-limit", "1", "--identities", "nu_chain,gap_sum,bounded_sum_truncated"],
+     "gap_sum (n = 2..1), bounded_sum_truncated (n = 4..3)"),
+])
+def test_verify_named_identity_with_nothing_to_check_exits_2(capsys, argv, message):
+    """An identity named in --identities whose range is empty at these
+    limits is a usage error, on one stderr line, and nothing is checked;
+    the default selection still reports such a row as checked 0."""
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert err == f"error: --identities: nothing to check at these limits: {message}\n"
+    assert out == ""
+    code, out, _ = run(capsys, "verify", *argv[:4])
+    assert code == 0 and "checked 0" in out
+
+
 @pytest.mark.parametrize("fmt", cli.FORMATS)
 @pytest.mark.parametrize("spec", [",", " , ", ""])
 def test_verify_empty_identity_selection_is_usage_error(capsys, fmt, spec):
@@ -422,7 +439,7 @@ def test_k_nuclear_rows_compare_each_residue_chain_as_it_goes():
     """The k-skip sums of each residue chain are compared with p as they
     are produced, so no whole sum column is held: the traced peak at 3000
     is the agreement list and a few slices of pointers, not the 3001 big
-    integers of a k_nuclear_sweep column (261 KB when one was held)."""
+    integers of a whole column of k-skip sums (261 KB when one was held)."""
     table = build_table(3000)
     tracemalloc.start()
     try:
@@ -915,6 +932,17 @@ def test_cache_non_ascii_exits_3(capsys, tmp_path):
     assert code == 3
     assert err.startswith("cache error: ") and err.count("\n") == 1
     assert out == ""
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("0,0,1,1\n1,0,0,1\n2,0,1,2\n3,0,01,3\n", "line 5: nu must have no leading zero, got '01'"),
+    ("0,0,1,1\n1,0,0,1\n2,0,1,2", "line 4: the last row must end in LF"),
+], ids=["leading_zero", "no_final_lf"])
+def test_cache_not_in_its_written_form_exits_3(capsys, tmp_path, rows, message):
+    path = tmp_path / "counts.csv"
+    path.write_text(f"n,gamma,nu,p\n{rows}")
+    code, out, err = run(capsys, "cache", "check", "--cache", str(path))
+    assert (code, out, err) == (3, "", f"cache error: {message}\n")
 
 
 def test_cache_path_that_is_a_directory_exits_3(capsys, tmp_path):

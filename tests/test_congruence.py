@@ -14,7 +14,6 @@ from nucleus.congruence import (
     check_gamma_weighted,
     check_nu_k_progression,
     check_nu_window,
-    check_progression,
     check_ramanujan,
     p_mod_m_table,
     parity_via_gamma,
@@ -270,7 +269,7 @@ def test_ramanujan_with_shared_residues():
 
 
 def test_custom_progression_finds_violations():
-    report = check_progression(2, 0, 3, 50)
+    report = check_family("custom", 2, 0, 3, 50)
     assert not report.passed
     assert report.violations[0] == (0, 1)  # p(0) = 1
     assert report.family.family_id == "custom"
@@ -502,7 +501,7 @@ def test_prime_step_scan_finds_only_ramanujans_progressions(limit):
     for ell in primes:
         residues = p_mod_m_table(limit, ell)
         for beta in range(ell):
-            if check_progression(ell, beta, ell, (limit - beta) // ell, residues=residues).passed:
+            if check_family("custom", ell, beta, ell, (limit - beta) // ell, residues=residues).passed:
                 held.append((ell, beta))
     assert held == [(5, 4), (7, 5), (11, 6)]
 
@@ -514,13 +513,13 @@ def test_composite_step_scan_finds_only_multiples_of_the_modulus(limit):
     finds for M = 5, 7 and 11 only the sub-progressions of Ramanujan's:
     M | A and B = 4, 5, 6 (mod M), A / M of them at each such A.  For
     M = 13 it finds none; Atkin's step is 17303.  Every step A up to 60
-    (200 under --runslow) and every B < A, through ``check_progression``."""
+    (200 under --runslow) and every B < A, through ``check_family("custom", ...)``."""
     max_step = 60 if limit == 5000 else 200
     counts = {5000: {5: 78, 7: 36, 11: 15, 13: 0}, 100000: {5: 820, 7: 406, 11: 171, 13: 0}}[limit]
     for modulus, count in counts.items():
         residues = p_mod_m_table(limit, modulus)
         held = [(a, b) for a in range(1, max_step + 1) for b in range(a)
-                if check_progression(a, b, modulus, (limit - b) // a, residues=residues).passed]
+                if check_family("custom", a, b, modulus, (limit - b) // a, residues=residues).passed]
         expected = []
         if modulus in RAMANUJAN_PROGRESSIONS:
             beta = RAMANUJAN_PROGRESSIONS[modulus][1]

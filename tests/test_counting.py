@@ -12,6 +12,7 @@ from nucleus import counting
 from nucleus.counting import (
     RestrictedCounts,
     _extend_p,
+    _k_skip_chain,
     _raise_bound,
     _raise_bounds_lanes,
     _table_from_p,
@@ -22,10 +23,8 @@ from nucleus.counting import (
     extend_table,
     gamma_chain_sweep,
     gamma_weights_sweep,
-    k_nuclear_sweep,
     n_nu_minus_gamma_sweep,
     nu_chain_sweep,
-    nu_bounded,
     nu_k,
     nu_via_bounded_sum,
     nu_via_gamma_chain,
@@ -174,45 +173,9 @@ def test_nu_k_range_errors(table):
         nu_k(5, 0, table)
 
 
-def test_nu_bounded_examples():
-    for m in (1, 2, 5):
-        assert nu_bounded(0, m) == 1
-    assert nu_bounded(4, 2) == 1   # only (2,2)
-    assert nu_bounded(3, 2) == 0
-    assert nu_bounded(7, 1) == 0
-
-
 def test_bounded_counts_refuse_a_negative_total_or_a_bound_below_1():
     with pytest.raises(ValueError, match="total must be >= 0, got -1"):
         RestrictedCounts().count(-1, 3)
-    with pytest.raises(ValueError, match="part bound must be >= 1, got 0"):
-        nu_bounded(5, 0)
-    with pytest.raises(ValueError, match="total must be >= 0, got -1"):
-        nu_bounded(-1, 3)
-
-
-def test_nu_bounded_brute_force():
-    for n in range(31):
-        qs = all_partitions(n)
-        for m in range(1, n + 1):
-            expected = sum(1 for q in qs if all(2 <= x <= m for x in q))
-            assert nu_bounded(n, m) == expected, (n, m)
-
-
-def test_nu_bounded_saturates_at_full_range(table):
-    for n in range(31):
-        assert nu_bounded(n, max(n, 1)) == table.nu[n]
-        assert nu_bounded(n, n + 5) == table.nu[n]
-
-
-def test_restricted_counts_growth_consistency():
-    grown = RestrictedCounts()
-    grown.ensure(8)
-    grown.ensure(40)
-    fresh = RestrictedCounts()
-    for n in range(41):
-        for m in range(1, 12):
-            assert grown.count(n, m) == fresh.count(n, m) == nu_bounded(n, m)
 
 
 def _coin_counts(top, m):
@@ -225,18 +188,53 @@ def _coin_counts(top, m):
     return row
 
 
+def test_restricted_counts_growth_consistency():
+    grown = RestrictedCounts()
+    grown.ensure(8)
+    grown.ensure(40)
+    fresh = RestrictedCounts()
+    reference = {m: _coin_counts(40, m) for m in range(1, 12)}
+    for n in range(41):
+        for m in range(1, 12):
+            assert grown.count(n, m) == fresh.count(n, m) == reference[m][n], (n, m)
+
+
 def test_bounded_counts_on_both_sides_of_the_prefix_sum_switch():
     """_raise_bound divides by 1 - x^m as m prefix sums, one per residue
     class, when m^2 < top + 1 - low, and as blocks of m otherwise.
-    nu_bounded and RestrictedCounts divide from low = m, so at part bound m
-    the form switches at top = m^2 + m.  n runs over 0..170, which takes in
+    RestrictedCounts divides from low = m, so at part bound m the form
+    switches at top = m^2 + m.  n runs over 0..170, which takes in
     m^2 - 1..m^2 + m + 1 for every m = 2..12."""
     top = 170
     reference = {m: _coin_counts(top, m) for m in range(1, 14)}
     for n in range(top + 1):
         counts = RestrictedCounts()
         for m in range(1, 14):
-            assert nu_bounded(n, m) == counts.count(n, m) == reference[m][n], (n, m)
+            assert counts.count(n, m) == reference[m][n], (n, m)
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["low_2m", "low_s_plus_1"])
+def test_raise_bound_on_both_sides_of_the_prefix_sum_switch(split):
+    """_raise_bound as bounded_sums calls it, dividing by 1 - x^m from
+    degree low on: in the lane stage's per-entry form low = 2m, on a row
+    with no term of the bracket below degree m (x^m times c(., m - 1),
+    where c(t, m) counts the partitions of t into parts in [2, m], and
+    ones below m that it must not read); once the top degrees above s
+    have left the 64-bit lanes, low = s + 1 > 2m + 1, on a row whose
+    degrees below low are already divided.  Either way the row must come
+    out as the coin DP's c(., m) on low..top, the rest kept.  The
+    division runs as m prefix sums when m^2 < top + 1 - low and as blocks
+    of m otherwise; for each m = 2..12, top runs over the switch at
+    low + m^2 - 1 and to a few tops on either side."""
+    for m in range(2, 13):
+        for low in (2 * m + 3, 3 * m + 1) if split else (2 * m,):
+            shift = 0 if split else m
+            switch = low + m * m - 1
+            for top in (low, low + m - 1, *range(switch - 1, switch + 3), switch + 5 * m):
+                expected = [1] * shift + _coin_counts(top - shift, m)
+                row = expected[:low] + ([1] * shift + _coin_counts(top - shift, m - 1))[low:]
+                _raise_bound(row, m, top, low)
+                assert row == expected, (m, low, top)
 
 
 # --- identity routes ---
@@ -298,10 +296,9 @@ def test_n_nu_minus_gamma_at_100():
     assert p_via_n_nu_minus_gamma(100, t).value == 190569292
 
 
-@pytest.mark.parametrize("call, limit_mb", [(lambda: nu_bounded(600, 2), 0.5),
-                                            (lambda: nu_via_bounded_sum(600), 2),
+@pytest.mark.parametrize("call, limit_mb", [(lambda: nu_via_bounded_sum(600), 2),
                                             (lambda: bounded_sums(2000), 0.5)],
-                         ids=["nu_bounded", "nu_via_bounded_sum", "bounded_sums"])
+                         ids=["nu_via_bounded_sum", "bounded_sums"])
 def test_bounded_per_n_functions_run_in_linear_memory(call, limit_mb):
     tracemalloc.start()
     try:
@@ -366,17 +363,26 @@ def test_k_nuclear_shifted_equals_the_displaced_sum():
             assert p_via_k_nuclear(n, k, t)[0] == direct, (n, k)
 
 
+def _k_skip_sweep(t, k, last):
+    """The k-skip sums for n = 0..last, one ``_k_skip_chain`` per residue
+    class mod k, as the CLI's k_nuclear route reads them."""
+    values = [None] * (last + 1)
+    for rest in range(min(k, last + 1)):
+        values[rest::k] = _k_skip_chain(t, k, rest, last)
+    return values
+
+
 def test_k_nuclear_sweep_sums_an_arbitrary_sequence():
     """On the true p the k-skip sums telescope to p(n), so a summation that
     is right for each n matches whatever it adds.  Here p is an arbitrary
-    increasing sequence: the sweep must equal the direct per-n sum
+    increasing sequence: the chains must equal the direct per-n sum
     p(n mod k) + sum_j nu_k(n - jk), on and next to each chain's first n."""
     rng = random.Random(19)
     t = _table_from_p(list(accumulate(rng.randrange(1, 10**30) for _ in range(301))))
     for k in range(1, 14):
         for last in sorted({0, k - 1, k, k + 1, 300}):
             direct = [t.p[n % k] + sum(nu_k(n - j * k, k, t) for j in range(n // k)) for n in range(last + 1)]
-            assert k_nuclear_sweep(t, k, last) == direct, (k, last)
+            assert _k_skip_sweep(t, k, last) == direct, (k, last)
 
 
 def test_k_nuclear_rejects_bad_args(table):
@@ -406,7 +412,7 @@ def test_sweeps_equal_the_per_n_functions_and_the_direct_sums():
     assert [n_nu[n] for n in domain] == [
         n * t.nu[n] - sum((k - 1) * t.gamma[k] for k in range(3, n + 1)) for n in domain]
     for k in K_VALUES:
-        skip = k_nuclear_sweep(t, k, 300)
+        skip = _k_skip_sweep(t, k, 300)
         assert skip == [p_via_k_nuclear(n, k, t)[1].value for n in span], k
         assert skip == [t.p[n % k] + sum(nu_k(n - j * k, k, t) for j in range(n // k)) for n in span], k
     assert all(len(values) == 301 for values in (nu_chain, gamma_chain, weights, n_nu))
@@ -419,7 +425,7 @@ def test_sweeps_stop_at_their_last_n():
         assert gamma_chain_sweep(t, last) == gamma_chain_sweep(t, 40)[: last + 1]
         assert gamma_weights_sweep(t, last) == gamma_weights_sweep(t, 40)[: last + 1]
         assert n_nu_minus_gamma_sweep(t, last) == n_nu_minus_gamma_sweep(t, 40)[: last + 1]
-        assert k_nuclear_sweep(t, 3, last) == t.p[: last + 1]
+        assert _k_skip_sweep(t, 3, last) == t.p[: last + 1]
         assert bounded_sums(last) == bounded_sums(40)[: last + 1]
 
 
@@ -428,10 +434,6 @@ def test_sweeps_reject_bad_args():
     for sweep in (nu_chain_sweep, gamma_chain_sweep, gamma_weights_sweep, n_nu_minus_gamma_sweep):
         with pytest.raises(ValueError):
             sweep(t, 21)
-    with pytest.raises(ValueError):
-        k_nuclear_sweep(t, 0, 10)
-    with pytest.raises(ValueError):
-        k_nuclear_sweep(t, 2, 21)
     with pytest.raises(ValueError):
         bounded_sums(-1)
 
@@ -724,16 +726,6 @@ def test_enumerated_sweep_is_a_prefix_of_a_longer_one():
         assert enumerated_counts(limit) == longest[limit], limit
     with pytest.raises(ValueError):
         enumerated_sweep(-1)
-
-
-def test_nu_bounded_matches_bounded_enumeration():
-    from nucleus.partitions import EnumerationConstraint, iter_parts
-
-    for n in range(25):
-        for m in range(1, n + 2):
-            c = EnumerationConstraint(min_part=2, max_part=max(m, 2))
-            streamed = sum(1 for _ in iter_parts(n, c)) if m >= 2 else (1 if n == 0 else 0)
-            assert nu_bounded(n, m) == streamed, (n, m)
 
 
 # --- an oracle that shares no code with the package ---
