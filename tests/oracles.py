@@ -4,6 +4,8 @@ The enumerators recurse on the parts and the counter is the plain coin
 dynamic program, so none shares an algorithm with the code under test.
 """
 
+import argparse
+
 # (n, gamma, nu, p) reference rows: 1..20 and 100.
 REFERENCE_ROWS = {
     1: (0, 0, 1), 2: (0, 1, 2), 3: (0, 1, 3), 4: (1, 2, 5), 5: (0, 2, 7),
@@ -91,3 +93,31 @@ def derived_violations(family, table, progression, modulus, limit_n):
     value = DERIVED_FAMILIES[family]
     residues = ((n, value(table, a, a * n + b) % modulus) for n in range(1, limit_n + 1))
     return [(n, r) for n, r in residues if r]
+
+
+def row_spec(spec):
+    """The rows a ``table --rows`` spec such as 1-20,100 selects, sorted,
+    parsing a range and a single row by separate branches; raises
+    argparse.ArgumentTypeError as the CLI does.  The reference for
+    cli._row_spec."""
+    rows = set()
+    try:
+        for chunk in spec.split(","):
+            chunk = chunk.strip()
+            if "-" in chunk:
+                lo_text, _, hi_text = chunk.partition("-")
+                lo, hi = int(lo_text), int(hi_text)
+                if lo > hi or lo < 0:
+                    raise ValueError
+                rows.update(range(lo, hi + 1))
+            else:
+                value = int(chunk)
+                if value < 0:
+                    raise ValueError
+                rows.add(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"row spec must look like 1-20,100 (nonnegative, ascending ranges), got {spec!r}") from None
+    if not rows:
+        raise argparse.ArgumentTypeError("row spec selects no rows")
+    return sorted(rows)

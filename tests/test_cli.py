@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -7,11 +8,12 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
+from itertools import chain
 from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nucleus import cli, counting
@@ -21,7 +23,7 @@ from nucleus.congruence import RAMANUJAN_PROGRESSIONS, CongruenceFamily, Congrue
 from nucleus.counting import CountTable, MethodResult, build_table
 from nucleus.partitions import EnumerationConstraint
 
-from oracles import REFERENCE_ROWS
+from oracles import REFERENCE_ROWS, row_spec
 
 TABLE1_CSV = "n,gamma,nu,p\n" + "\n".join(
     f"{n},{g},{v},{p}" for n, (g, v, p) in sorted(REFERENCE_ROWS.items())
@@ -78,6 +80,40 @@ def test_table_bad_row_spec_is_usage_error(capsys, spec):
         cli.main(["table", "--rows", spec])
     assert exc.value.code == 2
     assert "row spec" in capsys.readouterr().err
+
+
+_NUMBER = st.text("0123456789", min_size=1, max_size=3)
+_EDGE = st.sampled_from(["", "", "", " ", "+", "-"])
+_JOIN = st.sampled_from(["-", "-", "-", " - ", "-+", "--", " ", "+"])
+
+
+@st.composite
+def _row_specs(draw):
+    """Up to four chunks joined by ','.  A chunk is up to three numbers of
+    at most three digits, joined by a mark of '-', '+' and spaces, with a
+    mark, perhaps empty, before and after them.  A join is never empty, so
+    the digit cap holds and every range a spec names is small."""
+    chunks = []
+    for _ in range(draw(st.integers(1, 4))):
+        numbers = [draw(_NUMBER) for _ in range(draw(st.sampled_from([1, 1, 2, 2, 2, 3, 0])))]
+        joins = [draw(_JOIN) for _ in numbers[1:]]
+        chunks.append(draw(_EDGE) + "".join(chain(numbers[:1], *zip(joins, numbers[1:]))) + draw(_EDGE))
+    return ",".join(chunks)
+
+
+def _rows_or_message(parse, spec):
+    try:
+        return parse(spec)
+    except argparse.ArgumentTypeError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(spec=_row_specs())
+@example(spec="1-20,100")
+@example(spec=" 3 - 7 ,+5, 0")
+def test_row_spec_accepts_what_the_reference_accepts(spec):
+    assert _rows_or_message(cli._row_spec, spec) == _rows_or_message(row_spec, spec)
 
 
 def test_table_rows_beyond_limit_is_usage_error(capsys):
