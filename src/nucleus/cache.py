@@ -78,36 +78,25 @@ def write_table(table: CountTable, path: Path | str) -> None:
 def _field(raw: bytes, line_no: int, name: str) -> int:
     # bytes.isdigit accepts ASCII 0-9 only, so int() never sees the signs,
     # spaces and underscores it would otherwise accept; and a field is
-    # written without leading zeros (48 is the byte of "0").
+    # written without leading zeros (48 is the byte of "0").  A message
+    # quotes the field's first 40 characters: p(n) may have thousands.
     if not raw.isdigit():
-        raise CacheError(f"line {line_no}: {name} must be a nonnegative decimal integer, got {raw.decode()!r}")
+        raise CacheError(f"line {line_no}: {name} must be a nonnegative decimal integer, got {raw[:40].decode()!r}")
     if raw[0] == 48 and len(raw) > 1:
-        raise CacheError(f"line {line_no}: {name} must have no leading zero, got {raw.decode()!r}")
+        raise CacheError(f"line {line_no}: {name} must have no leading zero, got {raw[:40].decode()!r}")
     return int(raw)
-
-
-# What ``_ascii_lines`` yields after a last line that lacks its LF: no line
-# of the file can read so, since each comes without its LF.
-_NO_FINAL_LF = b"\n"
 
 
 def _ascii_lines(handle):
     """The handle's lines one at a time, each checked to be ASCII and
-    without its trailing LF.  A last line without one is followed by
-    ``_NO_FINAL_LF``, unless it is the first line, which the header check
-    reads."""
+    ending in its LF, but for a last line that lacks one."""
     offset = 0
     for line in handle:
         if not line.isascii():
             bad = offset + next(i for i, byte in enumerate(line) if byte > 0x7F)
             raise CacheError(f"byte at offset {bad} is not ASCII") from None
         offset += len(line)
-        if line.endswith(b"\n"):
-            yield line[:-1]
-        else:
-            yield line
-            if offset > len(line):
-                yield _NO_FINAL_LF
+        yield line
 
 
 def read_table(path: Path | str) -> CountTable:
@@ -136,17 +125,19 @@ def read_table(path: Path | str) -> CountTable:
 
 def _parse_rows(lines) -> CountTable:
     header = next(lines, None)
+    if header is None:
+        raise CacheError("empty cache file")
+    # Its LF goes unchecked: a header that lacks one has no rows after it,
+    # which is refused below.
+    header = header.removesuffix(b"\n")
     if header != CACHE_HEADER.encode():
         # The first line is cut short: a file with no LF at all is one line.
-        raise CacheError(f"expected header {CACHE_HEADER!r}, got {header[:40].decode()!r}" if header is not None
-                         else "empty cache file")
+        raise CacheError(f"expected header {CACHE_HEADER!r}, got {header[:40].decode()!r}")
     p: list[int] = []
     nu = 0  # nu(n-1)
     for line_no, line in enumerate(lines, start=2):
-        fields = line.split(b",")
+        fields = line.removesuffix(b"\n").split(b",")
         if len(fields) != 4:
-            if line == _NO_FINAL_LF:  # the rows above it all passed
-                raise CacheError(f"line {line_no - 1}: the last row must end in LF")
             raise CacheError(f"line {line_no}: expected 4 comma-separated fields, got {len(fields)}")
         n = _field(fields[0], line_no, "n")
         expected = line_no - 2
@@ -166,6 +157,8 @@ def _parse_rows(lines) -> CountTable:
                     raise CacheError(f"row n={n}: gamma must be 0 below n=3, got {g}")
             elif g != v - nu:
                 raise CacheError(f"row n={n}: gamma must equal nu(n) - nu(n-1) = {v - nu}, got {g}")
+        if not line.endswith(b"\n"):  # only the last line can lack it
+            raise CacheError(f"line {line_no}: the last row must end in LF")
         nu = v
         p.append(q)
     if not p:

@@ -125,22 +125,22 @@ def _k_nuclear_agreement(t, last):
     """Entry n is true where the k-skip sum gives p(n) for every k in
     K_VALUES.  Each residue chain's running sums are compared with p as
     they are produced, so no sum column is held."""
-    agree = [True] * (last + 1)
+    agree = bytearray([1]) * (last + 1)
     for k in K_VALUES:
         for rest in range(min(k, last + 1)):
             holds = map(eq, _k_skip_chain(t, k, rest, last), t.p[rest:last + 1:k])
             agree[rest::k] = map(and_, agree[rest::k], holds)
-    return agree
+    return bytes(agree)
 
 
 # name: (first n, last n, route, pick, expected_fail).  The last n is the
 # exact limit, the enumeration limit or a fixed value capped at the exact
 # limit.  A route takes (table, last n) and returns one truth per
 # n = 0..last n, true where the identity holds at n: bytes of 0 and 1, one
-# byte per n since every route's truths are held to the end, or for
-# k_nuclear a list of bools.  The enumeration route returns three such
-# columns, and ``pick`` is the index of the one a row reads (None for the
-# other routes).  Every identity that names a route reads the one result.
+# byte per n since every route's truths are held to the end.  The
+# enumeration route returns three such columns, and ``pick`` is the index
+# of the one a row reads (None for the other routes).  Every identity that
+# names a route reads the one result.
 _EXACT, _ENUM = "exact", "enum"
 _IDENTITIES = {
     "nu_chain": (0, _EXACT, partial(_agreement, nu_chain_sweep, "p"), None, False),
@@ -397,18 +397,12 @@ def _row_spec(spec: str) -> list[int]:
     rows = set()
     try:
         for chunk in spec.split(","):
-            chunk = chunk.strip()
-            if "-" in chunk:
-                lo_text, _, hi_text = chunk.partition("-")
-                lo, hi = int(lo_text), int(hi_text)
-                if lo > hi or lo < 0:
-                    raise ValueError
-                rows.update(range(lo, hi + 1))
-            else:
-                value = int(chunk)
-                if value < 0:
-                    raise ValueError
-                rows.add(value)
+            # A single row is the range of one; int() strips the spaces.
+            lo_text, dash, hi_text = chunk.partition("-")
+            lo, hi = int(lo_text), int(hi_text if dash else lo_text)
+            if lo > hi or lo < 0:
+                raise ValueError
+            rows.update(range(lo, hi + 1))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"row spec must look like 1-20,100 (nonnegative, ascending ranges), got {spec!r}") from None
@@ -646,6 +640,8 @@ def cmd_parity(args, parser) -> int:
 
 def cmd_ratios(args, parser) -> int:
     if args.estimator:
+        if args.estimator == "p" and args.form is not None:
+            parser.error("--form needs --estimator nu or gamma: the p estimate has no form")
         points = [25, 100, 400] if args.points is None else args.points
         if not points:
             parser.error("--points selects no n values")

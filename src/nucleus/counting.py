@@ -43,17 +43,11 @@ def pentagonal_offsets(limit: int) -> list[tuple[int, int]]:
     """Generalized pentagonal numbers k(3k-/+1)/2 up to ``limit``, with the
     recurrence sign (+ for odd k, - for even k), in increasing order."""
     offsets = []
-    k = 1
-    while True:
-        g = k * (3 * k - 1) // 2
-        if g > limit:
-            return offsets
-        sign = 1 if k & 1 else -1
-        offsets.append((g, sign))
-        g += k
-        if g <= limit:
-            offsets.append((g, sign))
-        k += 1
+    for k in count(1):
+        for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+            if g > limit:  # and so is every later one
+                return offsets
+            offsets.append((g, 1 if k & 1 else -1))
 
 
 def _extend_p(p: list[int], limit: int, modulus: int | None = None) -> list[int]:
@@ -210,12 +204,13 @@ def nu_k(n: int, k: int, table: CountTable) -> int:
 
 
 def _raise_bound(row: list[int], m: int, top: int, low: int | None = None) -> None:
-    """c(., m-1) -> c(., m) in place for t <= top, where c(t, m) counts the
-    partitions of t with parts in [2, m]: c(t, m) = c(t, m-1) + c(t-m, m).
-    As generating functions this divides the row by 1 - x^m.  Only the
-    entries from ``low`` (default m) up change; those below it are kept
-    and those below low - m never read, so only the terms from degree
-    low - m up are divided.
+    """Divide ``row``, the coefficients of a power series in x, by 1 - x^m
+    in place up to degree ``top``, from degree ``low`` (default m): row[t]
+    += row[t - m] for t = low..top in turn.  The entries below ``low`` are
+    kept and those below low - m never read, so only the terms from degree
+    low - m up are divided.  Its first use is the bounded-part count: with
+    c(t, m) the partitions of t into parts in [2, m], c(t, m) = c(t, m-1)
+    + c(t - m, m) takes the row c(., m-1) to c(., m).
 
     Along one residue class mod m the division is a prefix sum, so it runs
     in whichever form takes fewer C-level passes over the top + 1 - low
@@ -400,10 +395,10 @@ def _prefixes_by_lo(limit: int) -> list[int]:
     mu + (x,) of a prefix of size ``total`` and top part ``top`` have
     x >= top and lo = total + 3x, so the ones with lo <= limit, x up to
     (limit - total) // 3, make one run of lo with step 3.  The run goes
-    in as two difference entries, summed along each class mod 3 at the
-    end.  Only the children with children of their own, x up to
-    (limit - total) // 4, are pushed, so the loop takes one step per
-    prefix that has room for another part.
+    in as two difference entries, which dividing by 1 - x^3 at the end
+    sums along each class mod 3.  Only the children with children of
+    their own, x up to (limit - total) // 4, are pushed, so the loop takes
+    one step per prefix that has room for another part.
     """
     counts = [0] * (limit + 4)
     stack = []
@@ -417,8 +412,7 @@ def _prefixes_by_lo(limit: int) -> list[int]:
         counts[total + 3 * top] += 1
         counts[total + 3 * (rest // 3) + 3] -= 1
         stack += [(total + x, x) for x in range(top, rest // 4 + 1)]
-    for start in range(3):
-        counts[start::3] = accumulate(counts[start::3])
+    _raise_bound(counts, 3, limit)
     return counts[:limit + 1]
 
 
@@ -447,8 +441,7 @@ def enumerated_sweep(limit: int) -> list[tuple[int, int, int]]:
     if limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
     ties = _prefixes_by_lo(limit)
-    for start in range(2):  # divide by 1 - x^2: runs that end in a tie at n
-        ties[start::2] = accumulate(ties[start::2])
+    _raise_bound(ties, 2, limit)  # runs that end in a tie at n
     runs = list(accumulate(ties))  # partitions of n with two or more parts
     gaps = list(accumulate(runs, initial=0))  # their gap sum at n is gaps[n]
     rows = []

@@ -189,6 +189,19 @@ def test_leading_zero_rejected(tmp_path, column):
     assert str(exc.value) == f"line 5: {name} must have no leading zero, got '0{fields[column][1:]}'"
 
 
+@pytest.mark.parametrize("raw, problem", [("0" + "3" * 299, "must have no leading zero"),
+                                          ("3" * 299 + "x", "must be a nonnegative decimal integer")],
+                         ids=["leading_zero", "not_decimal"])
+def test_long_bad_field_is_quoted_by_its_first_40_characters(tmp_path, raw, problem):
+    """A bad field is quoted by its first 40 characters, as a bad header
+    is: far out, p(n) has thousands of digits."""
+    path = tmp_path / "counts.csv"
+    path.write_text(f"{CACHE_HEADER}\n0,0,1,1\n1,0,0,1\n2,0,1,2\n3,0,1,{raw}\n")
+    with pytest.raises(CacheError) as exc:
+        read_table(path)
+    assert str(exc.value) == f"line 5: p {problem}, got {raw[:40]!r}"
+
+
 def test_non_ascii_byte_message(tmp_path):
     path = tmp_path / "counts.csv"
     path.write_bytes(f"{CACHE_HEADER}\n0,0,1,1\n1,0,0,\u00e9\n".encode())

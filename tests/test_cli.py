@@ -474,8 +474,9 @@ def test_verify_bounded_rows_run_in_linear_memory():
 def test_k_nuclear_rows_compare_each_residue_chain_as_it_goes():
     """The k-skip sums of each residue chain are compared with p as they
     are produced, so no whole sum column is held: the traced peak at 3000
-    is the agreement list and a few slices of pointers, not the 3001 big
-    integers of a whole column of k-skip sums (261 KB when one was held)."""
+    is the agreement bytes and a few slices of pointers (112 KB), not the
+    3001 big integers of a whole column of k-skip sums (261 KB when one was
+    held) nor a list of 3001 bools (147 KB when the truths were one)."""
     table = build_table(3000)
     tracemalloc.start()
     try:
@@ -483,8 +484,8 @@ def test_k_nuclear_rows_compare_each_residue_chain_as_it_goes():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert agree == [True] * 3001
-    assert peak < 200 * 2**10
+    assert type(agree) is bytes and agree == bytes([1]) * 3001
+    assert peak < 140 * 2**10
 
 
 def test_verify_holds_one_route_column_at_a_time():
@@ -897,6 +898,24 @@ def test_ratios_estimator_options_need_an_estimator(capsys, argv):
     captured = capsys.readouterr()
     assert "--points and --form need --estimator" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("form", ["exact_difference", "simplified"])
+def test_ratios_form_needs_an_estimator_that_has_forms(capsys, form):
+    """The p estimate has no form, so --form with it is refused as --form
+    without --estimator is; the nu and gamma estimates take it."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["ratios", "--estimator", "p", "--form", form])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines()[-1] == (
+        "nucleus ratios: error: --form needs --estimator nu or gamma: the p estimate has no form")
+    assert captured.out == ""
+    for estimator in ("nu", "gamma"):
+        code, out, _ = run(capsys, "ratios", "--estimator", estimator, "--form", form, "--points", "25",
+                           "--format", "csv")
+        assert code == 0
+        assert out.startswith("n,exact,estimate,ratio\n25,")
 
 
 def test_ratios_deterministic(capsys):
