@@ -1296,6 +1296,62 @@ def test_estimate_ratios_stay_finite_past_the_float_range():
     assert all(math.isfinite(record["ratio"]) for record in records)
 
 
+# The repr of each estimate and ratio that estimate_rows returns on a
+# synthetic table whose p(n) from n = 79,000 is hr_p(n) rounded to an int.
+# The points straddle every float seam: hr_p and the table's p leave the
+# float range at 79,446; hr_nu at 80,641 and the table's nu at 80,642; the
+# table's gamma at 81,850 and hr_gamma at 83,337 (exact_difference) or
+# 83,336 (simplified).  Where the estimate is inf or the count is past a
+# float, the ratio comes from logs, so these pin that path bit for bit.
+_ESTIMATE_PINS = {
+    "p": [
+        (79445, "1.793357704875027e+308", "1.000000000000033"),
+        (79446, "inf", "1.0"),
+    ],
+    ("nu", "exact_difference"): [
+        (80640, "1.7935649066391907e+308", "1.0027470388776423"),
+        (80641, "inf", "1.0027470218907701"),
+        (80642, "inf", "1.0027470047944336"),
+    ],
+    ("nu", "simplified"): [
+        (80640, "1.7976182577720614e+308", "1.005013188171137"),
+        (80641, "inf", "1.005013157084181"),
+        (80642, "inf", "1.0050131258879706"),
+    ],
+    ("gamma", "exact_difference"): [
+        (81849, "2.4638934520484767e+305", "0.001371977782169078"),
+        (81850, "2.4749073060999606e+305", "0.0013719798877983016"),
+        (83335, "1.7874727290785811e+308", "0.0013596101414488084"),
+        (83336, "1.7953906848015946e+308", "0.0013596115510058095"),
+        (83337, "inf", "0.001359583141291497"),
+    ],
+    ("gamma", "simplified"): [
+        (81849, "2.4749639261896292e+305", "0.0013781421901905007"),
+        (81850, "2.486027186334932e+305", "0.0013781442609041162"),
+        (83335, "1.79543189596566e+308", "0.0013656641437511175"),
+        (83336, "inf", "0.0013656655251465455"),
+        (83337, "inf", "0.0013656369543964127"),
+    ],
+}
+
+
+@pytest.fixture(scope="module")
+def near_hr_p_table():
+    start, top = 79000, 83337
+    return counting._table_from_p(list(range(1, start + 1)) + [_int_near_hr_p(n) for n in range(start, top + 1)])
+
+
+@pytest.mark.parametrize("quantity, form", [("p", "exact_difference"), ("p", "simplified"),
+                                            ("nu", "exact_difference"), ("nu", "simplified"),
+                                            ("gamma", "exact_difference"), ("gamma", "simplified")])
+def test_estimate_rows_are_pinned_across_the_float_seams(near_hr_p_table, quantity, form):
+    """p has no form, so both forms give its one list of pins."""
+    pins = _ESTIMATE_PINS["p" if quantity == "p" else (quantity, form)]
+    rows = estimate_rows([n for n, _, _ in pins], near_hr_p_table, quantity, form)
+    assert [(row.n, repr(row.estimate), repr(row.ratio)) for row in rows] == pins
+    assert [row.exact for row in rows] == [getattr(near_hr_p_table, quantity)[n] for n, _, _ in pins]
+
+
 def test_ratio_report_stays_finite_past_the_float_range():
     """In a synthetic table p passes 2**1024 between n = 5 and 6, and at
     n = 4 sqrt(4) * nu(4) overflows a float while p(4) does not; the
