@@ -17,8 +17,6 @@ from .asymptotics import (
     hr_gamma,
     hr_nu,
     hr_p,
-    log_hr_gamma,
-    log_hr_nu,
     log_hr_p,
     ratio_report,
 )

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import partial
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .counting import CountTable, _check_range
 
@@ -50,13 +49,14 @@ def hr_p(n: int) -> float:
     return _exp(log_hr_p(n))
 
 
-def _scale_hr_p(n: int, factor: float) -> float:
-    """hr_p(n) * factor.  Where hr_p(n) alone is inf the product is taken
-    from logs, so it stays finite as long as the scaled estimate is."""
-    estimate = hr_p(n)
-    if estimate < math.inf:
-        return estimate * factor
-    return _exp(log_hr_p(n) + math.log(factor))
+def _scale_hr_p(n: int, factor: float) -> tuple[float, float]:
+    """hr_p(n) * factor and its log.  Where hr_p(n) alone is inf the
+    product is taken from the log, so it stays finite as long as the
+    scaled estimate is."""
+    log_p = log_hr_p(n)
+    log_estimate = log_p + math.log(factor)
+    estimate = _exp(log_p)
+    return (estimate * factor if estimate < math.inf else _exp(log_estimate)), log_estimate
 
 
 def _check_form(form: str) -> None:
@@ -86,13 +86,7 @@ def hr_nu(n: int, form: str = "exact_difference") -> float:
     agree in the limit; the measured mutual gap is about 6.6% at n = 100
     and shrinks like x/2.
     """
-    return _scale_hr_p(n, _nu_factor(n, form))
-
-
-def log_hr_nu(n: int, form: str = "exact_difference") -> float:
-    """Log-space variant of hr_nu."""
-    factor = _nu_factor(n, form)
-    return log_hr_p(n) + math.log(factor)
+    return _scale_hr_p(n, _nu_factor(n, form))[0]
 
 
 def hr_gamma(n: int, form: str = "exact_difference") -> float:
@@ -105,13 +99,11 @@ def hr_gamma(n: int, form: str = "exact_difference") -> float:
     gamma(n) by roughly a factor A*sqrt(n) (measured: about 18x at
     n = 100); they are order-of-growth diagnostics, not point estimates.
     """
-    return _scale_hr_p(n, _gamma_factor(n, form))
+    return _scale_hr_p(n, _gamma_factor(n, form))[0]
 
 
-def log_hr_gamma(n: int, form: str = "exact_difference") -> float:
-    """Log-space variant of hr_gamma."""
-    factor = _gamma_factor(n, form)
-    return log_hr_p(n) + math.log(factor)
+# The factor that scales hr_p(n) to each quantity's estimate; p has no form.
+_FACTORS = {"p": lambda n, form: 1.0, "nu": _nu_factor, "gamma": _gamma_factor}
 
 
 class AsymptoticRow(NamedTuple):
@@ -126,22 +118,18 @@ class AsymptoticRow(NamedTuple):
 def estimate_rows(points: Sequence[int], table: CountTable, quantity: str = "p",
                   form: str = "exact_difference") -> list[AsymptoticRow]:
     """Estimator-versus-exact rows for the chosen quantity at the given n's."""
-    if quantity not in ESTIMATE_LOW:
+    if quantity not in _FACTORS:
         raise ValueError(f"quantity must be p, nu or gamma, got {quantity!r}")
+    factor, column = _FACTORS[quantity], getattr(table, quantity)
     rows = []
     for n in points:
         _check_range(n, table)
-        if quantity == "p":
-            exact, estimate, log_estimate = table.p[n], hr_p(n), partial(log_hr_p, n)
-        elif quantity == "nu":
-            exact, estimate, log_estimate = table.nu[n], hr_nu(n, form), partial(log_hr_nu, n, form)
-        else:
-            exact, estimate, log_estimate = table.gamma[n], hr_gamma(n, form), partial(log_hr_gamma, n, form)
+        exact, (estimate, log_estimate) = column[n], _scale_hr_p(n, factor(n, form))
         rows.append(AsymptoticRow(n, exact, estimate, _ratio(estimate, exact, log_estimate)))
     return rows
 
 
-def _ratio(estimate: float, exact: int, log_estimate: Callable[[], float]) -> float:
+def _ratio(estimate: float, exact: int, log_estimate: float) -> float:
     """estimate / exact, NaN where exact is 0.
 
     Where the estimate is inf or the count no longer converts to a float
@@ -156,7 +144,7 @@ def _ratio(estimate: float, exact: int, log_estimate: Callable[[], float]) -> fl
             return estimate / exact
         except OverflowError:
             pass
-    return math.exp(log_estimate() - math.log(exact))
+    return math.exp(log_estimate - math.log(exact))
 
 
 class RatioRow(NamedTuple):

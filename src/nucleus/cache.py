@@ -87,6 +87,14 @@ def _field(raw: bytes, line_no: int, name: str) -> int:
     return int(raw)
 
 
+def _abbrev(value: int) -> str:
+    """value whole if it has at most 20 digits, else its first 8 characters
+    and its digit count, which still shows one digit too many or too few."""
+    text = str(value)
+    digits = len(text.lstrip("-"))
+    return text if digits <= 20 else f"{text[:8]}...({digits} digits)"
+
+
 def _ascii_lines(handle):
     """The handle's lines one at a time, each checked to be ASCII and
     ending in its LF, but for a last line that lacks one."""
@@ -151,12 +159,12 @@ def _parse_rows(lines) -> CountTable:
                 raise CacheError(f"row n=0 must be 0,1,1, got {g},{v},{q}")
         else:
             if v != q - p[n - 1]:
-                raise CacheError(f"row n={n}: nu must equal p(n) - p(n-1) = {q - p[n - 1]}, got {v}")
+                raise CacheError(f"row n={n}: nu must equal p(n) - p(n-1) = {_abbrev(q - p[n - 1])}, got {_abbrev(v)}")
             if n < 3:
                 if g != 0:
                     raise CacheError(f"row n={n}: gamma must be 0 below n=3, got {g}")
             elif g != v - nu:
-                raise CacheError(f"row n={n}: gamma must equal nu(n) - nu(n-1) = {v - nu}, got {g}")
+                raise CacheError(f"row n={n}: gamma must equal nu(n) - nu(n-1) = {_abbrev(v - nu)}, got {_abbrev(g)}")
         if not line.endswith(b"\n"):  # only the last line can lack it
             raise CacheError(f"line {line_no}: the last row must end in LF")
         nu = v

@@ -202,6 +202,22 @@ def test_long_bad_field_is_quoted_by_its_first_40_characters(tmp_path, raw, prob
     assert str(exc.value) == f"line 5: p {problem}, got {raw[:40]!r}"
 
 
+@pytest.mark.parametrize("rows, message", [
+    (f"1,0,0,{10**19 + 1}\n", f"row n=1: nu must equal p(n) - p(n-1) = {10**19}, got 0"),
+    (f"1,0,0,{10**20 + 1}\n", "row n=1: nu must equal p(n) - p(n-1) = 10000000...(21 digits), got 0"),
+    (f"1,0,0,1\n2,0,{10**21},{10**21 + 1}\n3,0,0,{10**21 + 1}\n",
+     "row n=3: gamma must equal nu(n) - nu(n-1) = -1000000...(22 digits), got 0"),
+], ids=["20_digits", "21_digits", "negative"])
+def test_difference_error_quotes_a_number_whole_up_to_20_digits(tmp_path, rows, message):
+    """A longer number is quoted by its first 8 characters and its count
+    of digits, the sign aside."""
+    path = tmp_path / "counts.csv"
+    path.write_text(f"{CACHE_HEADER}\n0,0,1,1\n{rows}")
+    with pytest.raises(CacheError) as exc:
+        read_table(path)
+    assert str(exc.value) == message
+
+
 def test_non_ascii_byte_message(tmp_path):
     path = tmp_path / "counts.csv"
     path.write_bytes(f"{CACHE_HEADER}\n0,0,1,1\n1,0,0,\u00e9\n".encode())

@@ -1000,6 +1000,28 @@ def test_cache_not_in_its_written_form_exits_3(capsys, tmp_path, rows, message):
     assert (code, out, err) == (3, "", f"cache error: {message}\n")
 
 
+@pytest.mark.parametrize("column, name, rule", [(2, "nu", "p(n) - p(n-1)"), (1, "gamma", "nu(n) - nu(n-1)")],
+                         ids=["nu", "gamma"])
+def test_cache_difference_error_on_a_long_number_exits_3(capsys, tmp_path, column, name, rule):
+    """One digit appended to row 2,500's nu or gamma in a 3,000-row cache:
+    both numbers in the error have some 50 digits, so each is quoted by its
+    first 8 and its digit count, which shows the extra digit."""
+    table = build_table(3000)
+    path = tmp_path / "counts.csv"
+    write_table(table, path)
+    lines = path.read_text().splitlines(keepends=True)
+    fields = lines[2501].split(",")
+    fields[column] += "7"
+    lines[2501] = ",".join(fields)
+    path.write_text("".join(lines))
+    code, out, err = run(capsys, "cache", "check", "--cache", str(path))
+    value = str(getattr(table, name)[2500])
+    assert len(value) > 20
+    quoted = f"{value[:8]}...({len(value)} digits), got {value[:8]}...({len(value) + 1} digits)"
+    assert (code, out, err) == (3, "", f"cache error: row n=2500: {name} must equal {rule} = {quoted}\n")
+    assert all(len(line) <= 120 for line in err.splitlines())
+
+
 def test_cache_path_that_is_a_directory_exits_3(capsys, tmp_path):
     code, out, err = run(capsys, "table", "--limit", "10", "--cache", str(tmp_path))
     assert code == 3
