@@ -200,17 +200,28 @@ def test_restricted_counts_growth_consistency():
 
 
 def test_bounded_counts_on_both_sides_of_the_prefix_sum_switch():
-    """_raise_bound divides by 1 - x^m as m prefix sums, one per residue
-    class, when m^2 < top + 1 - low, and as blocks of m otherwise.
-    RestrictedCounts divides from low = m, so at part bound m the form
-    switches at top = m^2 + m.  n runs over 0..170, which takes in
-    m^2 - 1..m^2 + m + 1 for every m = 2..12."""
-    top = 170
-    reference = {m: _coin_counts(top, m) for m in range(1, 14)}
-    for n in range(top + 1):
-        counts = RestrictedCounts()
-        for m in range(1, 14):
-            assert counts.count(n, m) == reference[m][n], (n, m)
+    """_raise_bound with its default low = m takes c(., m - 1), where
+    c(t, m) counts the partitions of t into parts in [2, m], to c(., m).
+    It divides by 1 - x^m as m prefix sums, one per residue class, when
+    m^2 < top + 1 - m, and as blocks of m otherwise, so the form switches
+    at top = m^2 + m.  For each m = 2..12, top runs over m^2 + m - 2 ..
+    m^2 + m + 1 and a few tops further out on either side."""
+    for m in range(2, 13):
+        switch = m * m + m
+        for top in (m, 2 * m - 1, *range(switch - 2, switch + 2), switch + 5 * m, 3 * switch):
+            row = _coin_counts(top, m - 1)
+            _raise_bound(row, m, top)
+            assert row == _coin_counts(top, m), (m, top)
+
+
+@pytest.mark.parametrize("size", [0, 1, 40])
+def test_restricted_counts_ensure_stores_every_bounded_row(size):
+    """ensure(size) leaves row m = 0..size as c(., m) on degrees 0..size,
+    as the coin dynamic program counts it."""
+    counts = RestrictedCounts()
+    counts.ensure(size)
+    for m in range(size + 1):
+        assert counts._rows[m] == _coin_counts(size, m), m
 
 
 @pytest.mark.parametrize("split", [False, True], ids=["low_2m", "low_s_plus_1"])
