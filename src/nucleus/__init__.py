@@ -36,7 +36,6 @@ from .congruence import (
 from .counting import (
     CountTable,
     MethodResult,
-    RestrictedCounts,
     bounded_sums,
     build_table,
     extend_table,

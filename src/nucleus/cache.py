@@ -156,13 +156,13 @@ def _parse_rows(lines) -> CountTable:
         q = _field(fields[3], line_no, "p")
         if n == 0:
             if (g, v, q) != (0, 1, 1):
-                raise CacheError(f"row n=0 must be 0,1,1, got {g},{v},{q}")
+                raise CacheError(f"row n=0 must be 0,1,1, got {','.join(map(_abbrev, (g, v, q)))}")
         else:
             if v != q - p[n - 1]:
                 raise CacheError(f"row n={n}: nu must equal p(n) - p(n-1) = {_abbrev(q - p[n - 1])}, got {_abbrev(v)}")
             if n < 3:
                 if g != 0:
-                    raise CacheError(f"row n={n}: gamma must be 0 below n=3, got {g}")
+                    raise CacheError(f"row n={n}: gamma must be 0 below n=3, got {_abbrev(g)}")
             elif g != v - nu:
                 raise CacheError(f"row n={n}: gamma must equal nu(n) - nu(n-1) = {_abbrev(v - nu)}, got {_abbrev(g)}")
         if not line.endswith(b"\n"):  # only the last line can lack it

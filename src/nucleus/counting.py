@@ -329,40 +329,23 @@ def _raise_bounds_lanes(row: list[int], m: int, top: int) -> None:
 
 
 class RestrictedCounts:
-    """Counts of partitions with every part in [2, m], stored as the
-    full table of rows c(., m) for m = 0..size, each size + 1 long.
+    """The full table of rows c(., m), m = 0..size, where c(t, m) counts
+    the partitions of t with every part in [2, m]: O(size^2) integers.
 
-    O(size^2) integers; ``bounded_sums`` rolls one row of the same
-    recurrence instead.
+    No CLI path reads it; ``bounded_sums`` rolls one row of the same
+    recurrence.  It stays only as the subject of perfbench's memory pass,
+    until that pass sizes ``bounded_sums`` instead.
     """
 
-    def __init__(self):
-        self._size = -1
-        self._rows: list[list[int]] = []
-
     def ensure(self, size: int) -> None:
-        if size <= self._size:
-            return
-        size = max(size, 2 * self._size)
-        empty_only = [1] + [0] * size
-        rows = [empty_only, list(empty_only)]
+        """Build the rows c(., m) for m = 0..size, each size + 1 long,
+        once, and store them."""
+        row =[1] + [0] * size  # c(., 0) and c(., 1): the empty partition alone
+        self._rows = [row, list(row)]
         for m in range(2, size + 1):
-            row = list(rows[-1])
+            row = list(row)
             _raise_bound(row, m, size)
-            rows.append(row)
-        self._size = size
-        self._rows = rows
-
-    def count(self, total: int, max_part: int) -> int:
-        if total < 0:
-            raise ValueError(f"total must be >= 0, got {total}")
-        if total == 0:
-            return 1
-        m = min(max_part, total)
-        if m < 2:
-            return 0
-        self.ensure(total)
-        return self._rows[m][total]
+            self._rows.append(row)
 
 
 def nu_chain_sweep(table: CountTable, last: int) -> list[int]:

@@ -980,6 +980,21 @@ def test_cache_check_refuses_gamma_below_n_3_exits_3(capsys, tmp_path):
     assert (code, out, err) == (3, "", "cache error: row n=2: gamma must be 0 below n=3, got 1\n")
 
 
+@pytest.mark.parametrize("rows, message", [
+    (f"0,{'7' * 300},1,1\n1,0,0,1\n2,0,1,2\n", "row n=0 must be 0,1,1, got 77777777...(300 digits),1,1"),
+    (f"0,0,1,1\n1,0,0,1\n2,{'7' * 300},1,2\n", "row n=2: gamma must be 0 below n=3, got 77777777...(300 digits)"),
+], ids=["row_0", "row_2"])
+def test_cache_row_error_on_a_long_gamma_exits_3(capsys, tmp_path, rows, message):
+    """A 300-digit gamma where a row below 3 must hold 0 is quoted by its
+    first 8 characters and its digit count, as the difference-identity
+    errors quote theirs."""
+    path = tmp_path / "counts.csv"
+    path.write_text(f"n,gamma,nu,p\n{rows}")
+    code, out, err = run(capsys, "cache", "check", "--cache", str(path))
+    assert (code, out, err) == (3, "", f"cache error: {message}\n")
+    assert len(err.rstrip("\n")) <= 120
+
+
 def test_cache_non_ascii_exits_3(capsys, tmp_path):
     path = tmp_path / "counts.csv"
     path.write_bytes("n,gamma,nu,p\n0,0,1,1\n1,0,0,\u00e9\n".encode("utf-8"))

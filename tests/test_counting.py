@@ -173,11 +173,6 @@ def test_nu_k_range_errors(table):
         nu_k(5, 0, table)
 
 
-def test_bounded_counts_refuse_a_negative_total_or_a_bound_below_1():
-    with pytest.raises(ValueError, match="total must be >= 0, got -1"):
-        RestrictedCounts().count(-1, 3)
-
-
 def _coin_counts(top, m):
     """c(t, m) for t = 0..top, the partitions of t with every part in
     [2, m], by the plain coin dynamic program."""
@@ -186,17 +181,6 @@ def _coin_counts(top, m):
         for total in range(part, top + 1):
             row[total] += row[total - part]
     return row
-
-
-def test_restricted_counts_growth_consistency():
-    grown = RestrictedCounts()
-    grown.ensure(8)
-    grown.ensure(40)
-    fresh = RestrictedCounts()
-    reference = {m: _coin_counts(40, m) for m in range(1, 12)}
-    for n in range(41):
-        for m in range(1, 12):
-            assert grown.count(n, m) == fresh.count(n, m) == reference[m][n], (n, m)
 
 
 def test_bounded_counts_on_both_sides_of_the_prefix_sum_switch():
