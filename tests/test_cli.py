@@ -918,6 +918,26 @@ def test_ratios_form_needs_an_estimator_that_has_forms(capsys, form):
         assert out.startswith("n,exact,estimate,ratio\n25,")
 
 
+def test_ratios_points_must_be_integers(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["ratios", "--estimator", "p", "--points", "5,x"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines()[-1] == (
+        "nucleus ratios: error: argument --points: expected comma-separated integers, got '5,x'")
+    assert captured.out == ""
+
+
+def test_ratios_limit_0_is_usage_error(capsys):
+    """ratio_report would have no row to start from: the rows are 1..limit."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["ratios", "--limit", "0"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines()[-1] == "nucleus ratios: error: --limit must be >= 1"
+    assert captured.out == ""
+
+
 def test_ratios_deterministic(capsys):
     _, first, _ = run(capsys, "ratios", "--limit", "40", "--format", "json")
     _, second, _ = run(capsys, "ratios", "--limit", "40", "--format", "json")
@@ -936,6 +956,21 @@ def test_cache_build_and_check(capsys, tmp_path):
     code, out, _ = run(capsys, "cache", "check", "--cache", str(path))
     assert code == 0
     assert "ok" in out
+
+
+def test_cache_build_negative_limit_leaves_the_cache_alone(capsys, tmp_path):
+    """load_table would serve any limit up to the cached one, so a negative
+    --limit on an existing cache is refused here, not by the library."""
+    path = tmp_path / "counts.csv"
+    write_table(build_table(30), path)
+    before = path.read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["cache", "build", "--limit", "-1", "--cache", str(path)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines()[-1] == "nucleus cache: error: --limit must be >= 0"
+    assert captured.out == ""
+    assert path.read_bytes() == before
 
 
 @pytest.mark.parametrize("limit", [0, 1, 600])

@@ -4,8 +4,9 @@ The digests were recorded before the package was refactored, so any
 change to the bytes a command prints, or to its exit status, fails
 here.  Every README example is covered in each output format it
 accepts, and every json output must parse as strict RFC 8259 json (no
-NaN or Infinity).  Commands run in-process through ``cli.main`` in an
-empty working directory with ``NUCLEUS_CACHE`` unset.
+NaN or Infinity).  Refused commands are pinned by exit code and last
+stderr line, with nothing on stdout.  Commands run in-process through
+``cli.main`` in an empty working directory with ``NUCLEUS_CACHE`` unset.
 """
 
 import hashlib
@@ -105,6 +106,33 @@ GOLDEN = {
 }
 
 
+GOLDEN_ERRORS = {
+    # command: (exit code, last stderr line); stdout must be empty.  Only the
+    # last line is pinned: argparse words its usage lines differently across
+    # Python versions.
+    "congruence ramanujan 5 --limit -1": (2, "nucleus congruence: error: --limit must be >= 0"),
+    "congruence nu_window 7 --limit -3": (2, "nucleus congruence: error: --limit must be >= 0"),
+    "congruence nu_window 7 --limit 0": (2, "error: nu_window starts at n = 1: the limit must be >= 1, got 0"),
+    "congruence nu_window 17303 237 13 --limit 0": (
+        2, "error: nu_window starts at n = 1: the limit must be >= 1, got 0"),
+    "congruence ramanujan 6": (2, "nucleus congruence: error: modulus must be 5, 7 or 11, got 6"),
+    "congruence custom 5": (2, "nucleus congruence: error: family custom needs three integers: A B M"),
+    "congruence nu_window 5 7": (
+        2, "nucleus congruence: error: family nu_window needs M (5, 7 or 11) or three integers: A B M"),
+    "decay 3,2,1": (2, "error: (3,2,1) is not nuclear: 1 part(s) equal 1"),
+    "decay 1": (2, "error: (1) is not nuclear: 1 part(s) equal 1"),
+    "decay 3,x": (2, "nucleus decay: error: partition literal must be comma-separated integers, got '3,x'"),
+    "decay --dot -1": (2, "nucleus decay: error: --dot expects n >= 0"),
+    "decay --dot x": (2, "nucleus decay: error: --dot expects the size n as an integer, got 'x'"),
+    "table --rows 5-2": (2, "nucleus table: error: argument --rows: row spec must look like 1-20,100 "
+                            "(nonnegative, ascending ranges), got '5-2'"),
+    "table --rows abc": (2, "nucleus table: error: argument --rows: row spec must look like 1-20,100 "
+                            "(nonnegative, ascending ranges), got 'abc'"),
+    "table --limit 0": (2, "nucleus table: error: --limit must be >= 1, got 0"),
+    "table --rows 1-5 --limit 3": (2, "nucleus table: error: --rows selects n=5 beyond --limit 3"),
+}
+
+
 def _output(capsys, command):
     code = cli.main(shlex.split(command))
     return code, capsys.readouterr().out
@@ -136,6 +164,17 @@ def test_cli_output_matches_golden(capsys, scratch_cwd, command):
     assert (code, _digest(out)) == GOLDEN[command]
     if "--format json" in command:
         json.loads(out, parse_constant=_reject_constant)
+
+
+@pytest.mark.parametrize("command", list(GOLDEN_ERRORS))
+def test_refused_command_matches_golden(capsys, scratch_cwd, command):
+    try:
+        code = cli.main(shlex.split(command))
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.err.splitlines()[-1]) == GOLDEN_ERRORS[command]
+    assert captured.out == ""
 
 
 CACHE_BUILD = "cache build --limit 5000 --cache counts.csv"
