@@ -356,7 +356,6 @@ def nu_chain_sweep(table: CountTable, last: int) -> list[int]:
 
 def p_via_nu_chain(n: int, table: CountTable) -> MethodResult:
     """p(n) as the partial sum nu(0) + ... + nu(n)."""
-    _check_range(n, table)
     return MethodResult("nu_chain", n, nu_chain_sweep(table, n)[n])
 
 

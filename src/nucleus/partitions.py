@@ -120,9 +120,9 @@ def _walk(n, lo):
 
 
 def enumerate_partitions(n: int, constraint: EnumerationConstraint | None = None) -> Iterator[Partition]:
-    """Yield Partition values; see iter_parts for order and guarantees."""
-    for parts in iter_parts(n, constraint):
-        yield _trusted(parts)
+    """Yield Partition values; see iter_parts for order and guarantees.
+    Like iter_parts, it refuses a bad n or constraint when called."""
+    return map(_trusted, iter_parts(n, constraint))
 
 
 def is_nuclear(partition) -> bool:
@@ -175,7 +175,7 @@ def decay_capacity(partition) -> int:
     if not parts:
         raise ValueError("the empty partition does not decay")
     if 1 in parts:
-        raise ValueError(f"decay is defined on nuclear partitions only, got {parts}")
+        raise ValueError(f"{parts} is not nuclear: {parts.count(1)} part(s) equal 1")
     return _capacity(parts)
 
 

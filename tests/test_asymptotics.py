@@ -98,7 +98,7 @@ def test_hr_nu_domain_and_form_validation():
         hr_nu(100, "fancy")
 
 
-# --- gamma estimator: order-of-growth diagnostic only ---
+# --- gamma estimator: short of gamma(n) by a factor growing like A*sqrt(n) ---
 
 def test_hr_gamma_positive_everywhere():
     assert all(hr_gamma(n, form) > 0

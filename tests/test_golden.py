@@ -110,8 +110,8 @@ GOLDEN_ERRORS = {
     # command: (exit code, last stderr line); stdout must be empty.  Only the
     # last line is pinned: argparse words its usage lines differently across
     # Python versions.
-    "congruence ramanujan 5 --limit -1": (2, "nucleus congruence: error: --limit must be >= 0"),
-    "congruence nu_window 7 --limit -3": (2, "nucleus congruence: error: --limit must be >= 0"),
+    "congruence ramanujan 5 --limit -1": (2, "error: ramanujan starts at n = 0: the limit must be >= 0, got -1"),
+    "congruence nu_window 7 --limit -3": (2, "error: nu_window starts at n = 1: the limit must be >= 1, got -3"),
     "congruence nu_window 7 --limit 0": (2, "error: nu_window starts at n = 1: the limit must be >= 1, got 0"),
     "congruence nu_window 17303 237 13 --limit 0": (
         2, "error: nu_window starts at n = 1: the limit must be >= 1, got 0"),
@@ -122,7 +122,7 @@ GOLDEN_ERRORS = {
     "decay 3,2,1": (2, "error: (3,2,1) is not nuclear: 1 part(s) equal 1"),
     "decay 1": (2, "error: (1) is not nuclear: 1 part(s) equal 1"),
     "decay 3,x": (2, "nucleus decay: error: partition literal must be comma-separated integers, got '3,x'"),
-    "decay --dot -1": (2, "nucleus decay: error: --dot expects n >= 0"),
+    "decay --dot -1": (2, "error: cannot partition a negative total, got -1"),
     "decay --dot x": (2, "nucleus decay: error: --dot expects the size n as an integer, got 'x'"),
     "table --rows 5-2": (2, "nucleus table: error: argument --rows: row spec must look like 1-20,100 "
                             "(nonnegative, ascending ranges), got '5-2'"),

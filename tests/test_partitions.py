@@ -119,8 +119,9 @@ def test_enumerate_min_part_above_n_is_empty():
 
 
 def test_enumerate_negative_rejected():
-    with pytest.raises(ValueError):
-        list(enumerate_partitions(-1))
+    """Refused at the call, as iter_parts refuses, not when first read."""
+    with pytest.raises(ValueError, match="^cannot partition a negative total, got -1$"):
+        enumerate_partitions(-1)
 
 
 @pytest.mark.parametrize("constraint", [
@@ -168,7 +169,7 @@ def test_constraint_validation():
         with pytest.raises(ValueError, match=f"^min_part must be >= 1, got {constraint.min_part}$"):
             iter_parts(5, constraint)
         with pytest.raises(ValueError, match="^min_part must be >= 1"):
-            list(enumerate_partitions(5, constraint))
+            enumerate_partitions(5, constraint)
 
 
 def test_enumeration_completeness_to_30():
@@ -325,7 +326,7 @@ def test_decay_capacity():
     assert decay_capacity(Partition([2, 2, 2])) == 0
     with pytest.raises(ValueError):
         decay_capacity(Partition())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^\(2,1\) is not nuclear: 1 part\(s\) equal 1$"):
         decay_capacity(Partition([2, 1]))
 
 
@@ -342,7 +343,7 @@ def test_decay_step_rejects_bad_j(mu, j):
 
 
 def test_decay_step_rejects_non_nuclear():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^\(3,1\) is not nuclear: 1 part\(s\) equal 1$"):
         decay_step(Partition([3, 1]), 1)
 
 
