@@ -381,9 +381,11 @@ def test_k_nuclear_sweep_sums_an_arbitrary_sequence():
 
 
 def test_k_nuclear_rejects_bad_args(table):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^k must be >= 1, got 0$"):
         p_via_k_nuclear(5, 0, table)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^defined for n >= 0, got -1$"):
+        p_via_k_nuclear(-1, 2, table)
+    with pytest.raises(ValueError, match=r"^n=221 exceeds the table limit 220$"):
         p_via_k_nuclear(table.limit + 1, 2, table)
 
 

@@ -4,8 +4,9 @@ The digests were recorded before the package was refactored, so any
 change to the bytes a command prints, or to its exit status, fails
 here.  Every README example is covered in each output format it
 accepts, and every json output must parse as strict RFC 8259 json (no
-NaN or Infinity).  Refused commands are pinned by exit code and last
-stderr line, with nothing on stdout.  Commands run in-process through
+NaN or Infinity).  Refused commands, bad cache files and bad cache
+paths are pinned by exit code and last stderr line, at most 120
+characters, with nothing on stdout.  Commands run in-process through
 ``cli.main`` in an empty working directory with ``NUCLEUS_CACHE`` unset.
 """
 
@@ -130,6 +131,68 @@ GOLDEN_ERRORS = {
                             "(nonnegative, ascending ranges), got 'abc'"),
     "table --limit 0": (2, "nucleus table: error: --limit must be >= 1, got 0"),
     "table --rows 1-5 --limit 3": (2, "nucleus table: error: --rows selects n=5 beyond --limit 3"),
+    "verify --limit -1": (2, "nucleus verify: error: --limit must be >= 0, got -1"),
+    "verify --enum-limit -1": (2, "nucleus verify: error: --enum-limit must be >= 0, got -1"),
+    "verify --limit 20 --enum-limit 30": (2, "nucleus verify: error: --enum-limit cannot exceed --limit"),
+    "verify --identities ,": (2, "nucleus verify: error: --identities selects no identities"),
+    "verify --identities nope": (2, "nucleus verify: error: unknown identities: nope"),
+    "verify --identities nu_chain,nu_chain": (2, "nucleus verify: error: repeated identities: nu_chain"),
+    "verify --limit 5 --identities k_nuclear_shifted": (
+        2, "error: --identities: nothing to check at these limits: k_nuclear_shifted (n = 6..5)"),
+    "parity --limit 3": (2, "nucleus parity: error: --limit must be >= 4"),
+    "ratios --limit 0": (2, "nucleus ratios: error: --limit must be >= 1"),
+    "ratios --estimator p --form simplified": (
+        2, "nucleus ratios: error: --form needs --estimator nu or gamma: the p estimate has no form"),
+    "ratios --estimator p --points ,": (2, "nucleus ratios: error: --points selects no n values"),
+    "ratios --estimator gamma --points 2": (
+        2, "nucleus ratios: error: --points: the gamma estimate is defined for n >= 3, got 2"),
+    "ratios --points 5": (2, "nucleus ratios: error: --points and --form need --estimator"),
+    "ratios --estimator p --points 5,x": (
+        2, "nucleus ratios: error: argument --points: expected comma-separated integers, got '5,x'"),
+    "cache build": (2, "nucleus cache: error: no cache path: pass --cache or set NUCLEUS_CACHE"),
+    "cache build --limit -1 --cache c.csv": (2, "nucleus cache: error: --limit must be >= 0"),
+    "congruence custom 1 0 1": (2, "error: modulus must be >= 2, got 1"),
+    "congruence custom 0 0 5": (2, "error: progression must have a >= 1 and b >= 0, got (0, 0)"),
+    "congruence gamma_weighted 7 5 5": (
+        2, "error: gamma_weighted needs the modulus to divide the step, got (7, 5) mod 5"),
+    "decay [5,2": (2, "nucleus decay: error: unbalanced brackets in partition literal '[5,2'"),
+    "decay 2,3": (2, "nucleus decay: error: parts must be weakly decreasing, got (2, 3)"),
+    "decay 3,0": (2, "nucleus decay: error: parts must be positive integers, got 0"),
+}
+
+# The header and rows n = 0..3 of a consistent cache.
+_HEAD = b"n,gamma,nu,p\n0,0,1,1\n1,0,0,1\n2,0,1,2\n3,0,1,3\n"
+
+CACHE_ERRORS = {
+    # case: (the bytes of c.csv, the last stderr line of ``cache check
+    # --cache c.csv``, which exits 3 with stdout empty).
+    "empty": (b"", "cache error: empty cache file"),
+    "header": (b"n,p\n0,1\n", "cache error: expected header 'n,gamma,nu,p', got 'n,p'"),
+    "3 fields": (b"n,gamma,nu,p\n0,0,1\n", "cache error: line 2: expected 4 comma-separated fields, got 3"),
+    "-0": (b"n,gamma,nu,p\n0,0,1,1\n1,-0,0,1\n",
+           "cache error: line 3: gamma must be a nonnegative decimal integer, got '-0'"),
+    "leading zero": (b"n,gamma,nu,p\n0,0,1,1\n1,0,0,01\n",
+                     "cache error: line 3: p must have no leading zero, got '01'"),
+    "non-ASCII": (b"n,gamma,nu,p\n0,0,1,1\n1,0,0,1\xc3\xa9\n", "cache error: byte at offset 28 is not ASCII"),
+    "gap": (b"n,gamma,nu,p\n0,0,1,1\n2,0,1,2\n",
+            "cache error: line 3: rows must be contiguous from 0, expected n=1, got n=2"),
+    "row 0": (b"n,gamma,nu,p\n0,0,1,2\n", "cache error: row n=0 must be 0,1,1, got 0,1,2"),
+    "nu": (b"n,gamma,nu,p\n0,0,1,1\n1,0,1,1\n", "cache error: row n=1: nu must equal p(n) - p(n-1) = 0, got 1"),
+    "gamma below 3": (b"n,gamma,nu,p\n0,0,1,1\n1,0,0,1\n2,1,1,2\n",
+                      "cache error: row n=2: gamma must be 0 below n=3, got 1"),
+    "gamma": (_HEAD + b"4,0,2,5\n", "cache error: row n=4: gamma must equal nu(n) - nu(n-1) = 1, got 0"),
+    "no final LF": (_HEAD + b"4,1,2,5", "cache error: line 6: the last row must end in LF"),
+    "header alone": (b"n,gamma,nu,p\n", "cache error: cache has a header but no rows (row for n=0 is required)"),
+    # Every row is consistent, but p(6) is 12, not 11: only ``check_p`` tells.
+    "p": (_HEAD + b"4,1,2,5\n5,0,2,7\n6,3,5,12\n", "cache error: row n=6: p mod 67108859 must be 11, got 12"),
+}
+
+PATH_ERRORS = {
+    # command, run where d is an empty directory: its last stderr line.  The
+    # strerror text is Linux's.
+    "cache check --cache d": "cache error: cannot read d: Is a directory",
+    "cache build --cache missing/c.csv": "cache error: cannot write missing/c.csv: No such file or directory",
+    "table --cache d": "cache error: cannot read d: Is a directory",
 }
 
 
@@ -166,15 +229,40 @@ def test_cli_output_matches_golden(capsys, scratch_cwd, command):
         json.loads(out, parse_constant=_reject_constant)
 
 
-@pytest.mark.parametrize("command", list(GOLDEN_ERRORS))
-def test_refused_command_matches_golden(capsys, scratch_cwd, command):
+def _refusal(capsys, command):
+    """The exit code and last stderr line of a refused command, whose
+    stdout must be empty and whose last line is at most 120 characters."""
     try:
         code = cli.main(shlex.split(command))
     except SystemExit as exc:  # argparse's usage errors
         code = exc.code
     captured = capsys.readouterr()
-    assert (code, captured.err.splitlines()[-1]) == GOLDEN_ERRORS[command]
+    last = captured.err.splitlines()[-1]
     assert captured.out == ""
+    assert len(last) <= 120
+    return code, last
+
+
+@pytest.mark.parametrize("command", list(GOLDEN_ERRORS))
+def test_refused_command_matches_golden(capsys, scratch_cwd, command):
+    assert _refusal(capsys, command) == GOLDEN_ERRORS[command]
+    assert not any(scratch_cwd.iterdir())  # no cache file is written
+
+
+@pytest.mark.parametrize("case", list(CACHE_ERRORS))
+def test_refused_cache_file_matches_golden(capsys, scratch_cwd, case):
+    data, line = CACHE_ERRORS[case]
+    (scratch_cwd / "c.csv").write_bytes(data)
+    assert _refusal(capsys, "cache check --cache c.csv") == (3, line)
+    assert [path.name for path in scratch_cwd.iterdir()] == ["c.csv"]
+    assert (scratch_cwd / "c.csv").read_bytes() == data
+
+
+@pytest.mark.parametrize("command", list(PATH_ERRORS))
+def test_refused_cache_path_matches_golden(capsys, scratch_cwd, command):
+    (scratch_cwd / "d").mkdir()
+    assert _refusal(capsys, command) == (3, PATH_ERRORS[command])
+    assert [path.name for path in scratch_cwd.rglob("*")] == ["d"]
 
 
 CACHE_BUILD = "cache build --limit 5000 --cache counts.csv"
