@@ -19,7 +19,7 @@ import os
 from pathlib import Path
 
 from .congruence import p_mod_m_table
-from .counting import CountTable, _table_from_p, build_table, extend_table
+from .counting import CountTable, build_table, extend_table
 
 CACHE_HEADER = "n,gamma,nu,p"
 CACHE_ENV_VAR = "NUCLEUS_CACHE"
@@ -112,8 +112,8 @@ def read_table(path: Path | str) -> CountTable:
     or saying why the file cannot be read.
 
     Every row's nu and gamma are parsed and checked against p, but only p
-    and the previous row's nu are kept: the table's nu and gamma are views
-    of p (``counting._table_from_p``)."""
+    and the previous row's nu are kept: the table is its p column, and its
+    nu and gamma are views of p (``counting.CountTable``)."""
     try:
         # Read as bytes, so a CR stays in its field and a CR or CRLF file
         # fails the row checks instead of being read as LF.
@@ -171,7 +171,7 @@ def _parse_rows(lines) -> CountTable:
         p.append(q)
     if not p:
         raise CacheError("cache has a header but no rows (row for n=0 is required)")
-    return _table_from_p(p)
+    return CountTable(p)
 
 
 def check_p(table: CountTable) -> None:

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 from . import __version__
 from .asymptotics import ESTIMATE_LOW, FORMS, AsymptoticRow, RatioRow, estimate_rows, ratio_report
-from .cache import CacheError, check_p, load_table, read_table, resolve_cache_path
+from .cache import CACHE_HEADER, CacheError, check_p, load_table, read_table, resolve_cache_path
 from .congruence import (
     FAMILIES,
     RAMANUJAN_PROGRESSIONS,
@@ -73,10 +73,6 @@ class IdentityOutcome(NamedTuple):
     expected_fail: bool = False
 
     @property
-    def ok(self) -> bool:
-        return self.failures == 0
-
-    @property
     def status(self) -> str:
         if self.failures:
             return "fail"
@@ -90,7 +86,7 @@ class VerificationSummary(NamedTuple):
 
     @property
     def passed(self) -> bool:
-        return all(outcome.ok for outcome in self.outcomes)
+        return not any(outcome.failures for outcome in self.outcomes)
 
 
 K_VALUES = (1, 2, 3, 5, 7, 11)
@@ -297,15 +293,16 @@ def _records(kind: str, header, rows, fmt: str) -> str:
 
 
 def render_table(table: CountTable, rows, fmt: str) -> str:
-    """The n, gamma, nu, p rows of ``table`` at each n in the iterable ``rows``.
-    Each run of consecutive n is read from each column as one slice; a
-    row the table does not have is a ValueError."""
-    rows = list(rows)
+    """The rows of ``table`` at each n in the iterable ``rows``, in the
+    columns of its cache file, CACHE_HEADER.  Each run of consecutive n is
+    read from each column as one slice; a row the table does not have is
+    a ValueError."""
+    rows, header = list(rows), CACHE_HEADER.split(",")
     # A run ends after each n that the next n does not follow by one.
     ends = [*compress(count(1), map(ne, map(sub, rows[1:], rows), repeat(1))), len(rows)]
     runs = [slice(rows[start], rows[end - 1] + 1) for start, end in zip([0, *ends], ends) if end]
-    columns = [chain.from_iterable(map(column.__getitem__, runs)) for column in (table.gamma, table.nu, table.p)]
-    return _records("count_table", ("n", "gamma", "nu", "p"), zip(rows, *columns, strict=True), fmt)
+    columns = [chain.from_iterable(map(getattr(table, name).__getitem__, runs)) for name in header[1:]]
+    return _records("count_table", header, zip(rows, *columns, strict=True), fmt)
 
 
 def render_summary(summary: VerificationSummary, fmt: str, errata_demo=None) -> str:
@@ -593,10 +590,7 @@ def cmd_decay(args, parser) -> int:
             parser.error(f"--dot expects the size n as an integer, got {args.target!r}")
         _write(decay_digraph(n))
         return EXIT_OK
-    try:
-        mu = Partition.parse(args.target)
-    except ValueError as exc:
-        parser.error(str(exc))
+    mu = Partition.parse(args.target)
     if len(mu) == 0:
         _write(["() is the empty partition: nothing to decay\n"])
     elif not (products := decay_chain(mu)):

@@ -181,7 +181,8 @@ def p_mod_m_table(limit: int, modulus: int) -> array | list[int]:
     array, allocated whole at the start, and spread into the next block's
     lanes.  Above m = 128, R and the block are reduced one lane at a time.
 
-    Where 8-byte lanes are too narrow (moduli above about 9.5e7),
+    Where 8-byte lanes are too narrow for the block product, from m =
+    189,812,533 on, where B (m-1)^2 = 512 (m-1)^2 reaches 2^64,
     ``_extend_p`` runs the whole recurrence instead, one n at a time, each
     a sum of the terms that n reaches, gathered by one ``itemgetter`` per
     stretch between pentagonal numbers, into a list that is copied into

@@ -130,35 +130,36 @@ class CountTable(NamedTuple):
     """Exact values p(n), nu(n), gamma(n) for 0 <= n <= limit.
 
     Satisfies p[0] = nu[0] = 1, nu[n] = p[n] - p[n-1] for n >= 1,
-    gamma[n] = nu[n] - nu[n-1] for n >= 3 and gamma[0..3] = 0.  A built
-    table holds the list p alone: nu and gamma are read-only views that
-    compute those differences from p when read, so read them a slice at a
-    time, not one index per row.  They compare equal to the lists of their
-    values.  Treat a built table as immutable; concurrent reads are safe.
+    gamma[n] = nu[n] - nu[n-1] for n >= 3 and gamma[0..3] = 0.  A table
+    is its one field, the list p: nu and gamma are properties, read-only
+    views that compute those differences from p when read, so read them
+    a slice at a time, not one index per row.  They compare equal to the
+    lists of their values.  Treat a table as immutable; concurrent reads
+    are safe.
     """
 
     p: list[int]
-    nu: Sequence[int]
-    gamma: Sequence[int]
 
     @property
     def limit(self) -> int:
         return len(self.p) - 1
 
+    @property
+    def nu(self) -> _Difference:
+        """The view of p's first difference, with nu(0) = 1."""
+        return _Difference(self.p, (1,))
 
-def _table_from_p(p: list[int]) -> CountTable:
-    """The table of ``p``, which it holds as it is: nu is the view of p's
-    first difference with nu(0) = 1, gamma the view of nu's difference
-    with gamma(0..2) = 0."""
-    nu = _Difference(p, (1,))
-    return CountTable(p=p, nu=nu, gamma=_Difference(nu, (0, 0, 0)))
+    @property
+    def gamma(self) -> _Difference:
+        """The view of nu's first difference, with gamma(0..2) = 0."""
+        return _Difference(self.nu, (0, 0, 0))
 
 
 def build_table(limit: int) -> CountTable:
     """Build the exact count table for 0..limit via the pentagonal recurrence."""
     if limit < 0:
         raise ValueError(f"table limit must be >= 0, got {limit}")
-    return _table_from_p(_extend_p([1], limit))
+    return CountTable(_extend_p([1], limit))
 
 
 def extend_table(table: CountTable, limit: int) -> CountTable:
@@ -171,7 +172,7 @@ def extend_table(table: CountTable, limit: int) -> CountTable:
     """
     if limit <= table.limit:
         return table
-    return _table_from_p(_extend_p(list(table.p), limit))
+    return CountTable(_extend_p(list(table.p), limit))
 
 
 class MethodResult(NamedTuple):
@@ -579,12 +580,10 @@ def p_via_k_nuclear(n: int, k: int, table: CountTable) -> tuple[int, MethodResul
     tail; it is kept as an expected-failure demonstration.  At k = 1 the
     correct form collapses to the nu chain term by term.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    _check_range(n, table)
+    head = nu_k(n, k, table)  # the j = 0 term; nu_k refuses a bad k or n
     rest = n % k
     *_, value = _k_skip_chain(table, k, rest, n)
     # The displaced range drops the j = 0 term nu_k(n) and adds the
     # j = floor(n/k) term nu_k(r), which is p(r) because r < k.
-    shifted = value - nu_k(n, k, table) + table.p[rest]
+    shifted = value - head + table.p[rest]
     return shifted, MethodResult("k_nuclear", n, value)

@@ -22,7 +22,7 @@ from nucleus.cache import (
     resolve_cache_path,
     write_table,
 )
-from nucleus.counting import _table_from_p, build_table, pentagonal_offsets
+from nucleus.counting import CountTable, build_table, pentagonal_offsets
 
 
 def tables_equal(a, b):
@@ -99,12 +99,12 @@ def test_hand_edited_p_rejected(tmp_path):
 def test_check_p_passes_valid_tables_and_names_the_first_wrong_p():
     table = build_table(2000)
     for limit in (0, 1, 511, 512, 2000):  # the first block is _extend_p's, then the blocked kernel's
-        check_p(_table_from_p(table.p[:limit + 1]))
+        check_p(CountTable(table.p[:limit + 1]))
     p = list(table.p)
     p[1000] += 1
     p[1500] -= 1
     with pytest.raises(CacheError, match=f"^row n=1000: p mod {CHECK_MODULUS} must be "):
-        check_p(_table_from_p(p))
+        check_p(CountTable(p))
 
 
 def test_check_modulus_takes_the_blocked_kernel(monkeypatch):

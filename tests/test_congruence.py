@@ -18,7 +18,7 @@ from nucleus.congruence import (
     p_mod_m_table,
     parity_via_gamma,
 )
-from nucleus.counting import _table_from_p, build_table, pentagonal_offsets
+from nucleus.counting import CountTable, build_table, pentagonal_offsets
 
 from oracles import DERIVED_FAMILIES, derived_violations
 
@@ -383,7 +383,7 @@ def test_derived_families_agree_with_exact_sums(exact_p, bump):
     p = list(exact_p)
     if bump is not None:
         p[bump] += 1
-    table = _table_from_p(p)
+    table = CountTable(p)
     for family, (a, b), modulus in DERIVED_CASES:
         limit_n = (len(p) - 1 - b) // a
         expected = derived_violations(family, table, (a, b), modulus, limit_n)

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 
 from nucleus import counting
 from nucleus.counting import (
+    CountTable,
     RestrictedCounts,
     _extend_p,
     _k_skip_chain,
     _raise_bound,
     _raise_bounds_lanes,
-    _table_from_p,
     bounded_sums,
     build_table,
     enumerated_counts,
@@ -95,7 +95,7 @@ def test_difference_views_match_plain_lists(p, start, stop, step):
     the differences the table defines, whatever the list p."""
     nu = [p[n] - p[n - 1] if n else 1 for n in range(len(p))]
     gamma = [nu[n] - nu[n - 1] if n >= 3 else 0 for n in range(len(p))]
-    t = counting._table_from_p(p)
+    t = CountTable(p)
     rows = slice(start, stop, step)
     assert type(t.nu[rows]) is list and t.nu[rows] == nu[rows]
     assert type(t.gamma[rows]) is list and t.gamma[rows] == gamma[rows]
@@ -103,7 +103,7 @@ def test_difference_views_match_plain_lists(p, start, stop, step):
     assert list(t.nu) == nu and list(t.gamma) == gamma
     assert t.nu == nu and nu == t.nu and t.gamma == gamma and gamma == t.gamma
     assert t.nu != nu + [0] and t.gamma != [0] + gamma and t.nu != tuple(nu)
-    assert t.nu == counting._table_from_p(list(p)).nu
+    assert t.nu == CountTable(list(p)).nu
     assert [t.nu[n] for n in range(-len(p), len(p))] == nu + nu
     assert [t.gamma[n] for n in range(-len(p), len(p))] == gamma + gamma
     for n in (len(p), -len(p) - 1):
@@ -120,12 +120,15 @@ def test_extend_equals_fresh(prefix):
     also equal the differences of the coin DP's p, so a wrong rule shared
     by the build and the extension still fails."""
     start = build_table(prefix)
-    before = tuple(map(list, start))
+    before = [list(start.p), list(start.nu), list(start.gamma)]
     p = partition_counts(150)
     nu = [1] + [p[n] - p[n - 1] for n in range(1, 151)]
     gamma = [0, 0, 0] + [nu[n] - nu[n - 1] for n in range(3, 151)]
-    assert extend_table(start, 150) == build_table(150) == (p, nu, gamma)
-    assert start == before  # the prefix table is left as it was
+    extended, fresh = extend_table(start, 150), build_table(150)
+    assert extended == fresh
+    for t in (extended, fresh):
+        assert (t.p, t.nu, t.gamma) == (p, nu, gamma)
+    assert [start.p, start.nu, start.gamma] == before  # the prefix table is left as it was
 
 
 @pytest.mark.parametrize("modulus", [None, 2, 11, 10**9 + 7])
@@ -373,7 +376,7 @@ def test_k_nuclear_sweep_sums_an_arbitrary_sequence():
     increasing sequence: the chains must equal the direct per-n sum
     p(n mod k) + sum_j nu_k(n - jk), on and next to each chain's first n."""
     rng = random.Random(19)
-    t = _table_from_p(list(accumulate(rng.randrange(1, 10**30) for _ in range(301))))
+    t = CountTable(list(accumulate(rng.randrange(1, 10**30) for _ in range(301))))
     for k in range(1, 14):
         for last in sorted({0, k - 1, k, k + 1, 300}):
             direct = [t.p[n % k] + sum(nu_k(n - j * k, k, t) for j in range(n // k)) for n in range(last + 1)]

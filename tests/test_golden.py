@@ -122,7 +122,7 @@ GOLDEN_ERRORS = {
         2, "nucleus congruence: error: family nu_window needs M (5, 7 or 11) or three integers: A B M"),
     "decay 3,2,1": (2, "error: (3,2,1) is not nuclear: 1 part(s) equal 1"),
     "decay 1": (2, "error: (1) is not nuclear: 1 part(s) equal 1"),
-    "decay 3,x": (2, "nucleus decay: error: partition literal must be comma-separated integers, got '3,x'"),
+    "decay 3,x": (2, "error: partition literal must be comma-separated integers, got '3,x'"),
     "decay --dot -1": (2, "error: cannot partition a negative total, got -1"),
     "decay --dot x": (2, "nucleus decay: error: --dot expects the size n as an integer, got 'x'"),
     "table --rows 5-2": (2, "nucleus table: error: argument --rows: row spec must look like 1-20,100 "
@@ -155,9 +155,9 @@ GOLDEN_ERRORS = {
     "congruence custom 0 0 5": (2, "error: progression must have a >= 1 and b >= 0, got (0, 0)"),
     "congruence gamma_weighted 7 5 5": (
         2, "error: gamma_weighted needs the modulus to divide the step, got (7, 5) mod 5"),
-    "decay [5,2": (2, "nucleus decay: error: unbalanced brackets in partition literal '[5,2'"),
-    "decay 2,3": (2, "nucleus decay: error: parts must be weakly decreasing, got (2, 3)"),
-    "decay 3,0": (2, "nucleus decay: error: parts must be positive integers, got 0"),
+    "decay [5,2": (2, "error: unbalanced brackets in partition literal '[5,2'"),
+    "decay 2,3": (2, "error: parts must be weakly decreasing, got (2, 3)"),
+    "decay 3,0": (2, "error: parts must be positive integers, got 0"),
 }
 
 # The header and rows n = 0..3 of a consistent cache.
