@@ -13,8 +13,10 @@ characters, with nothing on stdout.  Commands run in-process through
 import hashlib
 import json
 import shlex
+from operator import sub
 
 import pytest
+from oracles import partition_counts
 
 from nucleus import cli
 
@@ -117,6 +119,9 @@ GOLDEN_ERRORS = {
     "congruence nu_window 17303 237 13 --limit 0": (
         2, "error: nu_window starts at n = 1: the limit must be >= 1, got 0"),
     "congruence ramanujan 6": (2, "nucleus congruence: error: modulus must be 5, 7 or 11, got 6"),
+    "congruence nu_window 13": (2, "nucleus congruence: error: modulus must be 5, 7 or 11, got 13"),
+    "congruence nu_k_progression 4": (2, "nucleus congruence: error: modulus must be 5, 7 or 11, got 4"),
+    "congruence gamma_weighted 6": (2, "nucleus congruence: error: modulus must be 5, 7 or 11, got 6"),
     "congruence custom 5": (2, "nucleus congruence: error: family custom needs three integers: A B M"),
     "congruence nu_window 5 7": (
         2, "nucleus congruence: error: family nu_window needs M (5, 7 or 11) or three integers: A B M"),
@@ -163,6 +168,18 @@ GOLDEN_ERRORS = {
 # The header and rows n = 0..3 of a consistent cache.
 _HEAD = b"n,gamma,nu,p\n0,0,1,1\n1,0,0,1\n2,0,1,2\n3,0,1,3\n"
 
+
+def _p_one_too_large(n, limit):
+    """The cache of rows 0..limit with p(n) one too large: nu and gamma are
+    the differences of the true p."""
+    p = partition_counts(limit)
+    nu = [1, *map(sub, p[1:], p)]
+    gamma = [0, 0, 0, *map(sub, nu[3:], nu[2:])]
+    p[n] += 1
+    rows = "".join(f"{k},{g},{v},{q}\n" for k, (g, v, q) in enumerate(zip(gamma, nu, p)))
+    return f"n,gamma,nu,p\n{rows}".encode()
+
+
 CACHE_ERRORS = {
     # case: (the bytes of c.csv, the last stderr line of ``cache check
     # --cache c.csv``, which exits 3 with stdout empty).
@@ -176,11 +193,15 @@ CACHE_ERRORS = {
     "non-ASCII": (b"n,gamma,nu,p\n0,0,1,1\n1,0,0,1\xc3\xa9\n", "cache error: byte at offset 28 is not ASCII"),
     "gap": (b"n,gamma,nu,p\n0,0,1,1\n2,0,1,2\n",
             "cache error: line 3: rows must be contiguous from 0, expected n=1, got n=2"),
+    "gap and bad gamma": (b"n,gamma,nu,p\n0,0,1,1\n2,x,0,1\n",
+                          "cache error: line 3: rows must be contiguous from 0, expected n=1, got n=2"),
     "row 0": (b"n,gamma,nu,p\n0,0,1,2\n", "cache error: row n=0 must be 0,1,1, got 0,1,2"),
     "nu": (b"n,gamma,nu,p\n0,0,1,1\n1,0,1,1\n", "cache error: row n=1: nu must equal p(n) - p(n-1) = 0, got 1"),
     "gamma below 3": (b"n,gamma,nu,p\n0,0,1,1\n1,0,0,1\n2,1,1,2\n",
                       "cache error: row n=2: gamma must be 0 below n=3, got 1"),
     "gamma": (_HEAD + b"4,0,2,5\n", "cache error: row n=4: gamma must equal nu(n) - nu(n-1) = 1, got 0"),
+    # A wrong p shows first in its own row's nu.
+    "p(50) + 1": (_p_one_too_large(50, 51), "cache error: row n=50: nu must equal p(n) - p(n-1) = 30702, got 30701"),
     "no final LF": (_HEAD + b"4,1,2,5", "cache error: line 6: the last row must end in LF"),
     "header alone": (b"n,gamma,nu,p\n", "cache error: cache has a header but no rows (row for n=0 is required)"),
     # Every row is consistent, but p(6) is 12, not 11: only ``check_p`` tells.
