@@ -1,14 +1,15 @@
 """Persistent CSV cache for the exact count table.
 
-Format: a header line ``n,gamma,nu,p`` followed by one row per n,
-contiguous from 0, values as decimal integers without leading zeros, an
-LF after every line, the last included, no trailing whitespace.  A cache
-is read only in the form it is written: loading reads the file one line
-at a time, as bytes, and re-checks the format and the difference
-identities row by row, refusing any file that breaks them, so a cache
-can only resume from verified ground.  The file's text is never held
-whole, and a loaded table holds its p column alone: nu and gamma are
-computed from p when read.
+Format: a header line ``n,gamma,nu,p`` followed by one row for each of
+n = 0, 1, 2, ... in order, values as decimal integers without leading
+zeros, an LF after every line, the last included, no trailing
+whitespace.  A cache is read only in the form it is written: loading
+reads the file one line at a time, as bytes, re-checks the format row by
+row and compares each row with the one row its p implies (nu and gamma
+are p's first and second differences), refusing any file that breaks
+them, so a cache can only resume from verified ground.  The file's text
+is never held whole, and a loaded table holds its p column alone: nu and
+gamma are computed from p when read.
 ``check_p``, which ``cache check`` adds, checks p itself, mod a prime.
 """
 
@@ -142,32 +143,25 @@ def _parse_rows(lines) -> CountTable:
         # The first line is cut short: a file with no LF at all is one line.
         raise CacheError(f"expected header {CACHE_HEADER!r}, got {header[:40].decode()!r}")
     p: list[int] = []
-    nu = 0  # nu(n-1)
-    for line_no, line in enumerate(lines, start=2):
+    nu = last = 0  # nu(n-1) and p(n-1)
+    for n, line in enumerate(lines):
         fields = line.removesuffix(b"\n").split(b",")
         if len(fields) != 4:
-            raise CacheError(f"line {line_no}: expected 4 comma-separated fields, got {len(fields)}")
-        n = _field(fields[0], line_no, "n")
-        expected = line_no - 2
-        if n != expected:
-            raise CacheError(f"line {line_no}: rows must be contiguous from 0, expected n={expected}, got n={n}")
-        g = _field(fields[1], line_no, "gamma")
-        v = _field(fields[2], line_no, "nu")
-        q = _field(fields[3], line_no, "p")
-        if n == 0:
-            if (g, v, q) != (0, 1, 1):
-                raise CacheError(f"row n=0 must be 0,1,1, got {','.join(map(_abbrev, (g, v, q)))}")
-        else:
-            if v != q - p[n - 1]:
-                raise CacheError(f"row n={n}: nu must equal p(n) - p(n-1) = {_abbrev(q - p[n - 1])}, got {_abbrev(v)}")
-            if n < 3:
-                if g != 0:
-                    raise CacheError(f"row n={n}: gamma must be 0 below n=3, got {_abbrev(g)}")
-            elif g != v - nu:
-                raise CacheError(f"row n={n}: gamma must equal nu(n) - nu(n-1) = {_abbrev(v - nu)}, got {_abbrev(g)}")
+            raise CacheError(f"line {n + 2}: expected 4 comma-separated fields, got {len(fields)}")
+        got = _field(fields[0], n + 2, "n")
+        g = _field(fields[1], n + 2, "gamma")
+        v = _field(fields[2], n + 2, "nu")
+        q = _field(fields[3], n + 2, "p")
+        # The one row this p implies, in the order n, nu, gamma, p: nu(0) = 1,
+        # gamma = 0 below n = 3 and p(0) = 1.  nu is compared first, so a
+        # wrong p is reported at its own row's nu.
+        want = (n, d := q - last, d - nu if n > 2 else 0, q) if n else (0, 1, 0, 1)
+        if (got, v, g, q) != want:
+            name, w, x = next(t for t in zip(("n", "nu", "gamma", "p"), want, (got, v, g, q)) if t[1] != t[2])
+            raise CacheError(f"row n={n}: {name} must be {_abbrev(w)}, got {_abbrev(x)}")
         if not line.endswith(b"\n"):  # only the last line can lack it
-            raise CacheError(f"line {line_no}: the last row must end in LF")
-        nu = v
+            raise CacheError(f"line {n + 2}: the last row must end in LF")
+        nu, last = v, q
         p.append(q)
     if not p:
         raise CacheError("cache has a header but no rows (row for n=0 is required)")

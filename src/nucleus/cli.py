@@ -30,8 +30,8 @@ from .asymptotics import ESTIMATE_LOW, FORMS, AsymptoticRow, RatioRow, estimate_
 from .cache import CACHE_HEADER, CacheError, check_p, load_table, read_table, resolve_cache_path
 from .congruence import (
     FAMILIES,
-    RAMANUJAN_PROGRESSIONS,
     CongruenceReport,
+    _known,
     check_family,
     check_ramanujan,
     p_mod_m_table,
@@ -568,9 +568,7 @@ def cmd_verify(args, parser) -> int:
 def cmd_congruence(args, parser) -> int:
     family, params = args.family, args.params
     if len(params) == 1 and family != "custom":
-        if params[0] not in RAMANUJAN_PROGRESSIONS:
-            parser.error(f"modulus must be 5, 7 or 11, got {params[0]}")
-        params = (*RAMANUJAN_PROGRESSIONS[params[0]], params[0])
+        params = (*_known(params[0]), params[0])
     elif len(params) != 3:
         forms = "three integers: A B M" if family == "custom" else "M (5, 7 or 11) or three integers: A B M"
         parser.error(f"family {family} needs {forms}")
@@ -587,7 +585,7 @@ def cmd_decay(args, parser) -> int:
         try:
             n = int(args.target)
         except ValueError:
-            parser.error(f"--dot expects the size n as an integer, got {args.target!r}")
+            raise ValueError(f"--dot expects the size n as an integer, got {args.target!r}") from None
         _write(decay_digraph(n))
         return EXIT_OK
     mu = Partition.parse(args.target)

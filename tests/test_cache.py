@@ -143,7 +143,7 @@ def test_gap_in_rows_rejected(tmp_path):
     lines = path.read_text().splitlines()
     del lines[4]  # row n=3
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(CacheError, match="contiguous"):
+    with pytest.raises(CacheError, match="^row n=3: n must be 3, got 4$"):
         read_table(path)
 
 
@@ -203,10 +203,10 @@ def test_long_bad_field_is_quoted_by_its_first_40_characters(tmp_path, raw, prob
 
 
 @pytest.mark.parametrize("rows, message", [
-    (f"1,0,0,{10**19 + 1}\n", f"row n=1: nu must equal p(n) - p(n-1) = {10**19}, got 0"),
-    (f"1,0,0,{10**20 + 1}\n", "row n=1: nu must equal p(n) - p(n-1) = 10000000...(21 digits), got 0"),
+    (f"1,0,0,{10**19 + 1}\n", f"row n=1: nu must be {10**19}, got 0"),
+    (f"1,0,0,{10**20 + 1}\n", "row n=1: nu must be 10000000...(21 digits), got 0"),
     (f"1,0,0,1\n2,0,{10**21},{10**21 + 1}\n3,0,0,{10**21 + 1}\n",
-     "row n=3: gamma must equal nu(n) - nu(n-1) = -1000000...(22 digits), got 0"),
+     "row n=3: gamma must be -1000000...(22 digits), got 0"),
 ], ids=["20_digits", "21_digits", "negative"])
 def test_difference_error_quotes_a_number_whole_up_to_20_digits(tmp_path, rows, message):
     """A longer number is quoted by its first 8 characters and its count
@@ -423,7 +423,7 @@ def test_non_ascii_byte_far_after_a_bad_row_is_reported_first(tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(CacheError) as exc:
         read_table(path)
-    assert str(exc.value) == "line 5: rows must be contiguous from 0, expected n=3, got n=4"
+    assert str(exc.value) == "row n=3: n must be 3, got 4"
 
 
 def test_read_from_a_fifo(tmp_path):
@@ -457,7 +457,7 @@ def test_last_row_without_lf_is_rejected(tmp_path):
         read_table(path)
     assert str(exc.value) == "line 52: the last row must end in LF"
     path.write_bytes(written.removesuffix(b"\n") + b"0")
-    with pytest.raises(CacheError, match="^row n=50: nu must equal"):
+    with pytest.raises(CacheError, match="^row n=50: nu must be "):
         read_table(path)
     path.write_bytes(f"{CACHE_HEADER}".encode())
     with pytest.raises(CacheError, match="^cache has a header but no rows"):

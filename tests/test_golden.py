@@ -118,10 +118,10 @@ GOLDEN_ERRORS = {
     "congruence nu_window 7 --limit 0": (2, "error: nu_window starts at n = 1: the limit must be >= 1, got 0"),
     "congruence nu_window 17303 237 13 --limit 0": (
         2, "error: nu_window starts at n = 1: the limit must be >= 1, got 0"),
-    "congruence ramanujan 6": (2, "nucleus congruence: error: modulus must be 5, 7 or 11, got 6"),
-    "congruence nu_window 13": (2, "nucleus congruence: error: modulus must be 5, 7 or 11, got 13"),
-    "congruence nu_k_progression 4": (2, "nucleus congruence: error: modulus must be 5, 7 or 11, got 4"),
-    "congruence gamma_weighted 6": (2, "nucleus congruence: error: modulus must be 5, 7 or 11, got 6"),
+    "congruence ramanujan 6": (2, "error: modulus must be one of [5, 7, 11], got 6"),
+    "congruence nu_window 13": (2, "error: modulus must be one of [5, 7, 11], got 13"),
+    "congruence nu_k_progression 4": (2, "error: modulus must be one of [5, 7, 11], got 4"),
+    "congruence gamma_weighted 6": (2, "error: modulus must be one of [5, 7, 11], got 6"),
     "congruence custom 5": (2, "nucleus congruence: error: family custom needs three integers: A B M"),
     "congruence nu_window 5 7": (
         2, "nucleus congruence: error: family nu_window needs M (5, 7 or 11) or three integers: A B M"),
@@ -129,7 +129,7 @@ GOLDEN_ERRORS = {
     "decay 1": (2, "error: (1) is not nuclear: 1 part(s) equal 1"),
     "decay 3,x": (2, "error: partition literal must be comma-separated integers, got '3,x'"),
     "decay --dot -1": (2, "error: cannot partition a negative total, got -1"),
-    "decay --dot x": (2, "nucleus decay: error: --dot expects the size n as an integer, got 'x'"),
+    "decay --dot x": (2, "error: --dot expects the size n as an integer, got 'x'"),
     "table --rows 5-2": (2, "nucleus table: error: argument --rows: row spec must look like 1-20,100 "
                             "(nonnegative, ascending ranges), got '5-2'"),
     "table --rows abc": (2, "nucleus table: error: argument --rows: row spec must look like 1-20,100 "
@@ -191,17 +191,17 @@ CACHE_ERRORS = {
     "leading zero": (b"n,gamma,nu,p\n0,0,1,1\n1,0,0,01\n",
                      "cache error: line 3: p must have no leading zero, got '01'"),
     "non-ASCII": (b"n,gamma,nu,p\n0,0,1,1\n1,0,0,1\xc3\xa9\n", "cache error: byte at offset 28 is not ASCII"),
-    "gap": (b"n,gamma,nu,p\n0,0,1,1\n2,0,1,2\n",
-            "cache error: line 3: rows must be contiguous from 0, expected n=1, got n=2"),
+    "gap": (b"n,gamma,nu,p\n0,0,1,1\n2,0,1,2\n", "cache error: row n=1: n must be 1, got 2"),
+    # Every field is parsed before the row is compared with the one its p
+    # implies, so a bad field is reported ahead of a wrong n.
     "gap and bad gamma": (b"n,gamma,nu,p\n0,0,1,1\n2,x,0,1\n",
-                          "cache error: line 3: rows must be contiguous from 0, expected n=1, got n=2"),
-    "row 0": (b"n,gamma,nu,p\n0,0,1,2\n", "cache error: row n=0 must be 0,1,1, got 0,1,2"),
-    "nu": (b"n,gamma,nu,p\n0,0,1,1\n1,0,1,1\n", "cache error: row n=1: nu must equal p(n) - p(n-1) = 0, got 1"),
-    "gamma below 3": (b"n,gamma,nu,p\n0,0,1,1\n1,0,0,1\n2,1,1,2\n",
-                      "cache error: row n=2: gamma must be 0 below n=3, got 1"),
-    "gamma": (_HEAD + b"4,0,2,5\n", "cache error: row n=4: gamma must equal nu(n) - nu(n-1) = 1, got 0"),
+                          "cache error: line 3: gamma must be a nonnegative decimal integer, got 'x'"),
+    "row 0": (b"n,gamma,nu,p\n0,0,1,2\n", "cache error: row n=0: p must be 1, got 2"),
+    "nu": (b"n,gamma,nu,p\n0,0,1,1\n1,0,1,1\n", "cache error: row n=1: nu must be 0, got 1"),
+    "gamma below 3": (b"n,gamma,nu,p\n0,0,1,1\n1,0,0,1\n2,1,1,2\n", "cache error: row n=2: gamma must be 0, got 1"),
+    "gamma": (_HEAD + b"4,0,2,5\n", "cache error: row n=4: gamma must be 1, got 0"),
     # A wrong p shows first in its own row's nu.
-    "p(50) + 1": (_p_one_too_large(50, 51), "cache error: row n=50: nu must equal p(n) - p(n-1) = 30702, got 30701"),
+    "p(50) + 1": (_p_one_too_large(50, 51), "cache error: row n=50: nu must be 30702, got 30701"),
     "no final LF": (_HEAD + b"4,1,2,5", "cache error: line 6: the last row must end in LF"),
     "header alone": (b"n,gamma,nu,p\n", "cache error: cache has a header but no rows (row for n=0 is required)"),
     # Every row is consistent, but p(6) is 12, not 11: only ``check_p`` tells.
