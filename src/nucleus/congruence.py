@@ -38,7 +38,9 @@ start at n = 0.
 from __future__ import annotations
 
 from array import array
-from typing import NamedTuple, Sequence
+from bisect import bisect_left
+from math import isqrt
+from typing import Callable, NamedTuple, Sequence
 
 from .counting import (
     _LANE_CODES,
@@ -53,8 +55,10 @@ from .counting import (
 
 RAMANUJAN_PROGRESSIONS: dict[int, tuple[int, int]] = {5: (5, 4), 7: (7, 5), 11: (11, 6)}
 
-# Residues per block of p_mod_m_table.  Of 512, 768 and 1024, 512 is the fastest with one-byte
-# lanes: 768 and 1024 take 1.32x and 1.42x at m = 11, where their product lanes are 4 bytes wide.
+# Residues per block of p_mod_m_table, timed with its superblock scatter: 384 and 640 are within noise
+# of 512 on the three benchmark kernels (m = 5, 7, 11) and take 1.07x and 1.1x at (1,100,006, 11); 768
+# and 1024 take 1.16x and 1.32x on the kernels, and 1024 1.5x at 1,100,006: above B = 655, the product
+# lanes at m = 11 are 4 bytes wide.
 _BLOCK = 512
 
 
@@ -79,6 +83,13 @@ class CongruenceReport(NamedTuple):
         return not self.violations
 
 
+def _span(limit: int) -> int:
+    """Residues per superblock of ``p_mod_m_table`` up to ``limit``: L =
+    max(1, isqrt(limit // B) // 2) blocks of B = _BLOCK, 7 at limit
+    110,006 and 23 at 1,100,006."""
+    return _BLOCK * max(1, isqrt(limit // _BLOCK) // 2)
+
+
 def _lane_plan(offsets: list[tuple[int, int]], modulus: int) -> tuple[int, int | None, int | None]:
     """For ``p_mod_m_table``: how many terms an accumulator takes between two
     reductions mod m, and the lane widths in bytes of the accumulators and of
@@ -97,15 +108,40 @@ def _lane_plan(offsets: list[tuple[int, int]], modulus: int) -> tuple[int, int |
     return len(offsets) + 1, _lane_bytes(max(len(offsets), 1) * modulus), wide
 
 
-def _reach(offsets: list[tuple[int, int]], room: int, width: int) -> list[tuple[int, int, bool, bool]]:
-    """For each offset g of ``p_mod_m_table``: the blocks it reaches ahead,
-    its shift in bits within an accumulator, whether it is a minus offset,
-    and whether the accumulator is reduced before it adds its term.  An
-    accumulator takes its terms farthest block first, by g within a block,
-    and one near the start takes a suffix of that order, so reducing before
-    every room-th term of the order leaves at most room after each."""
-    due = set(sorted(range(len(offsets)), key=lambda i: offsets[i][0] // _BLOCK, reverse=True)[room::room])
-    return [(g // _BLOCK, 8 * width * (g % _BLOCK), sign < 0, i in due) for i, (g, sign) in enumerate(offsets)]
+def _reach(offsets: list[tuple[int, int]], room: int, width: int,
+           span: int) -> list[tuple[int, bool, list[int], list[int]]]:
+    """For ``p_mod_m_table``, which adds each finished stretch of ``span``
+    residues, for each pentagonal offset g, shifted by g mod span lanes into
+    the accumulator g // span stretches ahead: the offsets as runs, each
+    with that reach d, whether the accumulator is reduced before the run,
+    and the shifts in bits of its plus and of its minus offsets, by d and
+    then by g.  An accumulator takes its terms farthest stretch first, by g
+    within a stretch, and one near the start takes a suffix of that order,
+    so reducing before every room-th term of the order leaves at most room
+    after each.  A run ends where a reduction falls, so its terms may come
+    in any order."""
+    due = set(sorted(range(len(offsets)), key=lambda i: offsets[i][0] // span, reverse=True)[room::room])
+    runs: list[tuple[int, bool, list[int], list[int]]] = []
+    for i, (g, sign) in enumerate(offsets):
+        if not runs or runs[-1][0] != g // span or i in due:
+            runs.append((g // span, i in due, [], []))
+        runs[-1][2 + (sign < 0)].append(8 * width * (g % span))
+    return runs
+
+
+def _scatter(pending: list, first: int, runs: list, plus: Callable[[int], int], minus: Callable[[int], int],
+             tables: list[bytes]) -> None:
+    """Add the terms of ``runs`` (``_reach``) into the accumulators
+    ``pending[first + d]`` that exist, cut by one ``bisect``: ``plus`` and
+    ``minus`` turn a shift into the term, a finished stretch or its
+    complement shifted.  Where a run asks, its accumulator, in one-byte
+    lanes, is first reduced mod m through ``tables[0]``, b -> b mod m."""
+    for ahead, reduce, plus_shifts, minus_shifts in runs[:bisect_left(runs, (len(pending) - first,))]:
+        total = pending[first + ahead]
+        if reduce:
+            raw = total.to_bytes((total.bit_length() + 7) // 8, "little")
+            total = int.from_bytes(raw.translate(tables[0]), "little")
+        pending[first + ahead] = total + sum(map(minus, minus_shifts), sum(map(plus, plus_shifts)))
 
 
 def _spread(residues: bytes, width: int) -> int:
@@ -115,12 +151,14 @@ def _spread(residues: bytes, width: int) -> int:
     return int.from_bytes(lanes, "little")
 
 
-def _fold(packed: tuple[int, ...], count: int, width: int, tables: list[bytes]) -> bytes:
-    """The lane-by-lane sum mod m of the lowest ``count`` lanes, ``width``
-    bytes each, of the integers in ``packed``, one byte a lane.  Byte plane i maps through
-    ``tables[i]``, b -> (b << 8i) mod m, and joins the sum as one-byte
-    lanes; each sum is at most 2(m - 1) < 256, and is reduced again."""
-    size, total = count * width, bytes(count)
+def _fold(packed: tuple[int, ...], width: int, tables: list[bytes], total: bytes) -> bytes:
+    """``total``, one residue a byte, plus the lane-by-lane sum mod m of as
+    many lanes, ``width`` bytes each, of the integers in ``packed``.  Byte
+    plane i maps through ``tables[i]``, b -> (b << 8i) mod m, and joins the
+    sum as one-byte lanes; each sum is at most 2(m - 1) < 256, and is
+    reduced again."""
+    count = len(total)
+    size = count * width
     for value in packed:
         raw = (value & (1 << 8 * size) - 1).to_bytes(size, "little")
         for i in range(width):
@@ -152,34 +190,55 @@ def p_mod_m_table(limit: int, modulus: int) -> array | list[int]:
     b = P[:B] * R (mod x^B).  ``_extend_p`` computes the first block,
     p(0..B-1), which is also P[:B]; the last block stops at ``limit``.
 
-    R is scattered, not gathered.  Block j's accumulator holds the lanes
-    jB..jB+2B-1 of one integer, and R for block j is its low half plus the
-    high half of block j-1's.  A finished block p(s..s+B-1) is packed into
-    one integer once, and its complement, m - p(n) in every lane, once more
-    as ``full`` (m in every lane) minus it.  For each pentagonal offset g
-    the block, or for a minus offset its complement, is added, shifted by
-    g mod B lanes, into the accumulator of the block that lane s+g falls
-    in; nothing is ever subtracted.  Where g < B, the lanes that land inside
-    the block itself are its own P[:B] * R product, so only their spill
-    into the next block is kept.  A term adds at most m to a lane, and a
-    lane takes at most one term per offset.
+    R is scattered, not gathered, in two parts: by the near offsets g < S
+    and by the far ones, where a superblock holds S = L B residues, L
+    blocks, L set by ``_span`` from the limit.  Each finished stretch, a
+    block for the near offsets and a superblock for the far ones, is
+    packed into one integer once, and its complement, m - p(n) in every
+    lane, once more as m in every lane minus it.  For each offset the
+    stretch, or for a minus offset its complement, is added, shifted by g
+    mod B (or mod S) lanes, into the accumulator of the stretch that lane
+    s+g falls in: stretch j's accumulator holds the lanes of stretches j
+    and j+1, and nothing is ever subtracted.  ``_reach`` lists each part's
+    offsets as runs by the stretches they reach ahead, and ``_scatter``
+    adds a run's terms with one ``sum`` over ``map``, no bytecode run per
+    term; one ``bisect`` per stretch drops the runs that reach past the
+    last accumulator.  Where g < B the lanes that land inside the block
+    itself are its own P[:B] * R product, so a block keeps only their
+    spill: its top lanes, shifted right into the high half of its own
+    accumulator, which the next block reads.  A term adds at most m to a
+    lane, and a lane takes at most one term per offset.
+
+    When a superblock starts, its far part, the low half of its
+    accumulator plus the high half of the previous one, is reduced once to
+    S residues.  R for a block is its slice of that, plus its near part:
+    the low half of its block accumulator plus the high half of the
+    previous block's.  At limit 110,006 (L = 7, m = 11) the two parts
+    take 20,632 shift-adds of about 1 KB and 8,462 of about 7 KB, where
+    scattering every offset a block at a time took 77,682 of 1 KB: about
+    as many bytes in 37% of the operations.  The far part moves the same
+    bytes whatever L is, so L only trades per-operation costs: from L = 4
+    to 28 at limit 110,006 and from 8 to 32 at 1,100,006 the times were
+    within their noise.
 
     For m <= 21 the lanes are one byte (``_lane_plan``), and an accumulator
     is reduced mod m, one ``bytes.translate`` through b -> b mod m, before
     every room-th term it takes, room = (256 - m) // m, so no lane passes
-    255.  Every accumulator takes its terms in one order, farthest block
-    first and by g within a block, and one near the start takes a suffix
-    of it, so which terms come after a reduction is fixed per offset.
-    Wider lanes, sized for len(offsets) * m, are never reduced.  No lane
-    ever carries.
+    255.  In each part every accumulator takes its terms in one order,
+    farthest stretch first and by g within a stretch, and one near the
+    start takes a suffix of it, so which terms come after a reduction is
+    fixed per offset.  Wider lanes, sized for len(offsets) * m, are never
+    reduced.  No lane ever carries.
 
     Up to m = 128 the block is solved at C speed (``_fold``): the lanes of
-    the two halves are reduced to one byte each and summed mod m, which is
-    R mod m, and one big-integer product with P[:B], in lanes wide enough
-    for B * (m-1)^2, gives the block, whose lanes are reduced the same way.
-    The residue bytes are copied into the block's slice of the returned
-    array, allocated whole at the start, and spread into the next block's
-    lanes.  Above m = 128, R and the block are reduced one lane at a time.
+    the near halves are reduced to one byte each and summed mod m with the
+    far residues, which is R mod m, and one big-integer product with
+    P[:B], in lanes wide enough for B * (m-1)^2, gives the block, whose
+    lanes are reduced the same way.  The residue bytes are copied into the
+    block's slice of the returned array, allocated whole at the start, and
+    spread into the next block's lanes; a finished superblock is packed
+    from that array.  Above m = 128, the far part, R and the block are
+    reduced one lane at a time.
 
     Where 8-byte lanes are too narrow for the block product, from m =
     189,812,533 on, where B (m-1)^2 = 512 (m-1)^2 reaches 2^64,
@@ -199,34 +258,49 @@ def p_mod_m_table(limit: int, modulus: int) -> array | list[int]:
         values = _extend_p([1 % modulus], limit, modulus)
         return values if kind is None else array(kind, values)
     code, wide_code = _LANE_CODES[width], _LANE_CODES[wide]
-    block, wrap = _BLOCK, 8 * width * _BLOCK
+    block, span = _BLOCK, _span(limit)
+    wrap = 8 * width * block
     # b -> (b << 8i) mod m for each byte plane i; none above m = 128, where two residues outgrow a byte.
     tables = [bytes((b << 8 * i) % modulus for b in range(256)) for i in range(max(width, wide)) if modulus <= 128]
     values = _extend_p([1 % modulus], min(limit, block - 1), modulus)
-    series, done, full = _pack(values, wide_code), _pack(values, code), _pack([modulus] * block, code)
+    series, done = _pack(values, wide_code), _pack(values, code)
+    full, far_full = _pack([modulus] * block, code), _pack([modulus] * span, code)
     residues = array(kind, [0]) * (limit + 1)
     residues[:block] = array(kind, values)
-    pending = [0] * (limit // block + 1)
-    reach = _reach(offsets, room, width)
+    split = bisect_left(offsets, (span,))
+    near, far = _reach(offsets[:split], room, width, block), _reach(offsets[split:], room, width, span)
+    del offsets  # the runs hold all the loop needs of it; kept, it adds 21 KB to the peak at limit 110,006
+    # The runs of g < B, which reach no block ahead, shift the block right into its own high half.
+    spill = [(0, reduce, [wrap - x for x in plus], [wrap - x for x in minus])
+             for d, reduce, plus, minus in near if not d]
+    near = near[len(spill):]
+    pending, distant = [0] * (limit // block + 1), [0] * (limit // span + 1)
+    outer = bytes(span) if tables else [0] * span
     for j, s in enumerate(range(block, limit + 1, block)):
-        terms = done, full - done
-        for k, shift, minus, reduce in reach:
-            if (k := k + j) >= len(pending):
-                break
-            if reduce:
-                pending[k] = int.from_bytes(pending[k].to_bytes(2 * block, "little").translate(tables[0]), "little")
-            pending[k] += terms[minus] << shift if k > j else terms[minus] >> wrap - shift << wrap
-        size, high = min(block, limit + 1 - s), pending[j] >> wrap
+        complement = full - done
+        _scatter(pending, j, near, done.__lshift__, complement.__lshift__, tables)
+        pending[j] >>= wrap
+        _scatter(pending, j, spill, done.__rshift__, complement.__rshift__, tables)
+        high, pending[j] = pending[j], None
+        if s % span == 0:  # superblock k starts; k - 1 is finished, and a far offset never adds into its own
+            k, stretch = s // span, _pack(residues[s - span:s], code)
+            size, ahead, distant[k - 1] = min(span, limit + 1 - s), distant[k - 1] >> 8 * width * span, None
+            _scatter(distant, k - 1, far, stretch.__lshift__, (far_full - stretch).__lshift__, tables)
+            if tables:
+                outer = _fold((distant[k], ahead), width, tables, bytes(size))
+            else:
+                outer = [x % modulus for x in _unpack(distant[k] + ahead, code, size)]
+        t, size = s % span, min(block, limit + 1 - s)
         if tables:
-            values = _fold((pending[j + 1], high), size, width, tables)
-            values = _fold((_spread(values, wide) * series,), size, wide, tables)
+            values = _fold((pending[j + 1], high), width, tables, outer[t:t + size])
+            values = _fold((_spread(values, wide) * series,), wide, tables, bytes(size))
             done = _spread(values, width)
         else:
-            reduced = _pack([x % modulus for x in _unpack(pending[j + 1] + high, code, size)], wide_code)
+            near_sums = _unpack(pending[j + 1] + high, code, size)
+            reduced = _pack([(x + y) % modulus for x, y in zip(near_sums, outer[t:t + size])], wide_code)
             values = [v % modulus for v in _unpack(reduced * series, wide_code, size)]
             done = _pack(values, code)
         residues[s:s + size] = array(kind, values)
-        pending[j] = None
     return residues
 
 

@@ -6,15 +6,17 @@ class or function docstring does not.  Run as
 
     python tests/code_lines.py src/nucleus
 
-to print each module's count and the total.  Only the standard library
-is used: ``tokenize`` finds the lines that hold code, ``ast`` the
-docstrings.
+to print each module's count and the total; a reader that closes the
+pipe early, such as ``head``, ends the output quietly.  Only the
+standard library is used: ``tokenize`` finds the lines that hold code,
+``ast`` the docstrings.
 """
 
 from __future__ import annotations
 
 import ast
 import io
+import os
 import sys
 import tokenize
 from pathlib import Path
@@ -43,11 +45,19 @@ def main(argv: list[str]) -> int:
         print("usage: python tests/code_lines.py DIRECTORY", file=sys.stderr)
         return 2
     total = 0
-    for path in sorted(Path(argv[0]).rglob("*.py")):
-        count = code_lines(path.read_text(encoding="utf-8"))
-        total += count
-        print(f"{count:6,d}  {path}")
-    print(f"{total:6,d}  total")
+    try:
+        for path in sorted(Path(argv[0]).rglob("*.py")):
+            count = code_lines(path.read_text(encoding="utf-8"))
+            total += count
+            print(f"{count:6,d}  {path}")
+        print(f"{total:6,d}  total")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # A reader such as ``head`` closed the pipe: stop counting, and point
+        # fd 1 at os.devnull so the interpreter's last flush cannot raise.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 0
 
 

@@ -1,10 +1,13 @@
 import random
 import tracemalloc
 from array import array
+from bisect import bisect_left
+from itertools import count
 
 import pytest
 
 from nucleus import congruence
+from nucleus.cache import CHECK_MODULUS
 from nucleus.congruence import (
     FAMILIES,
     RAMANUJAN_PROGRESSIONS,
@@ -84,6 +87,55 @@ def test_modular_table_at_block_edges(block_p, modulus, limit):
     assert p_mod_m_table(limit, modulus).tolist() == [p % modulus for p in block_p[: limit + 1]]
 
 
+# A modulus of each solve path: one-byte accumulators (5, 11, 21), the
+# byte-plane fold (22, 128) and per-lane reduction (129, 385, the cache check's).
+SOLVE_PATHS = [5, 11, 21, 22, 128, 129, 385, CHECK_MODULUS]
+
+
+def _superblock_edges(blocks):
+    """Limits at which the rule gives superblocks of ``blocks`` blocks,
+    S residues each: the first k S - 1, k S and k S + 1 where it does,
+    (k + 1) S - 1 and (k + 1) S + 1, and k S + S // 2, whose last
+    superblock is partial."""
+    span = blocks * BLOCK
+    k = next(k for k in count(1) if congruence._span(k * span - 1) == span)
+    limits = [k * span - 1, k * span, k * span + 1, (k + 1) * span - 1, (k + 1) * span + 1, k * span + span // 2]
+    assert {congruence._span(limit) for limit in limits} == {span}
+    return limits
+
+
+SUPERBLOCK_EDGES = sorted({limit for blocks in (1, 2, 3) for limit in _superblock_edges(blocks)})
+
+
+@pytest.fixture(scope="module")
+def superblock_p():
+    """Exact p(n) up to the last of SUPERBLOCK_EDGES."""
+    return build_table(SUPERBLOCK_EDGES[-1]).p
+
+
+@pytest.mark.parametrize("modulus", SOLVE_PATHS)
+def test_modular_table_at_superblock_edges(superblock_p, modulus):
+    """At the superblock edges of one-, two- and three-block superblocks
+    (the rule's own, at limits 511 to 21,505) and below the first, on each
+    solve path."""
+    for limit in [300, *SUPERBLOCK_EDGES]:
+        residues = p_mod_m_table(limit, modulus)
+        assert residues.tolist() == [p % modulus for p in superblock_p[: limit + 1]], limit
+
+
+@pytest.mark.parametrize("blocks", [2, 3, 7])
+@pytest.mark.parametrize("modulus", SOLVE_PATHS)
+def test_modular_table_at_forced_superblock_edges(monkeypatch, block_p, modulus, blocks):
+    """With superblocks of S = 2, 3 or 7 blocks forced at every limit: the
+    limits S - 1, S, S + 1, 2S - 1, 2S + 1, a partial last superblock, and
+    one below S, whose offsets are all below S, as far as REACH."""
+    span = blocks * BLOCK
+    monkeypatch.setattr(congruence, "_span", lambda limit: span)
+    for limit in [span - BLOCK - 1, span - 1, span, span + 1, 2 * span - 1, 2 * span + 1, span + span // 2]:
+        if limit <= REACH:
+            assert p_mod_m_table(limit, modulus).tolist() == [p % modulus for p in block_p[: limit + 1]], limit
+
+
 def _first_wider(offsets, index, width):
     """The smallest modulus whose lane plan entry ``index`` (1: R, 2: the
     block product) needs more than ``width`` bytes, by bisection."""
@@ -133,27 +185,40 @@ def _reduced_twice(modulus):
     return limit
 
 
+def _most_taken(runs, room, accumulators):
+    """Replay the reductions of ``_reach``'s ``runs`` in the kernel's order
+    (stretch i = 0, 1, ..., each run in turn into accumulator i + d) for
+    that many ``accumulators``: the most terms any lane takes after a
+    reduction, or from the start, asserted at most ``room``."""
+    most = 0
+    for k in range(accumulators):
+        taken = 0
+        for i in range(k + 1):
+            for ahead, reduce, plus, minus in runs:
+                if ahead == k - i:
+                    taken = (0 if reduce else taken) + len(plus) + len(minus)
+                    assert taken <= room, (k, i)
+                    most = max(most, taken)
+    return most
+
+
 @pytest.mark.parametrize("modulus", ONE_BYTE)
 def test_one_byte_accumulators_take_at_most_room_terms_between_reductions(modulus):
-    """The reductions ``_reach`` schedules, replayed in the kernel's order
-    (block j = 0, 1, ..., each offset in turn), for every accumulator of a
-    30,000-residue table: no lane takes more than ``room`` terms after a
-    reduction, nor from the start."""
-    offsets = pentagonal_offsets(30000)
-    room, width, _ = congruence._lane_plan(offsets, modulus)
-    reach = congruence._reach(offsets, room, width)
-    ahead = {}
-    for d, _, _, reduce in reach:
-        ahead.setdefault(d, []).append(reduce)
-    most = 0
-    for k in range(30000 // BLOCK + 1):
-        taken = 0
-        for j in range(k + 1):
-            for reduce in ahead.get(k - j, ()):
-                taken = 1 if reduce else taken + 1
-                assert taken <= room, (k, j)
-                most = max(most, taken)
-    assert most == room
+    """The reductions ``_reach`` schedules, replayed for every accumulator
+    of a 30,000- and a 110,006-residue table: the block accumulators, which
+    take the offsets below the superblock span S one block at a time, and
+    the superblock ones, which take the rest one superblock at a time.  No
+    lane takes more than ``room`` terms after a reduction, nor from the
+    start, and the last accumulator, which takes every term, reaches
+    ``room`` where it takes more."""
+    for limit in (30000, 110006):
+        offsets = pentagonal_offsets(limit)
+        room, width, _ = congruence._lane_plan(offsets, modulus)
+        span = congruence._span(limit)
+        split = bisect_left(offsets, (span,))
+        for part, stretch in ((offsets[:split], BLOCK), (offsets[split:], span)):
+            runs = congruence._reach(part, room, width, stretch)
+            assert _most_taken(runs, room, limit // stretch + 1) == min(room, len(part)), (limit, stretch)
 
 
 @pytest.fixture(scope="module")
