@@ -144,20 +144,22 @@ def _scatter(pending: list, first: int, runs: list, plus: Callable[[int], int], 
         pending[first + ahead] = total + sum(map(minus, minus_shifts), sum(map(plus, plus_shifts)))
 
 
-def _spread(residues: bytes, width: int) -> int:
-    """One-byte ``residues`` as the low bytes of lanes ``width`` bytes wide."""
-    lanes = bytearray(len(residues) * width)
-    lanes[::width] = residues
-    return int.from_bytes(lanes, "little")
-
-
-def _fold(packed: tuple[int, ...], width: int, tables: list[bytes], total: bytes) -> bytes:
-    """``total``, one residue a byte, plus the lane-by-lane sum mod m of as
-    many lanes, ``width`` bytes each, of the integers in ``packed``.  Byte
-    plane i maps through ``tables[i]``, b -> (b << 8i) mod m, and joins the
-    sum as one-byte lanes; each sum is at most 2(m - 1) < 256, and is
-    reduced again."""
+def _fold(packed: tuple[int, ...], width: int, modulus: int, tables: list[bytes],
+          total: Sequence[int]) -> Sequence[int]:
+    """``total``, one residue per lane, plus the lane-by-lane sum mod
+    ``modulus`` of as many lanes, ``width`` bytes each, of the integers in
+    ``packed``: both reductions of ``p_mod_m_table``.  With ``tables``, up
+    to m = 128, the residues are bytes: byte plane i of each integer maps
+    through ``tables[i]``, b -> (b << 8i) mod m, and joins the sum as
+    one-byte lanes; each sum is at most 2(m - 1) < 256, and is reduced
+    again, so a lane may hold anything.  Without, above m = 128,
+    ``total`` is packed and added to the integers, whose lane sums, the
+    residue included, must then fit in ``width`` bytes, as the kernel's
+    never-reduced lanes' do, and each lane is reduced alone, into a list:
+    a zero ``total`` costs one big-integer add, not one per lane."""
     count = len(total)
+    if not tables:
+        return [x % modulus for x in _unpack(sum(packed, _pack(total, width)), width, count)]
     size = count * width
     for value in packed:
         raw = (value & (1 << 8 * size) - 1).to_bytes(size, "little")
@@ -230,15 +232,16 @@ def p_mod_m_table(limit: int, modulus: int) -> array | list[int]:
     fixed per offset.  Wider lanes, sized for len(offsets) * m, are never
     reduced.  No lane ever carries.
 
-    Up to m = 128 the block is solved at C speed (``_fold``): the lanes of
-    the near halves are reduced to one byte each and summed mod m with the
-    far residues, which is R mod m, and one big-integer product with
-    P[:B], in lanes wide enough for B * (m-1)^2, gives the block, whose
-    lanes are reduced the same way.  The residue bytes are copied into the
-    block's slice of the returned array, allocated whole at the start, and
-    spread into the next block's lanes; a finished superblock is packed
-    from that array.  Above m = 128, the far part, R and the block are
-    reduced one lane at a time.
+    Every block is solved by one loop body, whatever the modulus, through
+    ``_fold``: the lanes of the near halves are summed mod m with the far
+    residues, which is R mod m, and one big-integer product with P[:B],
+    in lanes wide enough for B * (m-1)^2, gives the block, whose lanes
+    are reduced the same way.  ``_fold`` reduces at C speed, a byte plane
+    at a time, up to m = 128, where the residues stay bytes, and one lane
+    at a time above.  The residues are copied into the block's slice of
+    the returned array, allocated whole at the start, and packed into the
+    next block's lanes, one-byte residues spread as one block
+    (``_pack``); a finished superblock is packed from that array.
 
     Where 8-byte lanes are too narrow for the block product, from m =
     189,812,533 on, where B (m-1)^2 = 512 (m-1)^2 reaches 2^64,
@@ -257,14 +260,13 @@ def p_mod_m_table(limit: int, modulus: int) -> array | list[int]:
     if wide is None:
         values = _extend_p([1 % modulus], limit, modulus)
         return values if kind is None else array(kind, values)
-    code, wide_code = _LANE_CODES[width], _LANE_CODES[wide]
     block, span = _BLOCK, _span(limit)
     wrap = 8 * width * block
     # b -> (b << 8i) mod m for each byte plane i; none above m = 128, where two residues outgrow a byte.
     tables = [bytes((b << 8 * i) % modulus for b in range(256)) for i in range(max(width, wide)) if modulus <= 128]
     values = _extend_p([1 % modulus], min(limit, block - 1), modulus)
-    series, done = _pack(values, wide_code), _pack(values, code)
-    full, far_full = _pack([modulus] * block, code), _pack([modulus] * span, code)
+    series, done = _pack(values, wide), _pack(values, width)
+    full, far_full = _pack([modulus] * block, width), _pack([modulus] * span, width)
     residues = array(kind, [0]) * (limit + 1)
     residues[:block] = array(kind, values)
     split = bisect_left(offsets, (span,))
@@ -275,7 +277,7 @@ def p_mod_m_table(limit: int, modulus: int) -> array | list[int]:
              for d, reduce, plus, minus in near if not d]
     near = near[len(spill):]
     pending, distant = [0] * (limit // block + 1), [0] * (limit // span + 1)
-    outer = bytes(span) if tables else [0] * span
+    outer = bytes(span)
     for j, s in enumerate(range(block, limit + 1, block)):
         complement = full - done
         _scatter(pending, j, near, done.__lshift__, complement.__lshift__, tables)
@@ -283,23 +285,14 @@ def p_mod_m_table(limit: int, modulus: int) -> array | list[int]:
         _scatter(pending, j, spill, done.__rshift__, complement.__rshift__, tables)
         high, pending[j] = pending[j], None
         if s % span == 0:  # superblock k starts; k - 1 is finished, and a far offset never adds into its own
-            k, stretch = s // span, _pack(residues[s - span:s], code)
+            k, stretch = s // span, _pack(residues[s - span:s], width)
             size, ahead, distant[k - 1] = min(span, limit + 1 - s), distant[k - 1] >> 8 * width * span, None
             _scatter(distant, k - 1, far, stretch.__lshift__, (far_full - stretch).__lshift__, tables)
-            if tables:
-                outer = _fold((distant[k], ahead), width, tables, bytes(size))
-            else:
-                outer = [x % modulus for x in _unpack(distant[k] + ahead, code, size)]
+            outer = _fold((distant[k], ahead), width, modulus, tables, bytes(size))
         t, size = s % span, min(block, limit + 1 - s)
-        if tables:
-            values = _fold((pending[j + 1], high), width, tables, outer[t:t + size])
-            values = _fold((_spread(values, wide) * series,), wide, tables, bytes(size))
-            done = _spread(values, width)
-        else:
-            near_sums = _unpack(pending[j + 1] + high, code, size)
-            reduced = _pack([(x + y) % modulus for x, y in zip(near_sums, outer[t:t + size])], wide_code)
-            values = [v % modulus for v in _unpack(reduced * series, wide_code, size)]
-            done = _pack(values, code)
+        values = _fold((pending[j + 1], high), width, modulus, tables, outer[t:t + size])
+        values = _fold((_pack(values, wide) * series,), wide, modulus, tables, bytes(size))
+        done = _pack(values, width)
         residues[s:s + size] = array(kind, values)
     return residues
 

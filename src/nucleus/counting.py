@@ -27,6 +27,7 @@ is exact; p(n) outgrows 64 bits at n = 417 and keeps going.
 from __future__ import annotations
 
 import struct
+from array import array
 from collections import Counter
 from itertools import accumulate, chain, count, islice, tee
 from operator import add, itemgetter, mul, sub
@@ -235,15 +236,23 @@ def _lane_bytes(value: int) -> int | None:
     return next((width for width in (2, 4, 8) if value >> 8 * width == 0), None)
 
 
-def _pack(values: Sequence[int], code: str) -> int:
+def _pack(values: Sequence[int], width: int) -> int:
     """``values`` as the little-endian lanes of one integer, the first in
-    the lowest lane, each as wide as ``code``, a value of ``_LANE_CODES``."""
-    return int.from_bytes(struct.pack(f"<{len(values)}{code}", *values), "little")
+    the lowest lane, each ``width`` bytes wide, a key of ``_LANE_CODES``.
+    One-byte values, ``bytes`` or an ``array`` of one-byte items, are
+    spread into the lanes' low bytes as one block, with no ``struct``
+    argument per value."""
+    if isinstance(values, (bytes, array)) and memoryview(values).itemsize == 1:
+        lanes = bytearray(len(values) * width)
+        lanes[::width] = values
+        return int.from_bytes(lanes, "little")
+    return int.from_bytes(struct.pack(f"<{len(values)}{_LANE_CODES[width]}", *values), "little")
 
 
-def _unpack(value: int, code: str, count: int) -> tuple[int, ...]:
-    """The lowest ``count`` lanes of ``value``, lowest first."""
-    lanes = struct.Struct(f"<{count}{code}")
+def _unpack(value: int, width: int, count: int) -> tuple[int, ...]:
+    """The lowest ``count`` lanes, ``width`` bytes each, of ``value``,
+    lowest first."""
+    lanes = struct.Struct(f"<{count}{_LANE_CODES[width]}")
     return lanes.unpack((value & (1 << 8 * lanes.size) - 1).to_bytes(lanes.size, "little"))
 
 
@@ -302,20 +311,19 @@ def _raise_bounds_lanes(row: list[int], m: int, top: int) -> None:
     to 407 at b = 2.
     """
     width, s = _lane_bytes(row[top]), top
-    code, bits = _LANE_CODES[width], 8 * width
-    lanes = _pack(row[top:m:-1], code)
+    bits = 8 * width
+    lanes = _pack(row[top:m:-1], width)
     while m > 1:
         lanes += row[m] << bits * (s - m)
         bound = _headroom(m, s - m, bits)
         while lanes & (1 << bits) - 1 >= bound:
             if bits < 64:  # repack at twice the width; the guard reads again
-                wide = _LANE_CODES[bits // 4]
-                lanes, code = _pack(_unpack(lanes, code, s - m + 1), wide), wide
+                lanes, width = _pack(_unpack(lanes, width, s - m + 1), 2 * width), 2 * width
                 bits *= 2
                 bound = _headroom(m, s - m, bits)
             else:  # the top lanes that fail leave; the next one passes
                 count = 2
-                while (head := _unpack(lanes, code, count))[-1] >= bound:
+                while (head := _unpack(lanes, width, count))[-1] >= bound:
                     count *= 2
                 out = sum(entry >= bound for entry in head)
                 row[s - out + 1:s + 1] = reversed(head[:out])
@@ -323,10 +331,10 @@ def _raise_bounds_lanes(row: list[int], m: int, top: int) -> None:
                 s -= out
         lanes = _prefix_sums(lanes, m, s - m, bits)
         if s < top:
-            row[s - m + 1:s + 1] = reversed(_unpack(lanes, code, m))
+            row[s - m + 1:s + 1] = reversed(_unpack(lanes, width, m))
             _raise_bound(row, m, top, max(2 * m, s + 1))
         m -= 1
-    row[m + 1:s + 1] = reversed(_unpack(lanes, code, s - m))
+    row[m + 1:s + 1] = reversed(_unpack(lanes, width, s - m))
 
 
 class RestrictedCounts:

@@ -6,7 +6,7 @@ from itertools import count
 
 import pytest
 
-from nucleus import congruence
+from nucleus import congruence, counting
 from nucleus.cache import CHECK_MODULUS
 from nucleus.congruence import (
     FAMILIES,
@@ -87,8 +87,8 @@ def test_modular_table_at_block_edges(block_p, modulus, limit):
     assert p_mod_m_table(limit, modulus).tolist() == [p % modulus for p in block_p[: limit + 1]]
 
 
-# A modulus of each solve path: one-byte accumulators (5, 11, 21), the
-# byte-plane fold (22, 128) and per-lane reduction (129, 385, the cache check's).
+# A modulus of each lane plan and fold: one-byte accumulators (5, 11, 21), the
+# byte-plane fold (22, 128) and the lane-by-lane fold (129, 385, the cache check's).
 SOLVE_PATHS = [5, 11, 21, 22, 128, 129, 385, CHECK_MODULUS]
 
 
@@ -157,6 +157,28 @@ def test_modular_table_either_side_of_a_lane_switch(block_p, index, width, wider
     for modulus, lanes in ((first - 1, width), (first, wider)):
         assert congruence._lane_plan(offsets, modulus)[index] == lanes
         assert p_mod_m_table(REACH, modulus).tolist() == [p % modulus for p in block_p], modulus
+
+
+@pytest.mark.parametrize("modulus", [2, 21, 22, 128, 129, 257, 65537, CHECK_MODULUS])
+def test_fold_is_the_lane_sum_plus_total_mod_m(modulus):
+    """``_fold`` at each width the kernel calls it with, two accumulators
+    at the accumulator width and one product at the product width, equals
+    (lane sum + total) mod m on random lanes: through byte planes up to
+    m = 128, where a lane may hold anything, and lane by lane above, where
+    the lane sums, total included, fit their width, as the kernel's wide
+    lanes' do.  The lanes above the count of ``total`` are left out."""
+    rng = random.Random(modulus)
+    plans = [congruence._lane_plan(pentagonal_offsets(limit), modulus) for limit in (1000, 110006, 1100006)]
+    calls = sorted({(width, 2) for _, width, _ in plans} | {(wide, 1) for _, _, wide in plans})
+    tables = [bytes((b << 8 * i) % modulus for b in range(256)) for i in range(4)] if modulus <= 128 else []
+    for width, terms in calls:
+        top = 1 << 8 * width if tables else ((1 << 8 * width) - modulus) // terms
+        for count in (0, 1, 7, BLOCK):
+            lanes = [[rng.randrange(top) for _ in range(count + 3)] for _ in range(terms)]
+            total = [rng.randrange(modulus) for _ in range(count)]
+            packed = tuple(counting._pack(row, width) for row in lanes)
+            folded = congruence._fold(packed, width, modulus, tables, bytes(total) if tables else total)
+            assert list(folded) == [(sum(column) + t) % modulus for column, t in zip(zip(*lanes), total)]
 
 
 # The moduli whose accumulators have one-byte lanes.

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from array import array
 from collections import Counter
 from itertools import accumulate
 from operator import le
@@ -657,13 +658,21 @@ def test_bounded_sums_widen_to_32_bits_where_the_headroom_first_fails():
 @pytest.mark.parametrize("width", [1, 2, 4, 8])
 def test_lane_codec_is_little_endian_on_every_host(width):
     """Value i of ``_pack`` lands in bits 8wi..8w(i + 1) - 1 of the integer,
-    whatever the host's byte order, and ``_unpack`` reads the lanes back."""
-    code, top = counting._LANE_CODES[width], (1 << 8 * width) - 1
+    whatever the host's byte order, and ``_unpack`` reads the lanes back.
+    One-byte values, ``bytes`` or a one-byte ``array``, which ``_pack``
+    spreads as one block, give the integer the ``struct`` path gives for
+    the same values as a list."""
+    top = (1 << 8 * width) - 1
     values = [top, 0, 1, top >> 1, 2, top, top - 1]
-    packed = counting._pack(values, code)
+    packed = counting._pack(values, width)
     assert packed == sum(x << 8 * width * i for i, x in enumerate(values))
-    assert counting._unpack(packed, code, len(values)) == tuple(values)
-    assert counting._unpack(packed, code, 3) == tuple(values[:3])
+    assert counting._unpack(packed, width, len(values)) == tuple(values)
+    assert counting._unpack(packed, width, 3) == tuple(values[:3])
+    small = [255, 0, 1, 127, 2, 255, 254]
+    for spread in (bytes(small), array("B", small)):
+        assert counting._pack(spread, width) == counting._pack(small, width)
+        assert counting._pack(spread, width) == sum(x << 8 * width * i for i, x in enumerate(small))
+    assert counting._pack(b"", width) == counting._pack([], width) == 0
 
 
 def test_bounded_sums_give_nu_to_2000():
