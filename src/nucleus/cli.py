@@ -482,10 +482,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_parity.set_defaults(func=partial(cmd_parity, parser=p_parity))
 
     p_ratios = sub.add_parser("ratios", help="growth-ratio diagnostics")
-    p_ratios.add_argument("--limit", "-N", type=int, default=100,
-                          help="largest n for the ratio rows (default 100)")
-    p_ratios.add_argument("--estimator", choices=tuple(ESTIMATE_LOW), default=None,
-                          help="compare this estimator against exact values instead")
+    modes = p_ratios.add_mutually_exclusive_group()  # --estimator reads only --points' n values
+    modes.add_argument("--limit", "-N", type=int, default=None,
+                       help="largest n for the ratio rows (default 100)")
+    modes.add_argument("--estimator", choices=tuple(ESTIMATE_LOW), default=None,
+                       help="compare this estimator against exact values instead")
     p_ratios.add_argument("--form", choices=FORMS, default=None,
                           help="estimator form for nu/gamma")
     p_ratios.add_argument("--points", type=_int_list, default=None,
@@ -496,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cache = sub.add_parser("cache", help="build, extend or check the CSV cache")
     p_cache.add_argument("action", choices=("build", "check"))
-    p_cache.add_argument("--limit", "-N", type=int, default=500,
+    p_cache.add_argument("--limit", "-N", type=int, default=None,
                          help="table size for build (default 500)")
     _add_cache(p_cache)
     p_cache.set_defaults(func=partial(cmd_cache, parser=p_cache))
@@ -639,11 +640,12 @@ def cmd_ratios(args, parser) -> int:
         return EXIT_OK
     if args.points is not None or args.form is not None:
         parser.error("--points and --form need --estimator")
-    if args.limit < 1:
+    limit = 100 if args.limit is None else args.limit
+    if limit < 1:
         parser.error("--limit must be >= 1")
-    table = _table_for(args, args.limit)
+    table = _table_for(args, limit)
     _write(_rendered_rows(lambda ns, fmt: render_ratios(ratio_report(ns[-1], table, ns[0]), fmt),
-                          range(1, args.limit + 1), args.format))
+                          range(1, limit + 1), args.format))
     return EXIT_OK
 
 
@@ -652,13 +654,15 @@ def cmd_cache(args, parser) -> int:
     if path is None:
         parser.error("no cache path: pass --cache or set NUCLEUS_CACHE")
     if args.action == "build":
-        if args.limit < 0:
+        limit = 500 if args.limit is None else args.limit
+        if limit < 0:
             parser.error("--limit must be >= 0")
-        table = load_table(args.limit, path)
+        table = load_table(limit, path)
         _write([f"cache {path}: rows 0..{table.limit}\n"])
         return EXIT_OK
-    table = read_table(path)
-    check_p(table)
+    if args.limit is not None:
+        parser.error("--limit sizes a build: check reads the whole cache")
+    check_p(table := read_table(path))
     _write([f"cache {path}: ok, rows 0..{table.limit}\n"])
     return EXIT_OK
 

@@ -947,7 +947,36 @@ def test_ratios_deterministic(capsys):
     assert payload["kind"] == "ratio_report"
 
 
+def test_ratios_limit_is_refused_with_an_estimator_and_defaults_to_100(capsys):
+    """--estimator reads only the --points n values, so a --limit beside it
+    is refused, not ignored; without --estimator, no --limit means 100."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["ratios", "--estimator", "nu", "--limit", "7", "--points", "25"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines()[-1] == (
+        "nucleus ratios: error: argument --limit/-N: not allowed with argument --estimator")
+    assert captured.out == ""
+    assert run(capsys, "ratios") == run(capsys, "ratios", "--limit", "100")
+
+
 # --- cache subcommand ---
+
+def test_cache_check_refuses_a_limit_and_build_defaults_to_500(capsys, tmp_path):
+    """check reads the whole cache, so a --limit is refused, not ignored,
+    and leaves the file alone; build without --limit builds rows 0..500."""
+    path = tmp_path / "counts.csv"
+    write_table(build_table(10), path)
+    before = path.read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["cache", "check", "--limit", "5", "--cache", str(path)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines()[-1] == "nucleus cache: error: --limit sizes a build: check reads the whole cache"
+    assert captured.out == ""
+    assert path.read_bytes() == before
+    fresh = tmp_path / "fresh.csv"
+    assert run(capsys, "cache", "build", "--cache", str(fresh))[:2] == (0, f"cache {fresh}: rows 0..500\n")
 
 def test_cache_build_and_check(capsys, tmp_path):
     path = tmp_path / "counts.csv"

@@ -152,10 +152,14 @@ GOLDEN_ERRORS = {
     "ratios --estimator gamma --points 2": (
         2, "nucleus ratios: error: --points: the gamma estimate is defined for n >= 3, got 2"),
     "ratios --points 5": (2, "nucleus ratios: error: --points and --form need --estimator"),
+    "ratios --estimator nu --limit 7 --points 25": (
+        2, "nucleus ratios: error: argument --limit/-N: not allowed with argument --estimator"),
     "ratios --estimator p --points 5,x": (
         2, "nucleus ratios: error: argument --points: expected comma-separated integers, got '5,x'"),
     "cache build": (2, "nucleus cache: error: no cache path: pass --cache or set NUCLEUS_CACHE"),
     "cache build --limit -1 --cache c.csv": (2, "nucleus cache: error: --limit must be >= 0"),
+    "cache check --limit 5 --cache c.csv": (
+        2, "nucleus cache: error: --limit sizes a build: check reads the whole cache"),
     "congruence custom 1 0 1": (2, "error: modulus must be >= 2, got 1"),
     "congruence custom 0 0 5": (2, "error: progression must have a >= 1 and b >= 0, got (0, 0)"),
     "congruence gamma_weighted 7 5 5": (
