@@ -6,10 +6,15 @@ zeros, an LF after every line, the last included, no trailing
 whitespace.  A cache is read only in the form it is written: loading
 reads the file one line at a time, as bytes, re-checks the format row by
 row and compares each row with the one row its p implies (nu and gamma
-are p's first and second differences), refusing any file that breaks
-them, so a cache can only resume from verified ground.  The file's text
-is never held whole, and a loaded table holds its p column alone: nu and
-gamma are computed from p when read.
+are p's first and second differences), so a cache can only resume from
+verified ground.  A file is refused at its first faulty line and read no
+further.  Every byte of a valid file is a digit, a comma, an LF or part
+of the header, so these checks refuse any other byte, non-ASCII ones
+included; a refused field or header is quoted by its first bytes, each
+byte outside printable ASCII as an escape such as ``\\xe9``, in at most
+42 characters.  The file's text is never held whole (the header line is
+read as at most 41 bytes), and a loaded table holds its p column alone:
+nu and gamma are computed from p when read.
 ``check_p``, which ``cache check`` adds, checks p itself, mod a prime.
 """
 
@@ -76,15 +81,26 @@ def write_table(table: CountTable, path: Path | str) -> None:
             os.remove(temp)
 
 
+def _quote(raw: bytes) -> str:
+    """raw's first 40 bytes as ``ascii()`` quotes them read as Latin-1, so
+    a byte outside printable ASCII shows as an escape such as ``\\xe9``,
+    cut to as many bytes as keep the quote within 42 characters."""
+    size = 40
+    while len(text := ascii(raw[:size].decode("latin-1"))) > 42:
+        size -= 1
+    return text
+
+
 def _field(raw: bytes, line_no: int, name: str) -> int:
     # bytes.isdigit accepts ASCII 0-9 only, so int() never sees the signs,
-    # spaces and underscores it would otherwise accept; and a field is
-    # written without leading zeros (48 is the byte of "0").  A message
-    # quotes the field's first 40 characters: p(n) may have thousands.
+    # spaces and underscores it would otherwise accept, nor a non-ASCII
+    # byte; and a field is written without leading zeros (48 is the byte
+    # of "0").  A message quotes the field's first bytes: p(n) may have
+    # thousands of digits.
     if not raw.isdigit():
-        raise CacheError(f"line {line_no}: {name} must be a nonnegative decimal integer, got {raw[:40].decode()!r}")
+        raise CacheError(f"line {line_no}: {name} must be a nonnegative decimal integer, got {_quote(raw)}")
     if raw[0] == 48 and len(raw) > 1:
-        raise CacheError(f"line {line_no}: {name} must have no leading zero, got {raw[:40].decode()!r}")
+        raise CacheError(f"line {line_no}: {name} must have no leading zero, got {_quote(raw)}")
     return int(raw)
 
 
@@ -96,21 +112,10 @@ def _abbrev(value: int) -> str:
     return text if digits <= 20 else f"{text[:8]}...({digits} digits)"
 
 
-def _ascii_lines(handle):
-    """The handle's lines one at a time, each checked to be ASCII and
-    ending in its LF, but for a last line that lacks one."""
-    offset = 0
-    for line in handle:
-        if not line.isascii():
-            bad = offset + next(i for i, byte in enumerate(line) if byte > 0x7F)
-            raise CacheError(f"byte at offset {bad} is not ASCII") from None
-        offset += len(line)
-        yield line
-
-
 def read_table(path: Path | str) -> CountTable:
-    """Load and validate a cache file; raises CacheError naming the bad row,
-    or saying why the file cannot be read.
+    """Load and validate a cache file; raises CacheError naming its first
+    faulty line or row, past which the file is not read, or saying why the
+    file cannot be read.
 
     Every row's nu and gamma are parsed and checked against p, but only p
     and the previous row's nu are kept: the table is its p column, and its
@@ -119,32 +124,25 @@ def read_table(path: Path | str) -> CountTable:
         # Read as bytes, so a CR stays in its field and a CR or CRLF file
         # fails the row checks instead of being read as LF.
         with open(path, "rb") as handle:
-            lines = _ascii_lines(handle)
-            try:
-                return _parse_rows(lines)
-            except CacheError:
-                # A non-ASCII byte anywhere in the file is reported ahead
-                # of a row error, so check the lines the rows left unread.
-                for _ in lines:
-                    pass
-                raise
+            return _parse_rows(handle)
     except OSError as exc:
         raise CacheError(f"cannot read {path}: {exc.strerror}") from None
 
 
-def _parse_rows(lines) -> CountTable:
-    header = next(lines, None)
-    if header is None:
+def _parse_rows(handle) -> CountTable:
+    # At most 41 bytes: a longer first line is not the header, and a file
+    # with no LF at all is not read whole.
+    header = handle.readline(41)
+    if not header:
         raise CacheError("empty cache file")
     # Its LF goes unchecked: a header that lacks one has no rows after it,
     # which is refused below.
     header = header.removesuffix(b"\n")
     if header != CACHE_HEADER.encode():
-        # The first line is cut short: a file with no LF at all is one line.
-        raise CacheError(f"expected header {CACHE_HEADER!r}, got {header[:40].decode()!r}")
+        raise CacheError(f"expected header {CACHE_HEADER!r}, got {_quote(header)}")
     p: list[int] = []
     nu = last = 0  # nu(n-1) and p(n-1)
-    for n, line in enumerate(lines):
+    for n, line in enumerate(handle):
         fields = line.removesuffix(b"\n").split(b",")
         if len(fields) != 4:
             raise CacheError(f"line {n + 2}: expected 4 comma-separated fields, got {len(fields)}")

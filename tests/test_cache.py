@@ -1,3 +1,4 @@
+import contextlib
 import errno
 import math
 import os
@@ -223,7 +224,7 @@ def test_non_ascii_byte_message(tmp_path):
     path.write_bytes(f"{CACHE_HEADER}\n0,0,1,1\n1,0,0,\u00e9\n".encode())
     with pytest.raises(CacheError) as exc:
         read_table(path)
-    assert str(exc.value) == "byte at offset 27 is not ASCII"
+    assert str(exc.value) == r"line 3: p must be a nonnegative decimal integer, got '\xc3\xa9'"
 
 
 def test_bad_header_message(tmp_path):
@@ -236,6 +237,22 @@ def test_bad_header_message(tmp_path):
     with pytest.raises(CacheError) as exc:
         read_table(path)
     assert str(exc.value) == f"expected header 'n,gamma,nu,p', got {'x' * 40!r}"
+
+
+def test_file_without_lf_is_refused_by_its_header(tmp_path):
+    """A 4 MB file with no LF is refused by its header, read as at most 41
+    bytes: the file is not read whole as one line."""
+    path = tmp_path / "counts.csv"
+    path.write_bytes(bytes(4 * 1024 * 1024))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CacheError) as exc:
+            read_table(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == "expected header 'n,gamma,nu,p', got '" + r"\x00" * 10 + "'"
+    assert peak < 64 * 1024
 
 
 def test_wrong_field_count_rejected(tmp_path):
@@ -404,9 +421,10 @@ def test_read_holds_p_alone(tmp_path):
     assert size < three / 2
 
 
-def test_non_ascii_byte_far_after_a_bad_row_is_reported_first(tmp_path):
-    """The first non-ASCII byte is reported ahead of a row error, at its
-    offset in the file, also when it lies far past the bad row."""
+def test_first_faulty_line_is_reported(tmp_path):
+    """A file is refused at its first faulty line: a 0xE9 byte 64 KB past a
+    broken n is not reached, and is refused by its own line's field check
+    once the n is mended."""
     path = tmp_path / "counts.csv"
     write_table(build_table(3000), path)
     data = bytearray(path.read_bytes())
@@ -418,12 +436,12 @@ def test_non_ascii_byte_far_after_a_bad_row_is_reported_first(tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(CacheError) as exc:
         read_table(path)
-    assert str(exc.value) == f"byte at offset {offset} is not ASCII"
-    data[offset] = ord("0")
+    assert str(exc.value) == "row n=3: n must be 3, got 4"
+    data[bad_row] = ord("3")
     path.write_bytes(bytes(data))
     with pytest.raises(CacheError) as exc:
         read_table(path)
-    assert str(exc.value) == "row n=3: n must be 3, got 4"
+    assert str(exc.value) == r"line 2502: n must be a nonnegative decimal integer, got '25\xe90'"
 
 
 def test_read_from_a_fifo(tmp_path):
@@ -444,6 +462,34 @@ def test_read_from_a_fifo(tmp_path):
     assert tables_equal(read_table(fifo), table)
     writer.join(timeout=30)
     assert not writer.is_alive()
+
+
+def test_fifo_is_refused_at_its_first_faulty_row(tmp_path):
+    """A bad row read through a pipe is refused at once: the reader does
+    not wait for the rest of the file, and closes the pipe first."""
+    fifo = tmp_path / "counts.fifo"
+    os.mkfifo(fifo)
+    done = threading.Event()
+    gave_up = []
+
+    def feed():
+        with open(fifo, "wb", buffering=0) as handle:
+            handle.write(f"{CACHE_HEADER}\n0,0,1,1\n2,0,0,1\n".encode())
+            gave_up.append(not done.wait(timeout=30))
+            with contextlib.suppress(BrokenPipeError):  # the reader has closed the pipe
+                handle.write(b"2,0,1,2\n")
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        with pytest.raises(CacheError) as exc:
+            read_table(fifo)
+    finally:
+        done.set()
+    writer.join(timeout=30)
+    assert not writer.is_alive()
+    assert str(exc.value) == "row n=1: n must be 1, got 2"
+    assert gave_up == [False]
 
 
 def test_last_row_without_lf_is_rejected(tmp_path):

@@ -194,7 +194,17 @@ CACHE_ERRORS = {
            "cache error: line 3: gamma must be a nonnegative decimal integer, got '-0'"),
     "leading zero": (b"n,gamma,nu,p\n0,0,1,1\n1,0,0,01\n",
                      "cache error: line 3: p must have no leading zero, got '01'"),
-    "non-ASCII": (b"n,gamma,nu,p\n0,0,1,1\n1,0,0,1\xc3\xa9\n", "cache error: byte at offset 28 is not ASCII"),
+    # A byte outside printable ASCII is refused by its own line's field or
+    # header check, and quoted as an escape, in at most 42 characters.
+    "non-ASCII": (b"n,gamma,nu,p\n0,0,1,1\n1,0,0,1\xc3\xa9\n",
+                  r"cache error: line 3: p must be a nonnegative decimal integer, got '1\xc3\xa9'"),
+    "non-ASCII inside a field": (b"n,gamma,nu,p\n0,0,1,1\n1,0,0,1\n2,0,1\xe91,2\n",
+                                 r"cache error: line 4: nu must be a nonnegative decimal integer, got '1\xe91'"),
+    "BOM": (b"\xef\xbb\xbfn,gamma,nu,p\n0,0,1,1\n",
+            r"cache error: expected header 'n,gamma,nu,p', got '\xef\xbb\xbfn,gamma,nu,p'"),
+    "NUL header": (bytes(40) + b"\n0,0,1,1\n", "cache error: expected header 'n,gamma,nu,p', got '" + r"\x00" * 10 + "'"),
+    "control p": (b"n,gamma,nu,p\n0,0,1,1\n1,0,0," + b"\x01" * 40 + b"\n",
+                  "cache error: line 3: p must be a nonnegative decimal integer, got '" + r"\x01" * 10 + "'"),
     "gap": (b"n,gamma,nu,p\n0,0,1,1\n2,0,1,2\n", "cache error: row n=1: n must be 1, got 2"),
     # Every field is parsed before the row is compared with the one its p
     # implies, so a bad field is reported ahead of a wrong n.
