@@ -190,17 +190,21 @@ def test_leading_zero_rejected(tmp_path, column):
     assert str(exc.value) == f"line 5: {name} must have no leading zero, got '0{fields[column][1:]}'"
 
 
-@pytest.mark.parametrize("raw, problem", [("0" + "3" * 299, "must have no leading zero"),
-                                          ("3" * 299 + "x", "must be a nonnegative decimal integer")],
-                         ids=["leading_zero", "not_decimal"])
-def test_long_bad_field_is_quoted_by_its_first_40_characters(tmp_path, raw, problem):
+@pytest.mark.parametrize("raw, message", [
+    (b"0" + b"3" * 299, "must have no leading zero, got '0" + "3" * 39 + "'"),
+    (b"3" * 299 + b"x", "must be a nonnegative decimal integer, got ...'" + "3" * 36 + "x'"),
+], ids=["leading_zero", "not_decimal"])
+def test_long_bad_field_is_quoted_up_to_its_first_bad_byte(tmp_path, raw, message):
     """A bad field is quoted by its first 40 characters, as a bad header
-    is: far out, p(n) has thousands of digits."""
+    is, since far out p(n) has thousands of digits; when its first bad
+    byte lies past them, by the bytes that end with that byte, marked as a
+    tail.  Either quote is at most 42 characters."""
     path = tmp_path / "counts.csv"
-    path.write_text(f"{CACHE_HEADER}\n0,0,1,1\n1,0,0,1\n2,0,1,2\n3,0,1,{raw}\n")
+    path.write_bytes(f"{CACHE_HEADER}\n0,0,1,1\n1,0,0,1\n2,0,1,2\n3,0,1,".encode() + raw + b"\n")
     with pytest.raises(CacheError) as exc:
         read_table(path)
-    assert str(exc.value) == f"line 5: p {problem}, got {raw[:40]!r}"
+    assert str(exc.value) == f"line 5: p {message}"
+    assert len(str(exc.value).partition(", got ")[2]) <= 42
 
 
 @pytest.mark.parametrize("rows, message", [
@@ -253,6 +257,24 @@ def test_file_without_lf_is_refused_by_its_header(tmp_path):
         tracemalloc.stop()
     assert str(exc.value) == "expected header 'n,gamma,nu,p', got '" + r"\x00" * 10 + "'"
     assert peak < 64 * 1024
+
+
+@pytest.mark.parametrize("byte", [b"7", b"\0"], ids=["digits", "zero_bytes"])
+def test_row_line_without_lf_is_refused_by_its_first_64_kib(tmp_path, byte):
+    """A header, row 0 and 8 MB with no LF: the row line is read as at most
+    64 KiB and refused as too long by its line number, before any field is
+    converted or quoted, so the file is not read whole."""
+    path = tmp_path / "counts.csv"
+    path.write_bytes(f"{CACHE_HEADER}\n0,0,1,1\n".encode() + byte * (8 << 20))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CacheError) as exc:
+            read_table(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == "line 3: longer than 65535 bytes"
+    assert peak < 256 * 1024
 
 
 def test_wrong_field_count_rejected(tmp_path):

@@ -1500,6 +1500,17 @@ def test_records_are_immutable():
                 setattr(record, name, None)
 
 
+def test_importing_the_package_loads_no_module_below_it():
+    """Each name is imported from the module that defines it: the package
+    re-exports none, so ``import nucleus`` alone loads no submodule."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = "import nucleus, sys; print(sorted(m for m in sys.modules if m.startswith('nucleus')))"
+    result = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env,
+                            timeout=60, check=True)
+    assert result.stdout == "['nucleus']\n"
+
+
 def test_startup_imports_no_introspection_modules():
     """No command pays for dataclasses or the inspect/ast/dis/tokenize
     chain it imports."""

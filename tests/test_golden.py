@@ -205,6 +205,15 @@ CACHE_ERRORS = {
     "NUL header": (bytes(40) + b"\n0,0,1,1\n", "cache error: expected header 'n,gamma,nu,p', got '" + r"\x00" * 10 + "'"),
     "control p": (b"n,gamma,nu,p\n0,0,1,1\n1,0,0," + b"\x01" * 40 + b"\n",
                   "cache error: line 3: p must be a nonnegative decimal integer, got '" + r"\x01" * 10 + "'"),
+    # A bad byte past a field's first 40 is quoted by the bytes that end
+    # with it, marked as a tail.
+    "bad byte past 40": (b"n,gamma,nu,p\n0,0,1,1\n1,0,0," + b"7" * 216 + b"\xe9\n",
+                         "cache error: line 3: p must be a nonnegative decimal integer, got ...'" + "7" * 33 + r"\xe9'"),
+    # More digits than int() converts, 4,300 by default.
+    "5,001-digit p": (b"n,gamma,nu,p\n0,0,1,1\n1,0,0," + b"7" * 5001 + b"\n",
+                      "cache error: line 3: p has 5001 digits, more than int() converts"),
+    # A row line is read as at most 64 KiB, its LF included.
+    "long row line": (b"n,gamma,nu,p\n0,0,1,1\n" + b"7" * 65536, "cache error: line 3: longer than 65535 bytes"),
     "gap": (b"n,gamma,nu,p\n0,0,1,1\n2,0,1,2\n", "cache error: row n=1: n must be 1, got 2"),
     # Every field is parsed before the row is compared with the one its p
     # implies, so a bad field is reported ahead of a wrong n.
