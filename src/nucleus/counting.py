@@ -20,8 +20,12 @@ independent route so the routes can be checked against each other:
 Each route over the exact table also has a whole-range sweep
 (``*_sweep``, ``bounded_sums``, one ``_k_skip_chain`` per residue class)
 that evaluates it for every n up to a bound by running sums or one
-rolled row; the per-n functions read the same formula.  All arithmetic
-is exact; p(n) outgrows 64 bits at n = 417 and keeps going.
+rolled row; the per-n functions read the same formula.  The gap sum and
+the counts of nu and gamma by enumeration read no table: the nuclear
+partitions are counted by their prefixes below the top pair, with the
+prefix row (``_prefixes_by_lo``) summed as the same nested bracket as
+``bounded_sums``.  All arithmetic is exact; p(n) outgrows 64 bits at
+n = 417 and keeps going.
 """
 
 from __future__ import annotations
@@ -382,29 +386,23 @@ def _prefixes_by_lo(limit: int) -> list[int]:
     """Entry lo, for lo = 0..limit, counts the prefixes mu (nuclear
     partitions, () included) with |mu| + 2 max(mu, 2) = lo.
 
-    The walk is depth first from (), whose lo is 4.  The children
-    mu + (x,) of a prefix of size ``total`` and top part ``top`` have
-    x >= top and lo = total + 3x, so the ones with lo <= limit, x up to
-    (limit - total) // 3, make one run of lo with step 3.  The run goes
-    in as two difference entries, which dividing by 1 - x^3 at the end
-    sums along each class mod 3.  Only the children with children of
-    their own, x up to (limit - total) // 4, are pushed, so the loop takes
-    one step per prefix that has room for another part.
+    () has lo 4, and a prefix with top part a >= 2 is (a) and a partition
+    into parts in [2, a], so lo = 3a + the rest.  In powers of x the row
+    is P = x^4 + sum_{a>=2} x^(3a) prod_{j=2..a} 1/(1 - x^j), summed as
+    the bracket
+
+        C_a = x^(3a) + C_{a+1} / (1 - x^(a+1)),    P = x^4 + C_2 / (1 - x^2)
+
+    with one row divided from the top bound down, as in ``bounded_sums``.
+    C_m has no term below degree 3m, so its division by 1 - x^m reads from
+    3m, changes degrees from 4m and does nothing for m > limit//4.  Each
+    seed x^(3a) with a < m, and x^4, lies below the degrees that the
+    division at m reads, so the row holds them all from the start.
     """
-    counts = [0] * (limit + 4)
-    stack = []
-    if limit >= 4:
-        counts[4], counts[7] = 1, -1  # (), a run of one
-        stack.append((0, 2))
-    while stack:
-        total, top = stack.pop()
-        rest = limit - total
-        # At limit 4 and 5 the run of () is empty and the entries cancel.
-        counts[total + 3 * top] += 1
-        counts[total + 3 * (rest // 3) + 3] -= 1
-        stack += [(total + x, x) for x in range(top, rest // 4 + 1)]
-    _raise_bound(counts, 3, limit)
-    return counts[:limit + 1]
+    row = [int(lo == 4 or lo >= 6 and lo % 3 == 0) for lo in range(limit + 1)]
+    for m in range(limit // 4, 1, -1):
+        _raise_bound(row, m, limit, 4 * m)
+    return row
 
 
 def enumerated_sweep(limit: int) -> list[tuple[int, int, int]]:

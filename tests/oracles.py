@@ -76,6 +76,20 @@ def bounded_sums(limit):
     return sums
 
 
+def prefix_counts(limit):
+    """Entry lo, for lo = 0..limit, counts the prefixes mu, the nuclear
+    partitions with () included, with lo = |mu| + 2 max(mu, 2), each
+    built and counted.  lo >= |mu| + 4, so |mu| runs to limit - 4.  The
+    reference for counting._prefixes_by_lo."""
+    counts = [0] * (limit + 1)
+    for size in range(limit - 3):
+        for mu in ascending_partitions(size, 2):
+            lo = size + 2 * max(mu, default=2)
+            if lo <= limit:
+                counts[lo] += 1
+    return counts
+
+
 # The derived congruence families as sums over an exact count table (with
 # .p, .nu and .gamma columns), at the progression's end e = a*n + b, over
 # its step a: a window of a nu values, and a weighted sum of a - 1 gammas.

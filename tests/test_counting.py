@@ -15,6 +15,7 @@ from nucleus.counting import (
     RestrictedCounts,
     _extend_p,
     _k_skip_chain,
+    _prefixes_by_lo,
     _raise_bound,
     _raise_bounds_lanes,
     bounded_sums,
@@ -38,7 +39,7 @@ from nucleus.counting import (
 )
 from nucleus.partitions import NUCLEAR
 
-from oracles import REFERENCE_ROWS, all_partitions, partition_counts, reverse_lex_partitions
+from oracles import REFERENCE_ROWS, all_partitions, partition_counts, prefix_counts, reverse_lex_partitions
 from oracles import bounded_sums as scatter_all_bounded_sums
 
 K_VALUES = (1, 2, 3, 5, 7, 11)
@@ -697,10 +698,16 @@ def test_enumeration_agreement_to_40(table):
         assert ground == table.gamma[n]
 
 
-def test_enumerated_counts_match_the_table(table):
-    sweep = enumerated_sweep(80)
-    for n in range(2, 81):
-        assert sweep[n] == (table.nu[n], table.p[n], table.gamma[n]), n
+def test_prefix_row_matches_the_built_prefixes():
+    """The bracket's row against every prefix built and counted by the
+    oracle, which shares no code with the package, at each limit to 40."""
+    for limit in range(41):
+        assert _prefixes_by_lo(limit) == prefix_counts(limit), limit
+
+
+def test_enumerated_counts_match_the_table(big_table):
+    sweep = enumerated_sweep(big_table.limit)
+    assert sweep[2:] == list(zip(big_table.nu[2:], big_table.p[2:], big_table.gamma[2:]))
     # n = 0 has the one nuclear partition (), n = 1 none; the gap-sum
     # value undercounts both, p(0) = p(1) = 1.
     assert enumerated_counts(0) == (1, 0, 0)
@@ -727,7 +734,7 @@ def test_enumerated_counts_match_an_independent_enumeration():
 
 def test_enumerated_sweep_is_a_prefix_of_a_longer_one():
     """The rows of a sweep to L are the first rows of a sweep to 60, for
-    every L <= 60: the walk keeps every prefix whose runs reach L, the
+    every L <= 60: the bracket's row to L is the row to 60 cut at L, the
     largest n included, and the rows below 4 come out the same."""
     longest = enumerated_sweep(60)
     for limit in range(61):
